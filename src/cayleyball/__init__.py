@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .groups import (
     GeneratorLetter,
     GroupSpec,
+    InternalCheckError,
     SpecParseError,
     WordError,
     parse_group_spec,
@@ -28,7 +29,6 @@ from .geodesics import (
     polygon_thinness,
 )
 from .invariants import (
-    InternalCheckError,
     InvariantResult,
     SamplingPlan,
     bigon_constants,

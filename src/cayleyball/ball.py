@@ -213,6 +213,11 @@ class DistanceMatrix:
         self._rows: dict[int, np.ndarray] = {}
         self._mid_block: np.ndarray | None = None
         self._interval_cache: dict[tuple[int, int], np.ndarray] = {}
+        # filled lazily: geodesic DAGs by geodesics, the polygon scan and
+        # mesh's adversarial sides by invariants
+        self._dag_cache: dict = {}
+        self._adversarial_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._pscan = None
         inner_rows = self._bfs_rows(list(range(ball.inner_count)))
         self.inner = inner_rows[:, : ball.inner_count].copy()
         self._inner_rows = inner_rows

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .ball import BudgetExceededError, all_pairs_distances, build_ball
-from .groups import SpecParseError, WordError, parse_group_spec
+from .groups import InternalCheckError, SpecParseError, WordError, parse_group_spec
 from .invariants import (
-    InternalCheckError,
     SamplingPlan,
     bigon_constants,
     chain_defect,
@@ -236,7 +235,10 @@ def _add_common(parser):
     parser.add_argument("--invariants", default="all", help="comma list; 'all' = standard set")
     parser.add_argument("--samples", type=int, help="random tuples per invariant (omit for exhaustive)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--geodesic-cap", default=None, help="per-side geodesic cap (int or 'none'; default 64)")
+    parser.add_argument(
+        "--geodesic-cap", default=None,
+        help="per-side geodesic cap for mesh (int or 'none'; default 64); bigons are exact without it",
+    )
     parser.add_argument("--budget", type=int, default=500_000, help="vertex budget for the ball")
     parser.add_argument("--subgroup", help="comma list of subgroup generator words")
     parser.add_argument("--format", choices=("json", "table"), default="table")
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InternalCheckError, AssertionError) as exc:
+    except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
 

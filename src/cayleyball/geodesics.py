@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BallGraph, DistanceMatrix
+from .groups import InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,15 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
 
 
 class GeodesicDag:
-    """Layered DAG of all geodesics from u to v, local vertex numbering."""
+    """Layered DAG of all geodesics from u to v, local vertex numbering.
 
-    __slots__ = ("u", "v", "dist_uv", "verts", "layer", "succ", "pos")
+    ``verts`` is sorted by (layer, vertex index), so local index 0 is u and
+    the last one is v; ``succ`` and ``preds`` hold, per vertex, a tuple of
+    its neighbours one layer up and down in edge-label order.  Tuples keep
+    the cached DAGs small and out of the garbage collector's way.
+    """
+
+    __slots__ = ("u", "v", "dist_uv", "verts", "layer", "succ", "preds", "pos")
 
     def __init__(self, ball: BallGraph, dist: DistanceMatrix, u: int, v: int):
         iv = interval(dist, u, v)
@@ -108,31 +115,25 @@ class GeodesicDag:
         self.layer = [int(ru[w]) for w in verts]
         self.pos = {w: i for i, w in enumerate(verts)}
         self.succ = []
+        self.preds = []
         for i, w in enumerate(verts):
-            nxt = []
+            nxt, prv = [], []
             for nbr, _ in ball.adj[w]:  # already label-sorted
                 j = self.pos.get(nbr)
-                if j is not None and self.layer[j] == self.layer[i] + 1:
-                    nxt.append(j)
-            self.succ.append(nxt)
-
-    def preds(self, ball, i):
-        out = []
-        for nbr, _ in ball.adj[self.verts[i]]:
-            j = self.pos.get(nbr)
-            if j is not None and self.layer[j] == self.layer[i] - 1:
-                out.append(j)
-        return out
+                if j is not None:
+                    if self.layer[j] == self.layer[i] + 1:
+                        nxt.append(j)
+                    elif self.layer[j] == self.layer[i] - 1:
+                        prv.append(j)
+            self.succ.append(tuple(nxt))
+            self.preds.append(tuple(prv))
 
 
 def _dag(ball, dist, u, v):
-    cache = getattr(dist, "_dag_cache", None)
-    if cache is None:
-        cache = dist._dag_cache = {}
     key = (int(u), int(v))
-    dag = cache.get(key)
+    dag = dist._dag_cache.get(key)
     if dag is None:
-        dag = cache[key] = GeodesicDag(ball, dist, u, v)
+        dag = dist._dag_cache[key] = GeodesicDag(ball, dist, u, v)
     return dag
 
 
@@ -162,12 +163,6 @@ def enumerate_geodesics(ball, dist, u, v, cap=None):
     return paths, False
 
 
-def geodesic_between(ball, dist, u, v):
-    """The label-lexicographically first geodesic from u to v."""
-    paths, _ = enumerate_geodesics(ball, dist, u, v, cap=1)
-    return paths[0]
-
-
 def geodesic_through(ball, dist, u, v, via):
     """Some geodesic from u to v passing through an interval vertex ``via``."""
     dag = _dag(ball, dist, u, v)
@@ -180,7 +175,7 @@ def geodesic_through(ball, dist, u, v, via):
     j = i
     backward = []
     while dag.verts[j] != int(u):
-        j = dag.preds(ball, j)[0]
+        j = dag.preds[j][0]
         backward.append(dag.verts[j])
     return GeodesicPath(tuple(reversed(backward)) + tuple(forward))
 
@@ -195,66 +190,46 @@ def polygon_thinness(dist: DistanceMatrix, poly: Polygon) -> int:
 # ---------------------------------------------------------------------------
 # worst-case machinery: maximal avoidance of a probe point by a geodesic
 
-def max_avoidance(ball, dist, u, v, p) -> int:
-    """max over geodesics from u to v of d(p, image of the geodesic).
-
-    Bottleneck dynamic program over the geodesic DAG: the best prefix value
-    at a vertex is the max over predecessors, floored by the vertex's own
-    distance to p.
+def _bottleneck(dag, vals, lo, hi):
+    """Best prefix values of the geodesic DAG: ``f[i]`` is the max over
+    geodesic prefixes ending at local vertex ``i`` of the least ``vals`` on
+    them.  ``vals`` holds one value per local vertex in DAG order; ``lo`` and
+    ``hi`` are the min and max of those values (builtins for numbers,
+    ``np.minimum``/``np.maximum`` for arrays of probes).
     """
+    f = [vals[0]]
+    for i in range(1, len(dag.verts)):
+        preds = dag.preds[i]
+        best = f[preds[0]]
+        for j in preds[1:]:
+            best = hi(best, f[j])
+        f.append(lo(best, vals[i]))
+    return f
+
+
+def max_avoidance(ball, dist, u, v, p) -> int:
+    """max over geodesics from u to v of d(p, image of the geodesic)."""
     dag = _dag(ball, dist, u, v)
-    rp = dist.row(p)
-    f = [None] * len(dag.verts)
-    f[0] = int(rp[dag.verts[0]])
-    best_in = [-1] * len(dag.verts)
-    for i in range(len(dag.verts)):
-        if f[i] is None:
-            f[i] = min(best_in[i], int(rp[dag.verts[i]]))
-        for j in dag.succ[i]:
-            if f[i] > best_in[j]:
-                best_in[j] = f[i]
-    return f[dag.pos[int(v)]]
+    return _bottleneck(dag, dist.row(p)[dag.verts].tolist(), min, max)[-1]
 
 
 def max_avoidance_block(ball, dist, u, v, rows_block) -> np.ndarray:
     """Vector form of :func:`max_avoidance` over every source of ``rows_block``."""
     dag = _dag(ball, dist, u, v)
-    nv = len(dag.verts)
-    f = [None] * nv
-    f[0] = rows_block[:, dag.verts[0]].astype(np.int16)
-    best_in = [None] * nv
-    for i in range(nv):
-        if f[i] is None:
-            f[i] = np.minimum(best_in[i], rows_block[:, dag.verts[i]])
-        for j in dag.succ[i]:
-            if best_in[j] is None:
-                best_in[j] = f[i].copy()
-            else:
-                np.maximum(best_in[j], f[i], out=best_in[j])
-    return f[dag.pos[int(v)]]
+    return _bottleneck(dag, rows_block.T[dag.verts], np.minimum, np.maximum)[-1]
 
 
 def most_avoiding_geodesic(ball, dist, u, v, p) -> GeodesicPath:
     """A geodesic from u to v achieving :func:`max_avoidance` for p."""
     dag = _dag(ball, dist, u, v)
-    rp = dist.row(p)
-    nv = len(dag.verts)
-    f = [None] * nv
-    f[0] = int(rp[dag.verts[0]])
-    best_in = [-1] * nv
-    for i in range(nv):
-        if f[i] is None:
-            f[i] = min(best_in[i], int(rp[dag.verts[i]]))
-        for j in dag.succ[i]:
-            if f[i] > best_in[j]:
-                best_in[j] = f[i]
-    trail = [dag.pos[int(v)]]
-    while dag.verts[trail[-1]] != int(u):
+    f = _bottleneck(dag, dist.row(p)[dag.verts].tolist(), min, max)
+    trail = [len(f) - 1]
+    while trail[-1] != 0:
         i = trail[-1]
-        for j in dag.preds(ball, i):
+        for j in dag.preds[i]:
             if f[j] >= f[i]:
                 trail.append(j)
                 break
-        else:  # pragma: no cover - DP guarantees a predecessor exists
-            raise AssertionError("avoidance backtrack failed")
+        else:  # pragma: no cover - the DP guarantees a predecessor exists
+            raise InternalCheckError("avoidance backtrack failed")
     return GeodesicPath(tuple(dag.verts[i] for i in reversed(trail)))

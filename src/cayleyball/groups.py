@@ -39,6 +39,10 @@ from typing import Any
 Element = Any  # canonical normal-form value, hashable
 
 
+class InternalCheckError(RuntimeError):
+    """A mathematically guaranteed relation failed; indicates a bug."""
+
+
 class SpecParseError(ValueError):
     """Malformed group specification; carries the offending position."""
 
@@ -170,7 +174,8 @@ class FreeProductNode:
             else:
                 out.append((fi, e))
         result = tuple(out)
-        assert self._reduced(result), "free-product normal form violated"
+        if not self._reduced(result):
+            raise InternalCheckError("free-product normal form violated")
         return result
 
     def _reduced(self, a):
@@ -450,7 +455,4 @@ def parse_group_spec(text: str) -> GroupSpec:
     if not text.strip():
         raise SpecParseError("empty group specification", 0)
     root = _Parser(text).parse()
-    spec = GroupSpec.__new__(GroupSpec)
-    gens = [(name, e) for name, e in root.gens()]
-    GroupSpec.__init__(spec, text, root, gens)
-    return spec
+    return GroupSpec(text, root, list(root.gens()))

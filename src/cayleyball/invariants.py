@@ -28,6 +28,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .ball import DistanceMatrix
 from .geodesics import (
+    _bottleneck,
+    _dag,
     enumerate_geodesics,
     geodesic_through,
     interval,
@@ -35,10 +37,7 @@ from .geodesics import (
     max_avoidance_block,
     most_avoiding_geodesic,
 )
-
-
-class InternalCheckError(RuntimeError):
-    """A mathematically guaranteed relation failed; indicates a bug."""
+from .groups import InternalCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +48,9 @@ class SamplingPlan:
     """Deterministic description of which tuples and geodesics are examined.
 
     ``geodesic_cap`` bounds the number of geodesics enumerated per side where
-    explicit enumeration is needed (bigons, mesh); ``None`` means unlimited.
+    explicit enumeration is needed, which is only the mesh; ``None`` means
+    unlimited.  Bigons never enumerate paths and are exact under every
+    exhaustive plan.
     """
 
     mode: str = "exhaustive"
@@ -406,25 +407,13 @@ class _PolygonScan:
                     chain.insert(0, z)
                     break
         chain.insert(0, b)
-        sides = [
-            most_avoiding_geodesic(self.ball, self.dist, u, v, p)
-            for u, v in zip(chain, chain[1:])
-        ]
-        last = geodesic_through(self.ball, self.dist, a, b, via=p)
-        return {
-            "corners": _words(self.ball, chain),
-            "far_point": self.ball.word(p),
-            "sides": [_words(self.ball, s.vertices) for s in sides],
-            "last_side": _words(self.ball, last.vertices),
-            "thinness": int(ext.value),
-        }
+        return _polygon_tuple_witness(self.ball, self.dist, chain, p, ext.value)
 
 
 def _polygon_scan(ball, dist) -> _PolygonScan:
-    scan = getattr(dist, "_pscan", None)
-    if scan is None:
-        scan = dist._pscan = _PolygonScan(ball, dist)
-    return scan
+    if dist._pscan is None:
+        dist._pscan = _PolygonScan(ball, dist)
+    return dist._pscan
 
 
 def polygon_tuple_value(ball, dist, corners):
@@ -504,17 +493,7 @@ def polygon_delta(ball, dist, n, plan: SamplingPlan, method="auto") -> Invariant
         witness = {"corners": _words(ball, best.key), "thinness": int(best.value)}
     else:
         raise ValueError(f"unknown polygon method {method!r}")
-    value = 2 * best.value
-    return InvariantResult(
-        name="polygon_delta",
-        value_doubled=value,
-        bound="lower",
-        plan=plan.describe(),
-        witness=witness,
-        r_in=ball.r_in,
-        r_out=ball.r_out,
-        extra={"n": n, "method": method},
-    )
+    return _result("polygon_delta", ball, 2 * best.value, "lower", plan, witness, {"n": n, "method": method})
 
 
 def rips_delta(ball, dist, plan: SamplingPlan) -> InvariantResult:
@@ -529,57 +508,66 @@ def rips_delta(ball, dist, plan: SamplingPlan) -> InvariantResult:
 
 def bigon_constants(ball, dist, plan: SamplingPlan):
     """(async, sync) fellow-traveler constants over sampled coterminal
-    geodesic pairs.
+    geodesic pairs, maximized over ALL geodesic pairs of each endpoint pair.
 
     async is the worst one-sided Hausdorff distance from one geodesic into a
-    coterminal one; sync is the worst distance between same-parameter
-    vertices.  Every evaluated pair is checked against sync <= 2 * async.
+    coterminal one: the max over interval probes p of the max avoidance of p,
+    one block DP over the interval's own distance block.  sync is the worst
+    distance between same-parameter vertices: the largest diameter of one
+    DAG layer's slice of the interval, since two geodesics can pass through
+    any two vertices of a layer.  Neither enumerates paths, so the geodesic
+    cap does not apply and both are exact under every exhaustive plan.
+    Every evaluated pair is checked against sync <= 2 * async.
     """
     n = ball.inner_count
     best_async = _Extremum()
     best_sync = _Extremum()
-    best_async.offer(0, (0, 0, 0, 0), None)
-    best_sync.offer(0, (0, 0, 0, 0), None)
-    capped = False
+    best_async.offer(0, (0, 0), None)
+    best_sync.offer(0, (0, 0), None)
     for x, y in plan.unordered_tuples(n, 2):
-        if x == y:
-            continue
-        paths, truncated = enumerate_geodesics(ball, dist, x, y, cap=plan.geodesic_cap)
-        capped = capped or truncated
-        if len(paths) < 2:
-            continue
-        iv = np.asarray(interval(dist, x, y).vertices, dtype=np.int64)
-        pos = {int(w): k for k, w in enumerate(iv)}
-        block = np.stack([dist.row(w)[iv] for w in iv])
-        local = [np.asarray([pos[w] for w in path.vertices]) for path in paths]
-        for i, j in itertools.permutations(range(len(paths)), 2):
-            sub = block[np.ix_(local[i], local[j])]
-            a_val = int(sub.min(axis=1).max())
-            s_val = int(block[local[i], local[j]].max())
-            if s_val > 2 * a_val:
-                raise InternalCheckError(
-                    f"fellow-traveler bound violated for pair ({ball.word(x)}, {ball.word(y)})"
-                )
-            data = (paths[i], paths[j])
-            best_async.offer(a_val, (x, y, i, j), data)
-            best_sync.offer(s_val, (x, y, i, j), data)
-    bound = "exact" if plan.mode == "exhaustive" and not capped else "lower"
+        iv = interval(dist, x, y)
+        if len(iv) == iv.dist_uv + 1:
+            continue  # unique geodesic: both constants are 0
+        dag = _dag(ball, dist, x, y)
+        verts = dag.verts
+        # symmetric, so row i is both probe i's distances and vertex i's values
+        block = np.stack([dist.row(w)[verts] for w in verts])
+        avoid = _bottleneck(dag, block, np.minimum, np.maximum)[-1]
+        k = int(avoid.argmax())
+        a_val = int(avoid[k])
+        layer = np.asarray(dag.layer)
+        same = np.where(layer[:, None] == layer[None, :], block, -1)
+        flat = int(same.argmax())
+        s_val = int(same.flat[flat])
+        if s_val > 2 * a_val:
+            raise InternalCheckError(
+                f"fellow-traveler bound violated for pair ({ball.word(x)}, {ball.word(y)})"
+            )
+        best_async.offer(a_val, (x, y), (verts[k],))
+        best_sync.offer(s_val, (x, y), (verts[flat // len(verts)], verts[flat % len(verts)]))
+    bound = "exact" if plan.mode == "exhaustive" else "lower"
 
-    def bigon_witness(ext):
-        x, y, _, _ = ext.key
+    def async_sides(x, y, p):
+        # a geodesic through the probe, and a coterminal one staying farthest from it
+        return geodesic_through(ball, dist, x, y, p), most_avoiding_geodesic(ball, dist, x, y, p)
+
+    def sync_sides(x, y, a, b):
+        # geodesics through the two farthest-apart vertices of one layer
+        return geodesic_through(ball, dist, x, y, a), geodesic_through(ball, dist, x, y, b)
+
+    def bigon_witness(ext, sides):
+        x, y = ext.key
         out = {"start": ball.word(x), "end": ball.word(y), "distance": int(ext.value)}
         if ext.data is not None:
-            out["geodesic"] = _words(ball, ext.data[0].vertices)
-            out["coterminal"] = _words(ball, ext.data[1].vertices)
+            geodesic, coterminal = sides(x, y, *ext.data)
+            out["geodesic"] = _words(ball, geodesic.vertices)
+            out["coterminal"] = _words(ball, coterminal.vertices)
         return out
 
-    extra = {"capped": capped}
-    res_async = _result(
-        "bigon_async", ball, 2 * best_async.value, bound, plan, bigon_witness(best_async), extra
-    )
-    res_sync = _result(
-        "bigon_sync", ball, 2 * best_sync.value, bound, plan, bigon_witness(best_sync), extra
-    )
+    witness_async = bigon_witness(best_async, async_sides)
+    witness_sync = bigon_witness(best_sync, sync_sides)
+    res_async = _result("bigon_async", ball, 2 * best_async.value, bound, plan, witness_async)
+    res_sync = _result("bigon_sync", ball, 2 * best_sync.value, bound, plan, witness_sync)
     return res_async, res_sync
 
 
@@ -685,9 +673,7 @@ def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:
 # mesh
 
 def _adversarial_side(ball, dist, x, y):
-    cache = getattr(dist, "_adversarial_cache", None)
-    if cache is None:
-        cache = dist._adversarial_cache = {}
+    cache = dist._adversarial_cache
     key = (min(x, y), max(x, y))
     path = cache.get(key)
     if path is None:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cayleyball import cli
+from cayleyball import InternalCheckError, cli, parse_group_spec
 from cayleyball.cli import AnalysisConfig, emit_report, run_analysis
 
 
@@ -50,6 +50,22 @@ def test_internal_check_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "four_point_delta", boom)
     rc = cli.main(["analyze", "--group", "Z", "--radius", "1", "--invariants", "four_point"])
     assert rc == 4
+
+
+def test_free_product_normal_form_check_exit_code(monkeypatch, capsys):
+    # a non-reduced free-product element trips the check even under python -O
+    spec = parse_group_spec("Z2 * Z3")
+    identity_syllable = ((0, spec.root.factors[0].identity()),)
+    with pytest.raises(InternalCheckError):
+        spec.multiply(identity_syllable, spec.identity())
+
+    def corrupt_build(spec, *args, **kwargs):
+        return spec.multiply(identity_syllable, spec.identity())
+
+    monkeypatch.setattr(cli, "build_ball", corrupt_build)
+    rc = cli.main(["analyze", "--group", "Z2 * Z3", "--radius", "1", "--invariants", "four_point"])
+    assert rc == 4
+    assert "free-product normal form" in capsys.readouterr().err
 
 
 def test_empty_invariants_gives_ball_stats_only():

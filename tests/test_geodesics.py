@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyball import enumerate_geodesics, interval, polygon_thinness
 from cayleyball.geodesics import (
@@ -9,6 +12,7 @@ from cayleyball.geodesics import (
     Polygon,
     geodesic_through,
     max_avoidance,
+    max_avoidance_block,
     most_avoiding_geodesic,
 )
 from oracles import count_geodesics_oracle
@@ -172,3 +176,36 @@ def test_max_avoidance_matches_enumeration(make_pair):
             assert max_avoidance(ball, dist, u, v, p) == literal
             best = most_avoiding_geodesic(ball, dist, u, v, p)
             assert min(dist.d(p, w) for w in best.vertices) == literal
+
+
+SMALL_CASES = [
+    (text, r_in)
+    for text in ("Z x Z", "Z6", "S4", "Z2 * Z3", "(Z2 * Z3) x Z")
+    for r_in in (1, 2)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
+    # scalar, backtracked and block forms of the one DP against the literal
+    # max over every geodesic
+    text, r_in = data.draw(st.sampled_from(SMALL_CASES))
+    ball, dist = make_pair(text, r_in)
+    u = data.draw(st.integers(0, ball.inner_count - 1))
+    v = data.draw(st.integers(0, ball.inner_count - 1))
+    probes = interval(dist, u, v).vertices
+    p = data.draw(st.sampled_from(probes))
+    paths, truncated = enumerate_geodesics(ball, dist, u, v, cap=None)
+    assert not truncated
+    literal = max(min(dist.d(p, w) for w in path.vertices) for path in paths)
+    assert max_avoidance(ball, dist, u, v, p) == literal
+
+    best = most_avoiding_geodesic(ball, dist, u, v, p)
+    assert best.start == u and best.end == v and best.length == dist.d(u, v)
+    assert all(dist.d(a, b) == 1 for a, b in zip(best.vertices, best.vertices[1:]))
+    assert min(dist.d(p, w) for w in best.vertices) == literal
+
+    rows = np.stack([dist.row(q) for q in probes])
+    block = max_avoidance_block(ball, dist, u, v, rows)
+    assert block.tolist() == [max_avoidance(ball, dist, u, v, q) for q in probes]

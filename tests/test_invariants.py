@@ -320,6 +320,59 @@ def test_fellow_traveler_bound(make_pair):
                 assert sync_val <= 2 * async_val
 
 
+def _bigon_enumeration_oracle(ball, dist):
+    """Literal (async, sync) over every ordered pair of uncapped geodesics."""
+    best_async = best_sync = 0
+    for x, y in itertools.combinations(range(ball.inner_count), 2):
+        paths, truncated = enumerate_geodesics(ball, dist, x, y, cap=None)
+        assert not truncated
+        for pi, pj in itertools.permutations(paths, 2):
+            best_async = max(
+                best_async,
+                max(min(dist.d(w, w2) for w2 in pj.vertices) for w in pi.vertices),
+            )
+            best_sync = max(
+                best_sync, max(dist.d(w, w2) for w, w2 in zip(pi.vertices, pj.vertices))
+            )
+    return 2 * best_async, 2 * best_sync
+
+
+def _bigon_witness_values(ball, dist, res_async, res_sync):
+    def path(res, key):
+        return [ball.index_of_word(w) for w in res.witness[key]]
+
+    geo, other = path(res_async, "geodesic"), path(res_async, "coterminal")
+    async_val = max(min(dist.d(w, w2) for w2 in other) for w in geo)
+    geo, other = path(res_sync, "geodesic"), path(res_sync, "coterminal")
+    sync_val = max(dist.d(w, w2) for w, w2 in zip(geo, other))
+    return 2 * async_val, 2 * sync_val
+
+
+@pytest.mark.parametrize(
+    "text,r_in",
+    [("Z x Z", 2), ("Z6", 2), ("S4", 2), ("Z2 * Z3", 2), ("(Z2 * Z3) x Z", 2)],
+)
+def test_bigons_match_uncapped_enumeration(make_pair, text, r_in):
+    # the default plan keeps the 64-path cap, which bigons no longer use
+    ball, dist = make_pair(text, r_in)
+    res_async, res_sync = bigon_constants(ball, dist, EXHAUSTIVE)
+    values = (res_async.value_doubled, res_sync.value_doubled)
+    assert values == _bigon_enumeration_oracle(ball, dist)
+    assert res_async.bound == res_sync.bound == "exact"
+    if values != (0, 0):
+        assert _bigon_witness_values(ball, dist, res_async, res_sync) == values
+
+
+def test_bigons_grid_r4_exact(make_pair):
+    # pairs at distance 8 have 70 geodesics, past the default cap of 64
+    ball, dist = make_pair("Z x Z", 4)
+    res_async, res_sync = bigon_constants(ball, dist, EXHAUSTIVE)
+    assert (res_async.value_doubled, res_sync.value_doubled) == (8, 16)
+    assert res_async.bound == res_sync.bound == "exact"
+    assert "capped" not in res_async.extra
+    assert _bigon_witness_values(ball, dist, res_async, res_sync) == (8, 16)
+
+
 def test_bigon_witness_reevaluates(make_pair):
     ball, dist = make_pair("Z x Z", 2)
     res_async, _ = bigon_constants(ball, dist, UNCAPPED)
