@@ -305,7 +305,7 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     ball supports full element lookups; without it the ball is graph-only
     (distances and invariants still work, subgroup enumeration does not).
     """
-    lines = text.splitlines()
+    lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
     if len(header) != 6 or header[0] != "vertices" or header[2] != "radius_in" or header[4] != "radius_out":
         raise ValueError(f"bad ball header: {lines[0]!r}")
@@ -325,6 +325,8 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
         if not line.strip():
             continue
         u, v, label = line.split(" ", 2)
+        if not (0 <= int(u) < n and 0 <= int(v) < n):
+            raise ValueError(f"edge endpoint out of range in {line!r}")
         li = label_to_index.get(label)
         if li is None:
             li = len(letters)

@@ -60,6 +60,7 @@ class AnalysisConfig:
             raise ValueError("radii must be positive")
         if self.samples is not None and self.samples < 1:
             raise ValueError("sample count must be positive")
+        self.plan()  # rejects a bad geodesic cap
         self.tasks = [_parse_invariant(s, self) for s in self.invariants]
 
     def plan(self):
@@ -92,12 +93,18 @@ def _parse_invariant(text, config):
         method = args[0] if args else "bottleneck"
         if method not in ("bottleneck", "bruteforce"):
             raise ValueError(f"unknown chain method {method!r}")
+        if len(args) > 1 and method != "bruteforce":
+            raise ValueError("only the bruteforce chain method takes a length bound")
         maxlen = int(args[1]) if len(args) > 1 else 4
+        if maxlen < 1:
+            raise ValueError("chain length bound must be at least 1")
         return text, lambda ball, dist, plan: [chain_defect(dist, method=method, maxlen=maxlen)]
     if name == "rips" and not args:
         return text, lambda ball, dist, plan: [rips_delta(ball, dist, plan)]
     if name == "polygon" and 1 <= len(args) <= 2:
         n = int(args[0])
+        if n < 1:
+            raise ValueError("polygon size parameter must be at least 1")
         method = args[1] if len(args) > 1 else "auto"
         if method not in ("auto", "scan", "tuples", "interval"):
             raise ValueError(f"unknown polygon method {method!r}")

@@ -197,12 +197,10 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
     if plan.mode == "exhaustive":
         for p in range(n):
             G = _gromov_matrix(dist, p)
-            for x1 in range(n):
-                M = np.minimum.outer(G[:, x1], G[x1, :]) - G
-                m = int(M.max())
-                if best.value is None or m > best.value:
-                    flat = int(M.argmax())
-                    best.offer(m, (p, x1, flat // n, flat % n))
+            # T[x1, x0, x2] = min{(x0|x1)_p, (x1|x2)_p} - (x0|x2)_p
+            T = np.minimum(G[:, :, None], G[:, None, :]) - G
+            x1, x0, x2 = np.unravel_index(int(T.argmax()), T.shape)
+            best.offer(int(T[x1, x0, x2]), (p, int(x1), int(x0), int(x2)))
     else:
         for x0, x1, x2, p in plan.ordered_tuples(n, 4):
             g01 = doubled_gromov_product(dist, x0, x1, p)
@@ -223,53 +221,43 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
 
 
 # ---------------------------------------------------------------------------
-# chain defect: the all-lengths Gromov inequality via bottleneck paths
+# chain defect: the all-lengths Gromov inequality as a max-min closure of the
+# Gromov-product matrix.  The four-point condition is its 2-chain case, and
+# polygon thinness is a max-min chain over avoidance values.
 
-def _widest_values(G, source):
-    """Max-min path values from ``source`` in a dense complete graph."""
-    n = G.shape[0]
-    width = G[source].copy()
-    width[source] = np.iinfo(np.int32).max
-    done = np.zeros(n, dtype=bool)
-    parent = np.full(n, source)
-    parent[source] = -1
-    for _ in range(n):
-        cand = np.where(done, np.iinfo(np.int32).min, width)
-        u = int(cand.argmax())
-        done[u] = True
-        relax = np.minimum(width[u], G[u])
-        upd = relax > width
-        width = np.where(upd, relax, width)
-        parent = np.where(upd, u, parent)
-    width[source] = G[source, source]
-    return width, parent
+def _maxmin(A, B):
+    """Max-min matrix product: entry (i, j) is max over z of min(A[i, z], B[z, j])."""
+    return np.minimum(A[:, :, None], B[None, :, :]).max(axis=1)
 
-def _widest_path(G, x, y):
-    """A chain from x to y maximizing its minimum consecutive weight."""
-    if x == y:
-        return [x, y]
-    _, parent = _widest_values(G, x)
-    path = [y]
-    while path[-1] != x:
-        path.append(int(parent[path[-1]]))
-    return list(reversed(path))
+
+def _maxmin_chain(powers, start, end):
+    """A chain start = y_0, ..., y_k = end of k = len(powers) steps attaining
+    powers[k - 1][start, end], where powers[j] is the (j + 1)-step max-min
+    power of powers[0]; each step back takes the lowest index keeping the value."""
+    chain = [end]
+    for P in reversed(powers[:-1]):
+        chain.insert(0, int(np.minimum(P[start], powers[0][:, chain[0]]).argmax()))
+    return [start] + chain
 
 
 def _bottleneck_defect(G):
-    """Exact chain defect for one basepoint: max over pairs of the widest-path
-    value minus the direct Gromov product."""
-    n = G.shape[0]
-    best = _Extremum()
-    best.offer(0, (0, 0))
-    for x in range(n):
-        width, _ = _widest_values(G, x)
-        diff = width - G[x]
-        diff[x] = 0
-        m = int(diff.max())
-        if best.value is None or m > best.value:
-            best.offer(m, (x, int(diff.argmax())))
-    x, y = best.key
-    return max(0, best.value), _widest_path(G, x, y)
+    """Exact chain defect for one basepoint and the first row-major pair
+    (x, y) attaining it: the max-min closure of G minus G (0 on the diagonal)."""
+    W, prev = G, None
+    while prev is None or not np.array_equal(W, prev):
+        prev, W = W, np.maximum(W, _maxmin(W, W))
+    diff = W - G
+    x, y = np.unravel_index(int(diff.argmax()), diff.shape)
+    return int(diff[x, y]), (int(x), int(y))
+
+
+def _bottleneck_chain(G, x, y, defect):
+    """A shortest chain from x to y with defect ``defect``.  Max-min powers of
+    G never decrease with the step count, since G[x, x] tops row x."""
+    powers = [G]
+    while powers[-1][x, y] < G[x, y] + defect:
+        powers.append(_maxmin(powers[-1], G))
+    return _maxmin_chain(powers, x, y)
 
 
 def _bruteforce_defect(G, maxlen):
@@ -302,26 +290,32 @@ def chain_defect(dist: DistanceMatrix, basepoint=None, method="bottleneck", maxl
     length through inner-ball vertices, at a fixed basepoint (or maximized
     over all inner basepoints when ``basepoint`` is None).
 
-    ``bottleneck`` computes the supremum over all chain lengths exactly via
-    maximum-bottleneck paths; ``bruteforce`` enumerates chains of at most
-    ``maxlen`` steps as an independent oracle (a lower bound).
+    ``bottleneck`` computes the supremum over all chain lengths exactly as
+    the max-min closure of the Gromov-product matrix; its witness is a
+    shortest chain attaining the defect, rebuilt for the winning basepoint
+    only.  ``bruteforce`` enumerates chains of at most ``maxlen`` steps as an
+    independent oracle (a lower bound).
     """
     if method not in ("bottleneck", "bruteforce"):
         raise ValueError(f"unknown chain method {method!r}")
+    if maxlen < 1:
+        raise ValueError("chain length bound must be at least 1")
     ball = dist.ball
     basepoints = range(ball.inner_count) if basepoint is None else [int(basepoint)]
     best = _Extremum()
     for p in basepoints:
         G = _gromov_matrix(dist, p)
         if method == "bottleneck":
-            value, chain = _bottleneck_defect(G)
+            value, found = _bottleneck_defect(G)  # the pair (x, y)
         else:
-            value, chain = _bruteforce_defect(G, maxlen)
-        best.offer(value, (p,), chain)
-    p = best.key[0]
+            value, found = _bruteforce_defect(G, maxlen)  # the chain
+        best.offer(value, (p,), found)
+    p, chain = best.key[0], best.data
+    if method == "bottleneck":
+        chain = _bottleneck_chain(_gromov_matrix(dist, p), *chain, best.value)
     witness = {
         "basepoint": ball.word(p),
-        "chain": _words(ball, best.data),
+        "chain": _words(ball, chain),
         "defect_doubled": int(best.value),
     }
     extra = {"method": method, "basepoint_mode": "all_inner" if basepoint is None else "fixed"}
@@ -379,7 +373,7 @@ class _PolygonScan:
             B = W
             for n in range(1, n_max + 1):
                 if n > 1:
-                    B = np.minimum(B[:, :, None], W[None, :, :]).max(axis=1)
+                    B = _maxmin(B, W)
                 vals = np.where(mask, B, np.int16(-1))
                 m = int(vals.max())
                 cur = best[n]
@@ -394,19 +388,12 @@ class _PolygonScan:
         """Reconstruct the extremal polygon for gon size n+1."""
         ext = self.results[n]
         p, a, b = ext.key
-        W = self.WP[p].astype(np.int32)
+        W = self.WP[p]
         powers = [W]
         for _ in range(n - 1):
-            powers.append(np.minimum(powers[-1][:, :, None], W[None, :, :]).max(axis=1))
+            powers.append(_maxmin(powers[-1], W))
         # corner chain b = y_0, ..., y_n = a maximizing the minimum avoidance
-        chain = [a]
-        for k in range(n, 1, -1):
-            target = int(powers[k - 1][b, chain[0]])
-            for z in range(W.shape[0]):
-                if min(int(powers[k - 2][b, z]), int(W[z, chain[0]])) == target:
-                    chain.insert(0, z)
-                    break
-        chain.insert(0, b)
+        chain = _maxmin_chain(powers, b, a)
         return _polygon_tuple_witness(self.ball, self.dist, chain, p, ext.value)
 
 

@@ -164,6 +164,20 @@ def test_import_without_spec(make_pair):
         loaded.index_of_word("a")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 -1 a\n",
+        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 2 a\n",
+    ],
+    ids=["empty", "negative-endpoint", "endpoint-past-end"],
+)
+def test_import_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        read_ball(text)
+
+
 def test_custom_generating_set(make_pair):
     standard, _ = make_pair("Z x Z", 2)
     redundant, _ = make_pair("Z x Z", 2, generators=["t1", "t2", "t1.t2"])

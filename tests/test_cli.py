@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,24 @@ def test_parse_error_exit_code(capsys):
 
 def test_bad_invariant_exit_code(capsys):
     assert cli.main(["analyze", "--group", "Z", "--radius", "2", "--invariants", "nope"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--invariants", "four_point,polygon:0"],
+        ["--invariants", "four_point", "--geodesic-cap", "0"],
+        ["--invariants", "chain:bruteforce:-3"],
+        ["--invariants", "chain:bottleneck:7"],
+    ],
+)
+def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_ball called")
+
+    monkeypatch.setattr(cli, "build_ball", unreachable)
+    assert cli.main(["analyze", "--group", "F(a,b)", "--radius", "3"] + extra) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_budget_exit_code(capsys):
@@ -103,6 +122,18 @@ def test_report_determinism_modulo_timing():
     b = emit_report(run_analysis(AnalysisConfig(**config)), "json")
     assert _strip_timing(a) == _strip_timing(b)
     assert json.loads(a)["config"]["seed"] == 42
+
+
+@pytest.mark.parametrize(
+    "group,r_in,golden",
+    [("Z x Z", 2, "report_zxz_r2.json"), ("Z2 * Z3", 3, "report_z2z3_r3.json")],
+)
+def test_default_report_matches_golden(group, r_in, golden):
+    # canonical JSON of the default invariant set, wall_time_ms zeroed; a
+    # change to any value, witness or key shows up here as a byte difference
+    text = emit_report(run_analysis(AnalysisConfig(group=group, radii=[r_in])), "json")
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert _strip_timing(text) == expected
 
 
 def test_no_exact_claims_under_sampling():

@@ -2,7 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyball import (
     bigon_constants,
@@ -21,6 +24,9 @@ from cayleyball import (
 from cayleyball.geodesics import GeodesicPath, Polygon
 from cayleyball.invariants import (
     SamplingPlan,
+    _bottleneck_chain,
+    _bottleneck_defect,
+    _bruteforce_defect,
     _gromov_matrix,
     detour_for_pair,
     polygon_tuple_value,
@@ -95,6 +101,18 @@ def test_four_point_witness_reevaluates(make_pair):
         doubled_gromov_product(dist, x1, x2, p),
     ) - doubled_gromov_product(dist, x0, x2, p)
     assert recomputed == res.value_doubled
+    # the witness is the lexicographically first (p, x1, x0, x2) attaining the max
+    n = ball.inner_count
+    values = {
+        (q, y1, y0, y2): min(
+            doubled_gromov_product(dist, y0, y1, q),
+            doubled_gromov_product(dist, y1, y2, q),
+        ) - doubled_gromov_product(dist, y0, y2, q)
+        for q, y1, y0, y2 in itertools.product(range(n), repeat=4)
+    }
+    best = max(values.values())
+    assert res.value_doubled == best
+    assert (p, x1, x0, x2) == min(key for key, value in values.items() if value == best)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +166,33 @@ def test_chain_witness_reevaluates(make_pair):
     G = _gromov_matrix(dist, p)
     value = min(int(G[u, v]) for u, v in zip(chain, chain[1:])) - int(G[chain[0], chain[-1]])
     assert value == res.value_doubled
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bottleneck_defect_matches_all_simple_chains(data):
+    # shortest-path metric of a random connected graph: a random spanning tree
+    # plus random extra edges; chains of up to n - 1 steps cover every simple chain
+    n = data.draw(st.integers(1, 6))
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges += [e for e, keep in zip(pairs, extra) if keep]
+    D = np.full((n, n), n, dtype=np.int32)
+    np.fill_diagonal(D, 0)
+    for u, v in edges:
+        D[u, v] = D[v, u] = 1
+    for k in range(n):
+        D = np.minimum(D, D[:, k, None] + D[None, k, :])
+    p = data.draw(st.integers(0, n - 1))
+    G = D[p][:, None] + D[p][None, :] - D
+
+    value, (x, y) = _bottleneck_defect(G)
+    assert value == _bruteforce_defect(G, maxlen=n - 1)[0]
+    chain = _bottleneck_chain(G, x, y, value)
+    assert (chain[0], chain[-1]) == (x, y)
+    assert min(int(G[u, v]) for u, v in zip(chain, chain[1:])) - int(G[x, y]) == value
+    assert x == y or len(set(chain)) == len(chain)
 
 
 # ---------------------------------------------------------------------------
