@@ -7,11 +7,17 @@ to inner-ball pairs therefore agree with the word metric of the full
 (possibly infinite) group.  More generally, a distance ``d(u, v)`` measured
 inside the ball is exact whenever
 
-    (d(1, u) + d(1, v) + d(u, v)) / 2  <=  r_out,
+    (d(1, u) + d(1, v) + d(u, v)) / 2  <=  r_out.
 
-which covers every query issued by the invariant computations (all of their
-probe points lie on geodesics between inner vertices, hence within
-``2 * r_in`` of the identity).
+Distance rows are clipped at ``clip = 2 * r_in + 1``: a row stores
+``min(d_ball(u, w), clip)``, so every distance up to ``2 * r_in`` is exact
+and every longer one reads ``clip``.  That is all the invariant computations
+need.  Their probe points lie on geodesics between inner vertices, and each
+value they report or compare against a threshold is at most a side length
+or the distance from a probe to an endpoint of its geodesic, hence at most
+``2 * r_in``.  Below ``clip`` a clipped distance decides every such
+comparison as the exact one does, and the maximum or minimum of clipped
+values is the clipped maximum or minimum.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .groups import GeneratorLetter, GroupSpec, WordError
 
@@ -96,7 +102,7 @@ class BallGraph:
         self.n_vertices = len(adj)
         self.inner_count = int(np.searchsorted(self.dist0, r_in, side="right"))
         self.mid_count = int(np.searchsorted(self.dist0, 2 * r_in, side="right"))
-        self._words = list(words) if words is not None else None
+        self._words = dict(enumerate(words)) if words is not None else {}
         self._csr = None
 
     def __repr__(self):
@@ -113,9 +119,11 @@ class BallGraph:
         return [int(c) for c in counts]
 
     def word(self, i):
-        if self._words is None:
-            self._words = [self.spec.format_element(e) for e in self.elements]
-        return self._words[i]
+        """Normal-form word of vertex ``i``, formatted on first request."""
+        w = self._words.get(i)
+        if w is None:
+            w = self._words[i] = self.spec.format_element(self.elements[i])
+        return w
 
     def index_of_word(self, word):
         """Vertex index of the element a word evaluates to; KeyError if outside."""
@@ -194,13 +202,15 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
 
 
 class DistanceMatrix:
-    """Exact distances on a ball: a dense inner-ball matrix plus per-source rows.
+    """Clipped ball distances: a dense inner-ball matrix plus per-source rows.
 
-    ``inner`` is the symmetric integer matrix over inner-ball pairs; by the
-    padding guarantee these equal the word-metric distances of the full
-    group.  ``row(u)`` gives distances from any vertex to the whole ball
-    (exact under the certificate in the module docstring); rows are cached,
-    and ``ensure_mid_rows`` bulk-computes them for every vertex within
+    Every row holds ``min(d_ball(u, w), clip)`` with ``clip = 2 * r_in + 1``:
+    exact up to ``2 * r_in`` and ``clip`` beyond it (the certificate in the
+    module docstring).  ``inner`` is the symmetric integer matrix over
+    inner-ball pairs, all at most ``2 * r_in`` apart, so it holds the exact
+    word-metric distances of the full group.  ``row(u)`` gives the clipped
+    distances from any vertex to the whole ball; rows are cached, and
+    ``ensure_mid_rows`` bulk-computes them for every vertex within
     ``2 * r_in`` ahead of an exhaustive scan.
 
     Logically read-only, but the row caches are filled lazily without locks;
@@ -210,6 +220,7 @@ class DistanceMatrix:
 
     def __init__(self, ball: BallGraph):
         self.ball = ball
+        self.clip = 2 * ball.r_in + 1
         self._rows: dict[int, np.ndarray] = {}
         self._mid_block: np.ndarray | None = None
         self._interval_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -218,17 +229,20 @@ class DistanceMatrix:
         self._dag_cache: dict = {}
         self._adversarial_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._pscan = None
-        inner_rows = self._bfs_rows(list(range(ball.inner_count)))
+        inner_rows = self._clipped_rows(list(range(ball.inner_count)))
         self.inner = inner_rows[:, : ball.inner_count].copy()
         self._inner_rows = inner_rows
 
-    def _bfs_rows(self, sources, chunk=128):
+    def _clipped_rows(self, sources, chunk=128):
+        """int16 rows ``min(d_ball(s, w), clip)``, one per source, by an
+        unweighted Dijkstra search that stops at distance ``clip``."""
         graph = self.ball.csr()
         out = np.empty((len(sources), self.ball.n_vertices), dtype=np.int16)
         for start in range(0, len(sources), chunk):
             batch = sources[start : start + chunk]
-            block = shortest_path(graph, method="auto", unweighted=True, indices=batch)
-            out[start : start + len(batch)] = block.astype(np.int16)
+            block = dijkstra(graph, unweighted=True, indices=batch, limit=self.clip)
+            np.minimum(block, self.clip, out=block)  # unreached (inf) reads clip
+            out[start : start + len(batch)] = block
         return out
 
     def ensure_mid_rows(self):
@@ -237,11 +251,13 @@ class DistanceMatrix:
             block = np.empty((mid, self.ball.n_vertices), dtype=np.int16)
             ni = self.ball.inner_count
             block[:ni] = self._inner_rows
-            block[ni:] = self._bfs_rows(list(range(ni, mid)))
+            block[ni:] = self._clipped_rows(list(range(ni, mid)))
             self._mid_block = block
         return self._mid_block
 
     def row(self, u) -> np.ndarray:
+        """Clipped distances from ``u`` to every ball vertex: exact up to
+        ``2 * r_in``, ``clip`` beyond it."""
         u = int(u)
         if u < self.ball.inner_count:
             return self._inner_rows[u]
@@ -249,12 +265,13 @@ class DistanceMatrix:
             return self._mid_block[u]
         cached = self._rows.get(u)
         if cached is None:
-            cached = self._bfs_rows([u])[0]
+            cached = self._clipped_rows([u])[0]
             self._rows[u] = cached
         return cached
 
     def d(self, u, v) -> int:
-        """Distance between two ball vertices (exact for all invariant queries)."""
+        """Clipped distance between two ball vertices: exact up to
+        ``2 * r_in``, ``clip`` beyond it."""
         return int(self.row(u)[int(v)])
 
     def d_to_set(self, u, targets) -> int:
@@ -264,7 +281,7 @@ class DistanceMatrix:
         return int(self.row(u)[targets].min())
 
     def one_sided_hausdorff(self, Y, Z) -> int:
-        """sup over Y of the distance to Z (the directed half of Hausdorff)."""
+        """sup over Y of the clipped distance to Z (the directed half of Hausdorff)."""
         Y = list(Y)
         Z = np.asarray(sorted(set(int(z) for z in Z)), dtype=np.int64)
         if not Y or Z.size == 0:
@@ -276,7 +293,7 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(ball: BallGraph) -> DistanceMatrix:
-    """One breadth-first pass per inner vertex over the full ball."""
+    """Clipped distance rows of every inner vertex over the full ball."""
     return DistanceMatrix(ball)
 
 
@@ -304,6 +321,9 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     With ``spec`` the vertex words are re-evaluated to group elements and the
     ball supports full element lookups; without it the ball is graph-only
     (distances and invariants still work, subgroup enumeration does not).
+    Raises ValueError on a malformed header or vertex line, an edge endpoint
+    outside the ball, a repeated edge line, an edge without its reverse, or
+    a disconnected graph.
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
@@ -321,19 +341,29 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     label_to_index = {}
     letters = []
     adj = [[] for _ in range(n)]
+    seen = set()
     for line in lines[1 + n :]:
         if not line.strip():
             continue
         u, v, label = line.split(" ", 2)
-        if not (0 <= int(u) < n and 0 <= int(v) < n):
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range in {line!r}")
+        if (u, v, label) in seen:
+            raise ValueError(f"repeated edge {line!r}")
+        seen.add((u, v, label))
         li = label_to_index.get(label)
         if li is None:
             li = len(letters)
             label_to_index[label] = li
             element = spec.parse_word(label) if spec is not None else None
             letters.append(GeneratorLetter(label=label, word=label, inverted=False, element=element))
-        adj[int(u)].append((int(v), li))
+        adj[u].append((v, li))
+    arcs = {(u, v) for u, v, _ in seen}
+    one_way = sorted(arc for arc in arcs if arc[::-1] not in arcs)
+    if one_way:
+        u, v = one_way[0]
+        raise ValueError(f"edge {u} {v} has no reverse edge {v} {u}")
     for u in range(n):
         adj[u].sort(key=lambda pair: letters[pair[1]].label)
 

@@ -83,13 +83,20 @@ class Polygon:
 
 
 def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
-    """Exact geodesic interval by a single vectorized scan over the ball."""
+    """Exact geodesic interval by a single vectorized scan over the ball.
+
+    Raises ValueError when ``d(u, v) >= dist.clip``: the scan tests
+    ``d(u, w) + d(w, v) == d(u, v)`` on clipped rows, which is exact only
+    below the clip (every inner pair is).
+    """
     u, v = int(u), int(v)
     key = (u, v) if u <= v else (v, u)
     cached = dist._interval_cache.get(key)
     if cached is None:
         ru, rv = dist.row(key[0]), dist.row(key[1])
         duv = int(ru[key[1]])
+        if duv >= dist.clip:
+            raise ValueError(f"d({u}, {v}) >= {dist.clip}: beyond the clipped distance rows")
         cached = np.flatnonzero(ru.astype(np.int32) + rv == duv)
         dist._interval_cache[key] = cached
     return GeodesicInterval(u=u, v=v, dist_uv=int(dist.row(u)[v]), vertices=tuple(int(w) for w in cached))

@@ -1,18 +1,36 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyball import (
     BudgetExceededError,
+    DistanceMatrix,
     all_pairs_distances,
     build_ball,
+    cli,
     parse_group_spec,
     read_ball,
     write_ball,
 )
 from cayleyball.ball import resolve_letters
-from oracles import all_pairs_oracle, grid_bigon_oracle, monotone_lattice_paths, one_sided_hausdorff_l1
+from cayleyball.groups import GroupSpec
+from oracles import (
+    all_pairs_oracle,
+    grid_bigon_oracle,
+    monotone_lattice_paths,
+    nx_graph,
+    one_sided_hausdorff_l1,
+)
+
+ROW_CASES = [
+    (text, r_in)
+    for text in ("Z x Z", "Z6", "S4", "Z2 * Z3", "F(a,b)", "(Z2 * Z3) x Z")
+    for r_in in (1, 2)
+]
 
 
 def test_tree_ball_sizes(make_pair):
@@ -170,8 +188,10 @@ def test_import_without_spec(make_pair):
         "",
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 -1 a\n",
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 2 a\n",
+        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n0 1 a\n1 0 a\n",
+        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n",
     ],
-    ids=["empty", "negative-endpoint", "endpoint-past-end"],
+    ids=["empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge"],
 )
 def test_import_rejects_malformed_text(text):
     with pytest.raises(ValueError):
@@ -183,6 +203,54 @@ def test_custom_generating_set(make_pair):
     redundant, _ = make_pair("Z x Z", 2, generators=["t1", "t2", "t1.t2"])
     assert len(redundant.letters) == 6
     assert redundant.inner_count > standard.inner_count
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_rows_match_clipped_bfs(make_pair, data):
+    # any vertex's row, inner, mid or outer, is min(BFS distance, 2R + 1)
+    text, r_in = data.draw(st.sampled_from(ROW_CASES))
+    ball, _ = make_pair(text, r_in)
+    u = data.draw(st.integers(0, ball.n_vertices - 1))
+    dist = DistanceMatrix(ball)
+    assert dist.clip == 2 * r_in + 1
+    bfs = nx.single_source_shortest_path_length(nx_graph(ball), u)
+    oracle = [min(bfs[w], dist.clip) for w in range(ball.n_vertices)]
+    assert dist.row(u).tolist() == oracle
+    assert dist.row(u).dtype == np.int16
+
+
+@pytest.mark.parametrize("text,r_in", ROW_CASES)
+def test_mid_block_rows_match_lazy_rows(make_pair, text, r_in):
+    ball, _ = make_pair(text, r_in)
+    lazy = DistanceMatrix(ball)
+    rows = [lazy.row(u).copy() for u in range(ball.mid_count)]
+    block = DistanceMatrix(ball).ensure_mid_rows()
+    assert block.shape == (ball.mid_count, ball.n_vertices) and block.dtype == np.int16
+    assert (block == np.stack(rows)).all()
+
+
+@pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3), ("(Z2 * Z3) x Z", 1)])
+def test_word_matches_format_element(text, r_in):
+    ball = build_ball(parse_group_spec(text), r_in)
+    for i in reversed(range(ball.n_vertices)):
+        assert ball.word(i) == ball.spec.format_element(ball.elements[i])
+
+
+def test_analysis_formats_few_words(monkeypatch):
+    # witness words are formatted on request, not the whole ball at once
+    config = cli.AnalysisConfig(group="Z2 * Z3", radii=[4])
+    n_vertices = build_ball(config.spec, 4).n_vertices
+    calls = []
+    original = GroupSpec.format_element
+
+    def counting(self, element):
+        calls.append(element)
+        return original(self, element)
+
+    monkeypatch.setattr(GroupSpec, "format_element", counting)
+    cli.run_analysis(config)
+    assert 0 < len(calls) < n_vertices
 
 
 def test_bfs_order_is_by_distance(make_pair):

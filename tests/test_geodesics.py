@@ -37,6 +37,18 @@ def test_interval_grid(make_pair):
     assert {ball.elements[w] for w in iv.vertices} == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
+def test_interval_rejects_pair_beyond_clip(make_pair):
+    ball, dist = make_pair("Z x Z", 1)
+    u, v = ball.index_of_word("t1.t1"), ball.index_of_word("t1^-1.t1^-1")
+    assert dist.d(u, v) == dist.clip == 3  # true distance 4, clipped
+    with pytest.raises(ValueError):
+        interval(dist, u, v)
+    w = ball.index_of_word("t2.t2")
+    assert dist.d(u, w) == dist.clip  # exactly 2R + 1 apart
+    with pytest.raises(ValueError):
+        interval(dist, w, u)
+
+
 def test_tree_geodesics_unique(make_pair):
     ball, dist = make_pair("F(a,b)", 2)
     rng = random.Random(1)

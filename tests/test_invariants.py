@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse.csgraph import shortest_path
+
 from cayleyball import (
+    DistanceMatrix,
     bigon_constants,
+    build_ball,
+    cli,
     chain_defect,
     detour_epsilon,
     doubled_gromov_product,
@@ -609,3 +614,29 @@ def test_plan_validation():
         SamplingPlan(mode="random", count=10)
     with pytest.raises(ValueError):
         SamplingPlan(mode="exhaustive", geodesic_cap=0)
+
+
+# ---------------------------------------------------------------------------
+# the clipping certificate: rows clipped at 2R + 1 change no reported result
+
+class UnclippedDistances(DistanceMatrix):
+    """Full-ball rows: every distance exact, none clipped."""
+
+    def _clipped_rows(self, sources):
+        return shortest_path(self.ball.csr(), unweighted=True, indices=sources).astype(np.int16)
+
+
+@pytest.mark.parametrize(
+    "text,r_in",
+    [("Z x Z", 2), ("Z x Z", 3), ("Z2 * Z3", 3), ("Z2 * Z3", 4), ("F(a,b)", 2), ("S4", 2), ("(Z2 * Z3) x Z", 2)],
+)
+def test_clipped_rows_change_no_result(text, r_in):
+    config = cli.AnalysisConfig(group=text, radii=[r_in])
+    ball = build_ball(config.spec, r_in)
+    plan = config.plan()
+    clipped, full = DistanceMatrix(ball), UnclippedDistances(ball)
+    assert full.row(ball.n_vertices - 1).max() > clipped.clip
+    for selector, task in config.tasks:
+        got = [res.to_dict() for res in task(ball, clipped, plan)]
+        want = [res.to_dict() for res in task(ball, full, plan)]
+        assert got == want, selector
