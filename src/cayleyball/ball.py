@@ -223,7 +223,7 @@ class DistanceMatrix:
         self.clip = 2 * ball.r_in + 1
         self._rows: dict[int, np.ndarray] = {}
         self._mid_block: np.ndarray | None = None
-        self._interval_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._interval_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         # filled lazily: geodesic DAGs by geodesics, the polygon scan and
         # mesh's adversarial sides by invariants
         self._dag_cache: dict = {}

@@ -87,7 +87,8 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
 
     Raises ValueError when ``d(u, v) >= dist.clip``: the scan tests
     ``d(u, w) + d(w, v) == d(u, v)`` on clipped rows, which is exact only
-    below the clip (every inner pair is).
+    below the clip (every inner pair is).  The vertex tuple is cached per
+    unordered pair, so a repeated call allocates no new tuple.
     """
     u, v = int(u), int(v)
     key = (u, v) if u <= v else (v, u)
@@ -97,9 +98,9 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
         duv = int(ru[key[1]])
         if duv >= dist.clip:
             raise ValueError(f"d({u}, {v}) >= {dist.clip}: beyond the clipped distance rows")
-        cached = np.flatnonzero(ru.astype(np.int32) + rv == duv)
+        cached = tuple(np.flatnonzero(ru.astype(np.int32) + rv == duv).tolist())
         dist._interval_cache[key] = cached
-    return GeodesicInterval(u=u, v=v, dist_uv=int(dist.row(u)[v]), vertices=tuple(int(w) for w in cached))
+    return GeodesicInterval(u=u, v=v, dist_uv=int(dist.row(u)[v]), vertices=cached)
 
 
 class GeodesicDag:

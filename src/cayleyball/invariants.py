@@ -670,6 +670,50 @@ def _adversarial_side(ball, dist, x, y):
     return path if path[0] == x else tuple(reversed(path))
 
 
+# A working tensor of the batched mesh holds at most this many int16 entries.
+_MESH_CHUNK = 1 << 18
+# Corner triples read from a sampling plan at a time.
+_MESH_TRIANGLES = 1 << 12
+
+
+def _mesh_triangles(plan, n):
+    """The plan's non-degenerate corner triples, in plan order, as
+    non-empty batches of ``(t, 3)`` arrays."""
+    tuples = iter(plan.unordered_tuples(n, 3))
+    while True:
+        batch = itertools.islice(tuples, _MESH_TRIANGLES)
+        flat = np.fromiter(itertools.chain.from_iterable(batch), dtype=np.int64)
+        if flat.size == 0:
+            return
+        tri = flat.reshape(-1, 3)
+        tri = tri[(tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2]) & (tri[:, 0] != tri[:, 2])]
+        if len(tri):
+            yield tri
+
+
+def _mesh_rows(paths, D, q):
+    """Mesh of each row of side choices: the least diameter of one point per
+    side.  ``paths`` is the padded path matrix over the vertex indices of
+    ``D``, and row ``r`` takes sides ``paths[q[r, 0]]``, ``paths[q[r, 1]]``
+    and ``paths[q[r, 2]]``; each working tensor is ``(rows, width, width)``.
+    """
+    n = len(D)
+    flat = D.ravel()
+    s0, s1, s2 = paths[q[:, 0]] * n, paths[q[:, 1]], paths[q[:, 2]]
+    s2 = s2.T[:, :, None]
+    D02 = flat[s2 + s0[None]]  # [p2, row, p0]
+    D12 = flat[s2 + (s1 * n)[None]]  # [p2, row, p1]
+    # min over p2 of max(D02, D12), one p2 at a time
+    best = np.maximum(D02[0][:, :, None], D12[0][:, None, :])
+    step = np.empty_like(best)
+    for j in range(1, len(D02)):
+        np.maximum(D02[j][:, :, None], D12[j][:, None, :], out=step)
+        np.minimum(best, step, out=best)
+    del D02, D12, step  # free them before the D01 gather
+    np.maximum(best, flat[s0[:, :, None] + s1[:, None, :]], out=best)  # D01
+    return best.reshape(len(q), -1).min(axis=1)
+
+
 def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantResult:
     """Worst per-triangle mesh over sampled corner triples.
 
@@ -677,55 +721,81 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     side, maximized over (capped) geodesic side choices; ``adversarial`` mode
     additionally offers each side's maximal-detour path.  Always reported as
     a lower bound: the true mesh ranges over arbitrary triangles.
+
+    One batched program: each ordered corner pair's side choices are
+    enumerated once and stored as rows of a path matrix padded by repeating
+    the last vertex (a repeated vertex changes no minimum), over a compact
+    distance block of the vertices used.  Every (triangle, i0, i1, i2)
+    combination of side choices is one row, in plan order with the choices
+    in product order; degenerate triangles are skipped.  Rows are evaluated
+    in chunks whose working tensors hold at most ``_MESH_CHUNK`` entries, so
+    memory stays bounded however many rows there are.  The winner is the
+    lexicographically smallest ``(a, b, c, i0, i1, i2)`` attaining the
+    maximum, and its points are the first row-major argmin over its sides;
+    when the maximum is 0 the witness keeps corners ``(0, 0, 0)`` and no
+    sides.
     """
     if mode not in ("geodesic", "adversarial"):
         raise ValueError(f"unknown mesh mode {mode!r}")
     n = ball.inner_count
-    best = _Extremum()
-    best.offer(0, (0, 0, 0), None)
+    pair_id = np.full((n, n), -1, dtype=np.int64)
+    first, count, paths = [], [], []
     capped = False
-    for a, b, c in plan.unordered_tuples(n, 3):
-        if a == b or b == c or a == c:
-            continue
-        side_pairs = [(a, b), (b, c), (c, a)]
-        side_choices = []
-        for u, v in side_pairs:
-            paths, truncated = enumerate_geodesics(ball, dist, u, v, cap=plan.geodesic_cap)
+    for tri in _mesh_triangles(plan, n):
+        u, v = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+        new = pair_id[u, v] < 0
+        for code in np.unique(u[new] * n + v[new]).tolist():
+            x, y = divmod(code, n)
+            found, truncated = enumerate_geodesics(ball, dist, x, y, cap=plan.geodesic_cap)
             capped = capped or truncated
-            choices = [p.vertices for p in paths]
+            choices = [p.vertices for p in found]
             if mode == "adversarial":
-                adv = _adversarial_side(ball, dist, u, v)
+                adv = _adversarial_side(ball, dist, x, y)
                 if adv not in choices:
                     choices.append(adv)
-            side_choices.append(choices)
-        supports = [sorted(set(w for ch in side for w in ch)) for side in side_choices]
-        pos = [{w: k for k, w in enumerate(s)} for s in supports]
-        I0, I1, I2 = (np.asarray(s, dtype=np.int64) for s in supports)
-        D01 = np.stack([dist.row(w)[I1] for w in I0])
-        D12 = np.stack([dist.row(w)[I2] for w in I1])
-        D02 = np.stack([dist.row(w)[I2] for w in I0])
-        T = np.maximum(np.maximum(D01[:, :, None], D12[None, :, :]), D02[:, None, :])
-        locals_ = [
-            [np.asarray([pos[i][w] for w in ch]) for ch in side_choices[i]]
-            for i in range(3)
-        ]
-        for i0, i1, i2 in itertools.product(*(range(len(s)) for s in side_choices)):
-            block = T[np.ix_(locals_[0][i0], locals_[1][i1], locals_[2][i2])]
-            value = int(block.min())
-            key = (a, b, c, i0, i1, i2)
-            if best.value is None or value > best.value or (value == best.value and key < best.key):
-                flat = int(block.argmin())
-                s1, s2 = block.shape[1], block.shape[2]
-                pts = (
-                    side_choices[0][i0][flat // (s1 * s2)],
-                    side_choices[1][i1][(flat // s2) % s1],
-                    side_choices[2][i2][flat % s2],
-                )
-                best.offer(value, key, (side_choices[0][i0], side_choices[1][i1], side_choices[2][i2], pts))
+            pair_id[x, y] = len(first)
+            first.append(len(paths))
+            count.append(len(choices))
+            paths.extend(choices)
+    best = _Extremum()
+    best.offer(0, (0, 0, 0), None)
+    if paths:
+        width = max(len(p) for p in paths)
+        padded = np.array([p + p[-1:] * (width - len(p)) for p in paths], dtype=np.int64)
+        used = np.unique(padded)
+        # flat indices into the |U|x|U| block; int32 halves the index tensors
+        P = np.searchsorted(used, padded).astype(np.int32 if len(used) ** 2 < 2**31 else np.int64)
+        D = np.stack([dist.row(w)[used] for w in used.tolist()])
+        first, count = np.asarray(first), np.asarray(count)
+        chunk = max(1, _MESH_CHUNK // width**2)
+        for tri in _mesh_triangles(plan, n):
+            pid = pair_id[tri, tri[:, [1, 2, 0]]]
+            k = count[pid]
+            sizes = k.prod(axis=1)
+            starts = np.cumsum(sizes) - sizes
+            total = int(sizes.sum())
+            for lo in range(0, total, chunk):
+                r = np.arange(lo, min(lo + chunk, total))
+                t = np.searchsorted(starts, r, side="right") - 1  # triangle of each row
+                local, k1, k2 = r - starts[t], k[t, 1], k[t, 2]
+                choice = np.column_stack([local // (k1 * k2), local // k2 % k1, local % k2])
+                q = first[pid[t]] + choice
+                values = _mesh_rows(P, D, q)
+                top = int(values.max())
+                if top == 0 or top < best.value:
+                    continue
+                hit = np.flatnonzero(values == top)
+                keys = np.column_stack([tri[t[hit]], choice[hit]])
+                w = np.lexsort(keys.T[::-1])[0]
+                best.offer(top, tuple(keys[w].tolist()), q[hit[w]].tolist())
     witness = {"corners": _words(ball, best.key[:3]), "mesh": int(best.value)}
     if best.data is not None:
-        s0, s1, s2, pts = best.data
-        witness["sides"] = [_words(ball, s) for s in (s0, s1, s2)]
+        sides = [paths[i] for i in best.data]
+        a, b, c = (np.searchsorted(used, s) for s in sides)
+        T = np.maximum(D[np.ix_(a, b)][:, :, None], D[np.ix_(b, c)][None])
+        T = np.maximum(T, D[np.ix_(a, c)][:, None, :])
+        pts = [s[i] for s, i in zip(sides, np.unravel_index(int(T.argmin()), T.shape))]
+        witness["sides"] = [_words(ball, s) for s in sides]
         witness["points"] = _words(ball, pts)
     extra = {"mode": mode, "capped": capped}
     return _result("mesh_estimate", ball, 2 * best.value, "lower", plan, witness, extra)

@@ -113,3 +113,25 @@ def detour_pair_oracle(ball, x, y):
 
 def all_pairs_oracle(ball):
     return dict(nx.all_pairs_shortest_path_length(nx_graph(ball)))
+
+
+def mesh_bruteforce(ball):
+    """Mesh over every triangle of distinct inner corners a < b < c: the max
+    over all geodesic side choices (a to b, b to c, c to a) of the least
+    diameter of one point per side, by literal enumeration."""
+    G = nx_graph(ball)
+    n = ball.inner_count
+    sides = {
+        (u, v): [tuple(p) for p in nx.all_shortest_paths(G, u, v)]
+        for u, v in itertools.permutations(range(n), 2)
+    }
+    used = {w for paths in sides.values() for path in paths for w in path}
+    d = {w: nx.single_source_shortest_path_length(G, w) for w in used}
+    best = 0
+    for a, b, c in itertools.combinations(range(n), 3):
+        for s0, s1, s2 in itertools.product(sides[a, b], sides[b, c], sides[c, a]):
+            mesh = min(
+                max(d[x][y], d[y][z], d[x][z]) for x in s0 for y in s1 for z in s2
+            )
+            best = max(best, mesh)
+    return best

@@ -136,6 +136,29 @@ def test_default_report_matches_golden(group, r_in, golden):
     assert _strip_timing(text) == expected
 
 
+@pytest.mark.parametrize(
+    "config,golden",
+    [
+        # adversarial sides are longer than 2R + 1
+        (
+            dict(group="Z x Z", radii=[2], invariants=["mesh:adversarial"]),
+            "report_zxz_r2_mesh_adversarial.json",
+        ),
+        # several geodesics per side, a binding cap, repeated sampled triangles
+        (
+            dict(group="Z x Z", radii=[3], invariants=["mesh:geodesic"],
+                 samples=300, seed=5, geodesic_cap=4),
+            "report_zxz_r3_mesh_sampled_cap4.json",
+        ),
+    ],
+    ids=["adversarial", "sampled-cap4"],
+)
+def test_mesh_report_matches_golden(config, golden):
+    text = emit_report(run_analysis(AnalysisConfig(**config)), "json")
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert _strip_timing(text) == expected
+
+
 def test_no_exact_claims_under_sampling():
     config = AnalysisConfig(
         group="Z x Z", radii=[2], invariants=["four_point", "polygon:1", "mesh"],

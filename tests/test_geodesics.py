@@ -49,6 +49,16 @@ def test_interval_rejects_pair_beyond_clip(make_pair):
         interval(dist, w, u)
 
 
+def test_interval_reuses_cached_vertices(make_pair):
+    ball, dist = make_pair("Z x Z", 2)
+    u, v = ball.index_of_word("t1^-1"), ball.index_of_word("t1.t2")
+    iv = interval(dist, u, v)
+    assert iv.vertices is interval(dist, v, u).vertices
+    assert iv.vertices is interval(dist, u, v).vertices
+    assert all(type(w) is int for w in iv.vertices)
+    assert len(iv) == 6 and iv.dist_uv == 3
+
+
 def test_tree_geodesics_unique(make_pair):
     ball, dist = make_pair("F(a,b)", 2)
     rng = random.Random(1)

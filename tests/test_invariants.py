@@ -26,6 +26,7 @@ from cayleyball import (
     rips_delta,
     subgroup_quasiconvexity,
 )
+from cayleyball import invariants
 from cayleyball.geodesics import GeodesicPath, Polygon
 from cayleyball.invariants import (
     SamplingPlan,
@@ -36,7 +37,7 @@ from cayleyball.invariants import (
     detour_for_pair,
     polygon_tuple_value,
 )
-from oracles import detour_pair_oracle, grid_bigon_oracle, grid_sync_oracle
+from oracles import detour_pair_oracle, grid_bigon_oracle, grid_sync_oracle, mesh_bruteforce
 
 EXHAUSTIVE = SamplingPlan.exhaustive()
 UNCAPPED = SamplingPlan(mode="exhaustive", geodesic_cap=None)
@@ -509,24 +510,77 @@ def test_mesh_adversarial_at_least_geodesic(make_pair):
     assert adv.value_doubled >= geo.value_doubled
 
 
-def test_mesh_witness_reevaluates(make_pair):
+@pytest.mark.parametrize(
+    "mode,plan",
+    [
+        ("geodesic", SamplingPlan(mode="exhaustive", geodesic_cap=4)),
+        ("adversarial", SamplingPlan(mode="exhaustive", geodesic_cap=4)),
+        ("geodesic", SamplingPlan.random(60, 11, geodesic_cap=4)),
+    ],
+    ids=["geodesic", "adversarial", "random"],
+)
+def test_mesh_witness_reevaluates(make_pair, mode, plan):
     ball, dist = make_pair("Z x Z", 2)
-    plan = SamplingPlan(mode="exhaustive", geodesic_cap=4)
-    res = mesh_estimate(ball, dist, plan)
+    res = mesh_estimate(ball, dist, plan, mode=mode)
+    assert res.value_doubled > 0
     pts = [ball.index_of_word(w) for w in res.witness["points"]]
     sides = [[ball.index_of_word(w) for w in s] for s in res.witness["sides"]]
+    corners = [ball.index_of_word(w) for w in res.witness["corners"]]
+    assert [s[0] for s in sides] == corners and [s[-1] for s in sides] == corners[1:] + corners[:1]
     for point, side in zip(pts, sides):
         assert point in side
     diam = max(dist.d(u, v) for u, v in itertools.combinations(pts, 2))
     assert diam == res.value_doubled // 2
-    # the witness sides admit no closer point triple
-    best = min(
-        max(dist.d(u, v), dist.d(v, w), dist.d(u, w))
-        for u in sides[0]
-        for v in sides[1]
-        for w in sides[2]
-    )
-    assert best == res.value_doubled // 2
+    # the witness sides admit no closer point triple, and the points are the
+    # first triple attaining it in row-major order over the sides
+    triples = [(u, v, w) for u in sides[0] for v in sides[1] for w in sides[2]]
+    diams = [max(dist.d(u, v), dist.d(v, w), dist.d(u, w)) for u, v, w in triples]
+    assert min(diams) == res.value_doubled // 2
+    assert list(triples[diams.index(min(diams))]) == pts
+
+
+@pytest.mark.parametrize(
+    "group,r_in",
+    [("F(a,b)", 2), ("Z2 * Z3", 3), ("Z x Z", 2), ("S4", 2), ("Z6", 3), ("(Z2 * Z3) x Z", 1)],
+)
+def test_mesh_matches_bruteforce(make_pair, group, r_in):
+    ball, dist = make_pair(group, r_in)
+    res = mesh_estimate(ball, dist, SamplingPlan.exhaustive(geodesic_cap=None))
+    assert res.value_doubled == 2 * mesh_bruteforce(ball)
+    assert res.extra["capped"] is False
+
+
+@pytest.mark.parametrize(
+    "group,r_in,plan",
+    [("Z2", 1, EXHAUSTIVE), ("Z3", 1, SamplingPlan.random(5, 1))],
+    ids=["no-triangles", "only-degenerate"],
+)
+def test_mesh_without_triangles(make_pair, group, r_in, plan):
+    ball, dist = make_pair(group, r_in)
+    assert all(len(set(t)) < 3 for t in plan.unordered_tuples(ball.inner_count, 3))
+    res = mesh_estimate(ball, dist, plan)
+    assert res.value_doubled == 0
+    assert res.witness == {"corners": ["1", "1", "1"], "mesh": 0}
+    assert res.extra == {"mode": "geodesic", "capped": False}
+
+
+@pytest.mark.parametrize(
+    "group,r_in,mode,plan",
+    [
+        ("Z x Z", 2, "geodesic", UNCAPPED),
+        ("Z x Z", 2, "adversarial", SamplingPlan(mode="exhaustive", geodesic_cap=2)),
+        ("Z x Z", 3, "geodesic", SamplingPlan.random(300, 5, geodesic_cap=4)),
+        ("(Z2 * Z3) x Z", 1, "geodesic", UNCAPPED),
+    ],
+)
+def test_mesh_chunking_changes_no_result(make_pair, monkeypatch, group, r_in, mode, plan):
+    # one row per chunk and seven corner triples per batch: triangles split
+    # across chunks and batches, ties meet across chunks
+    ball, dist = make_pair(group, r_in)
+    expected = mesh_estimate(ball, dist, plan, mode=mode).to_dict()
+    monkeypatch.setattr(invariants, "_MESH_CHUNK", 1)
+    monkeypatch.setattr(invariants, "_MESH_TRIANGLES", 7)
+    assert mesh_estimate(ball, dist, plan, mode=mode).to_dict() == expected
 
 
 # ---------------------------------------------------------------------------
