@@ -18,6 +18,12 @@ or the distance from a probe to an endpoint of its geodesic, hence at most
 ``2 * r_in``.  Below ``clip`` a clipped distance decides every such
 comparison as the exact one does, and the maximum or minimum of clipped
 values is the clipped maximum or minimum.
+
+Those probe points form the geodesic hull: the vertices on some geodesic
+between two inner vertices, all within ``2 * r_in`` of the identity.
+``DistanceMatrix.hull`` reads it exactly from the inner rows, and the
+exhaustive scans take their rows in one block over the hull alone rather
+than over the whole ``2 * r_in`` ball.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .groups import GeneratorLetter, GroupSpec, WordError
+
+# Byte budget of the float64 block one Dijkstra search returns.
+_DIJKSTRA_BYTES = 16 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -210,19 +219,24 @@ class DistanceMatrix:
     inner-ball pairs, all at most ``2 * r_in`` apart, so it holds the exact
     word-metric distances of the full group.  ``row(u)`` gives the clipped
     distances from any vertex to the whole ball; rows are cached, and
-    ``ensure_mid_rows`` bulk-computes them for every vertex within
-    ``2 * r_in`` ahead of an exhaustive scan.
+    ``ensure_mid_rows`` bulk-computes them for every vertex of the geodesic
+    hull (see ``hull``) ahead of an exhaustive scan.
 
-    Logically read-only, but the row caches are filled lazily without locks;
-    for concurrent readers call ``ensure_mid_rows`` first so that shared
-    access is purely read-only.
+    Logically read-only, but the hull, the hull rows and the lazy row,
+    interval and DAG caches are filled on first use without locks.  Every
+    probe on an inner-pair geodesic lies in the hull, so after
+    ``ensure_mid_rows`` reading those rows is read-only; the other rows (the
+    mesh's adversarial sides) and the interval and DAG caches still fill on
+    demand, so concurrent readers need a lock of their own.
     """
 
     def __init__(self, ball: BallGraph):
         self.ball = ball
         self.clip = 2 * ball.r_in + 1
         self._rows: dict[int, np.ndarray] = {}
-        self._mid_block: np.ndarray | None = None
+        self._hull: np.ndarray | None = None
+        self._hull_block: np.ndarray | None = None
+        self._hull_pos: dict[int, int] = {}  # non-inner hull vertex -> block row
         self._interval_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         # filled lazily: geodesic DAGs by geodesics, the polygon scan and
         # mesh's adversarial sides by invariants
@@ -233,11 +247,15 @@ class DistanceMatrix:
         self.inner = inner_rows[:, : ball.inner_count].copy()
         self._inner_rows = inner_rows
 
-    def _clipped_rows(self, sources, chunk=128):
+    def _clipped_rows(self, sources):
         """int16 rows ``min(d_ball(s, w), clip)``, one per source, by an
-        unweighted Dijkstra search that stops at distance ``clip``."""
+        unweighted Dijkstra search that stops at distance ``clip``; each
+        search covers as many sources as fit its float64 output in
+        ``_DIJKSTRA_BYTES``."""
         graph = self.ball.csr()
-        out = np.empty((len(sources), self.ball.n_vertices), dtype=np.int16)
+        n = self.ball.n_vertices
+        out = np.empty((len(sources), n), dtype=np.int16)
+        chunk = max(1, _DIJKSTRA_BYTES // (8 * n))
         for start in range(0, len(sources), chunk):
             batch = sources[start : start + chunk]
             block = dijkstra(graph, unweighted=True, indices=batch, limit=self.clip)
@@ -245,15 +263,48 @@ class DistanceMatrix:
             out[start : start + len(batch)] = block
         return out
 
+    def hull(self) -> np.ndarray:
+        """The geodesic hull: ascending indices of the vertices on some
+        geodesic between two inner vertices, computed on first request.
+
+        Such a geodesic has length ``d(a, b) <= 2 * r_in < clip`` and stays
+        within ``2 * r_in`` of the identity, so the test
+        ``d(a, w) + d(w, b) == d(a, b)`` on the inner rows is exact for
+        every ``w < mid_count`` and false beyond.  Every inner vertex ``w``
+        lies on a geodesic from the identity to ``w``, so the hull starts
+        with ``range(inner_count)`` and only the columns from
+        ``inner_count`` to ``mid_count`` are tested.
+        """
+        if self._hull is None:
+            ni, mid = self.ball.inner_count, self.ball.mid_count
+            rows = self._inner_rows[:, ni:mid]
+            on = np.zeros(mid - ni, dtype=bool)
+            for a in range(ni):  # pairs (a, b) with b >= a
+                on |= (rows[a:] + rows[a] == self.inner[a:, a, None]).any(axis=0)
+            self._hull = np.concatenate([np.arange(ni), ni + np.flatnonzero(on)])
+        return self._hull
+
     def ensure_mid_rows(self):
-        if self._mid_block is None:
-            mid = self.ball.mid_count
-            block = np.empty((mid, self.ball.n_vertices), dtype=np.int16)
+        """The ``len(hull()) x n_vertices`` int16 block of hull rows, in hull
+        order, computed on first call.
+
+        The name predates the hull (the block once held every vertex within
+        ``2 * r_in``) and stays because the benchmark's layer probe in
+        ``perfbench/tracing.py`` binds ``DistanceMatrix.ensure_mid_rows`` by
+        name; its ``ball.mid_rows_s`` and ``ball.mid_block_bytes`` now
+        measure this block.  The inner rows become a view of its first
+        ``inner_count`` rows instead of a second copy.
+        """
+        if self._hull_block is None:
+            hull = self.hull()
             ni = self.ball.inner_count
+            block = np.empty((len(hull), self.ball.n_vertices), dtype=np.int16)
             block[:ni] = self._inner_rows
-            block[ni:] = self._clipped_rows(list(range(ni, mid)))
-            self._mid_block = block
-        return self._mid_block
+            self._inner_rows = block[:ni]
+            block[ni:] = self._clipped_rows(hull[ni:].tolist())
+            self._hull_block = block
+            self._hull_pos = {int(w): k for k, w in enumerate(hull[ni:], ni)}
+        return self._hull_block
 
     def row(self, u) -> np.ndarray:
         """Clipped distances from ``u`` to every ball vertex: exact up to
@@ -261,8 +312,9 @@ class DistanceMatrix:
         u = int(u)
         if u < self.ball.inner_count:
             return self._inner_rows[u]
-        if self._mid_block is not None and u < self.ball.mid_count:
-            return self._mid_block[u]
+        k = self._hull_pos.get(u)
+        if k is not None:
+            return self._hull_block[k]
         cached = self._rows.get(u)
         if cached is None:
             cached = self._clipped_rows([u])[0]

@@ -87,8 +87,10 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
 
     Raises ValueError when ``d(u, v) >= dist.clip``: the scan tests
     ``d(u, w) + d(w, v) == d(u, v)`` on clipped rows, which is exact only
-    below the clip (every inner pair is).  The vertex tuple is cached per
-    unordered pair, so a repeated call allocates no new tuple.
+    below the clip (every inner pair is).  An inner pair's interval lies
+    within ``2 * r_in`` of the identity, so only the first ``mid_count``
+    columns are scanned for it.  The vertex tuple is cached per unordered
+    pair, so a repeated call allocates no new tuple.
     """
     u, v = int(u), int(v)
     key = (u, v) if u <= v else (v, u)
@@ -98,6 +100,8 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
         duv = int(ru[key[1]])
         if duv >= dist.clip:
             raise ValueError(f"d({u}, {v}) >= {dist.clip}: beyond the clipped distance rows")
+        if key[1] < dist.ball.inner_count:  # the pair's interval lies in the 2R ball
+            ru, rv = ru[: dist.ball.mid_count], rv[: dist.ball.mid_count]
         cached = tuple(np.flatnonzero(ru.astype(np.int32) + rv == duv).tolist())
         dist._interval_cache[key] = cached
     return GeodesicInterval(u=u, v=v, dist_uv=int(dist.row(u)[v]), vertices=cached)

@@ -164,6 +164,7 @@ class FreeProductNode:
 
     def multiply(self, a, b):
         out = list(a)
+        junction = len(out) - 1  # the last merged or surviving syllable
         for fi, e in b:
             if out and out[-1][0] == fi:
                 merged = self.factors[fi].multiply(out[-1][1], e)
@@ -171,12 +172,13 @@ class FreeProductNode:
                     out.pop()
                 else:
                     out[-1] = (fi, merged)
+                junction = len(out) - 1
             else:
                 out.append((fi, e))
-        result = tuple(out)
-        if not self._reduced(result):
+        # reduced factors can break the normal form only where they meet
+        if not self._reduced(out[max(junction - 1, 0) : junction + 2]):
             raise InternalCheckError("free-product normal form violated")
-        return result
+        return tuple(out)
 
     def _reduced(self, a):
         for i, (fi, e) in enumerate(a):

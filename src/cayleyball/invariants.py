@@ -338,6 +338,12 @@ class _PolygonScan:
     polygon value is the max over corner chains of the minimum contribution.
     Exact n-step max-min matrix powers of w_p then cover every corner tuple
     at once, which is what makes exhaustive mode affordable.
+
+    Only probes of the geodesic hull are scanned, in ascending vertex order:
+    a probe outside it fails the mask ``d(a,p) + d(p,b) == d(a,b)`` for every
+    inner pair, so it can only offer -1 and never beats the running 0.
+    ``WP[k]`` is ``w_p`` of the k-th hull vertex, and ``last[k]`` its highest
+    power computed so far, so a larger ``n`` continues where the last stopped.
     """
 
     def __init__(self, ball, dist):
@@ -346,49 +352,51 @@ class _PolygonScan:
         self.results = {}
         self.n_max = 0
         rows = dist.ensure_mid_rows()
+        self.hull = dist.hull()
         ni = ball.inner_count
-        WP = np.empty((ball.mid_count, ni, ni), dtype=np.int16)
+        WP = np.empty((len(self.hull), ni, ni), dtype=np.int16)
         for u in range(ni):
             for v in range(u, ni):
                 vals = max_avoidance_block(ball, dist, u, v, rows)
                 WP[:, u, v] = vals
                 WP[:, v, u] = vals
         self.WP = WP
+        self.last = list(WP)
         self.D = dist.inner.astype(np.int16)
 
     def ensure(self, n_max):
         if n_max <= self.n_max:
             return
-        ball, dist = self.ball, self.dist
-        ni = ball.inner_count
-        rows = dist.ensure_mid_rows()
+        ni = self.ball.inner_count
+        rows = self.dist.ensure_mid_rows()
+        sizes = range(self.n_max + 1, n_max + 1)
         best = {}
-        for n in range(1, n_max + 1):
+        for n in sizes:
             best[n] = _Extremum()
             best[n].offer(0, (0, 0, 0))
-        for p in range(ball.mid_count):
-            W = self.WP[p]
-            dap = rows[p, :ni]
+        for k, p in enumerate(self.hull.tolist()):
+            W = self.WP[k]
+            dap = rows[k, :ni]
             mask = (dap[:, None].astype(np.int16) + dap[None, :]) == self.D
-            B = W
-            for n in range(1, n_max + 1):
+            B = self.last[k]
+            for n in sizes:
                 if n > 1:
                     B = _maxmin(B, W)
                 vals = np.where(mask, B, np.int16(-1))
                 m = int(vals.max())
                 cur = best[n]
-                if cur.value is None or m > cur.value:
+                if m > cur.value:
                     flat = int(vals.argmax())
                     cur.offer(m, (p, flat // ni, flat % ni))
-        for n in range(1, n_max + 1):
-            self.results[n] = best[n]
+            self.last[k] = B
+        self.results.update(best)
         self.n_max = n_max
 
     def witness(self, n):
         """Reconstruct the extremal polygon for gon size n+1."""
         ext = self.results[n]
         p, a, b = ext.key
-        W = self.WP[p]
+        W = self.WP[int(np.searchsorted(self.hull, p))]
         powers = [W]
         for _ in range(n - 1):
             powers.append(_maxmin(powers[-1], W))

@@ -12,6 +12,7 @@ from cayleyball import (
     all_pairs_distances,
     build_ball,
     cli,
+    interval,
     parse_group_spec,
     read_ball,
     write_ball,
@@ -222,12 +223,76 @@ def test_rows_match_clipped_bfs(make_pair, data):
 
 @pytest.mark.parametrize("text,r_in", ROW_CASES)
 def test_mid_block_rows_match_lazy_rows(make_pair, text, r_in):
+    # the bulk hull rows, in hull order, against rows computed one at a time
     ball, _ = make_pair(text, r_in)
     lazy = DistanceMatrix(ball)
-    rows = [lazy.row(u).copy() for u in range(ball.mid_count)]
+    hull = lazy.hull()
+    rows = [lazy.row(u).copy() for u in hull]
     block = DistanceMatrix(ball).ensure_mid_rows()
-    assert block.shape == (ball.mid_count, ball.n_vertices) and block.dtype == np.int16
+    assert block.shape == (len(hull), ball.n_vertices) and block.dtype == np.int16
     assert (block == np.stack(rows)).all()
+
+
+def _draw_generators(data, text):
+    # the standard generators, or those plus one product of two of them
+    names = list(parse_group_spec(text).generator_names)
+    if len(names) < 2 or not data.draw(st.booleans()):
+        return None
+    first, second = data.draw(st.permutations(names))[:2]
+    return names + [f"{first}.{second}"]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_hull_is_union_of_inner_intervals(make_pair, data):
+    # inner-pair intervals and the hull, their union, against networkx BFS
+    text, r_in = data.draw(st.sampled_from(ROW_CASES))
+    ball, dist = make_pair(text, r_in, generators=_draw_generators(data, text))
+    graph = nx_graph(ball)
+    ni = ball.inner_count
+    bfs = np.full((ni, ball.n_vertices), -1)
+    for a in range(ni):
+        for w, d in nx.single_source_shortest_path_length(graph, a).items():
+            bfs[a, w] = d
+    union = set()
+    for a in range(ni):
+        for b in range(ni):
+            between = np.flatnonzero(bfs[a] + bfs[b] == bfs[a, b]).tolist()
+            assert list(interval(dist, a, b).vertices) == between
+            union.update(between)
+    hull = dist.hull()
+    assert hull.tolist() == sorted(union)
+    assert all(ball.dist0[w] <= 2 * r_in for w in hull)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_interval_of_any_pair_matches_bfs(make_pair, data):
+    # intervals of pairs outside the inner ball may leave the 2R ball
+    text, r_in = data.draw(st.sampled_from(ROW_CASES))
+    ball, dist = make_pair(text, r_in)
+    graph = nx_graph(ball)
+    u = data.draw(st.integers(0, ball.n_vertices - 1))
+    from_u = nx.single_source_shortest_path_length(graph, u)
+    v = data.draw(st.sampled_from([w for w, d in from_u.items() if d <= 2 * r_in]))
+    from_v = nx.single_source_shortest_path_length(graph, v)
+    between = [w for w in range(ball.n_vertices) if from_u[w] + from_v[w] == from_u[v]]
+    assert list(interval(dist, u, v).vertices) == between
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_hull_rows_serve_row(make_pair, data):
+    # once the block exists, row(u) of a hull vertex is its block row, and
+    # it is min(BFS distance, 2R + 1)
+    text, r_in = data.draw(st.sampled_from(ROW_CASES))
+    ball, dist = make_pair(text, r_in)
+    block = dist.ensure_mid_rows()
+    k = data.draw(st.integers(0, len(dist.hull()) - 1))
+    u = int(dist.hull()[k])
+    assert np.shares_memory(dist.row(u), block[k])
+    bfs = nx.single_source_shortest_path_length(nx_graph(ball), u)
+    assert dist.row(u).tolist() == [min(bfs[w], dist.clip) for w in range(ball.n_vertices)]
 
 
 @pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3), ("(Z2 * Z3) x Z", 1)])

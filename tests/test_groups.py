@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleyball import SpecParseError, WordError, parse_group_spec
+from cayleyball.groups import InternalCheckError
 from oracles import z2z3_rewrite
 
 
@@ -139,6 +142,61 @@ def test_free_product_normal_form_is_reduced():
             assert comp != spec.root.factors[fi].identity()
             if i:
                 assert product[i - 1][0] != fi
+
+
+def _full_rescan_multiply(root, a, b):
+    # free reduction of the concatenation, then a check of every syllable
+    out = list(a)
+    for fi, e in b:
+        if out and out[-1][0] == fi:
+            merged = root.factors[fi].multiply(out[-1][1], e)
+            if merged == root.factors[fi].identity():
+                out.pop()
+            else:
+                out[-1] = (fi, merged)
+        else:
+            out.append((fi, e))
+    if not root._reduced(out):
+        raise InternalCheckError("free-product normal form violated")
+    return tuple(out)
+
+
+def _draw_syllables(data, root):
+    # a reduced syllable word: non-identity syllables, neighbours in
+    # different factors
+    word = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        fi = data.draw(st.sampled_from([f for f in range(len(root.factors)) if not word or word[-1][0] != f]))
+        factor = root.factors[fi]
+        gens = [e for _, e in factor.gens()] + [factor.invert(e) for _, e in factor.gens()]
+        e = factor.identity()
+        for g in data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+            e = factor.multiply(e, g)
+        if e != factor.identity():
+            word.append((fi, e))
+    return tuple(word)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_free_product_junction_check_matches_full_rescan(data):
+    # multiply checks the normal form only where its factors meet; on
+    # reduced factors it agrees with free reduction followed by a check of
+    # every syllable, and so it does on a left factor with an identity
+    # syllable that the right factor uncovers by cancelling what follows it
+    text = data.draw(st.sampled_from(["Z2 * Z3", "Z * Z4", "S3 * Z", "(Z x Z) * Z2", "Z2 * Z3 * Z"]))
+    root = parse_group_spec(text).root
+    a, b = _draw_syllables(data, root), _draw_syllables(data, root)
+    if data.draw(st.booleans()):
+        a += ((0, root.factors[0].identity()),) + b
+        b = root.invert(b)
+    try:
+        want = _full_rescan_multiply(root, a, b)
+    except InternalCheckError:
+        with pytest.raises(InternalCheckError):
+            root.multiply(a, b)
+    else:
+        assert root.multiply(a, b) == want
 
 
 def test_free_product_against_rewriting_oracle():

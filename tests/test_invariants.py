@@ -21,6 +21,7 @@ from cayleyball import (
     four_point_delta,
     h2_center_distance,
     mesh_estimate,
+    parse_group_spec,
     polygon_delta,
     polygon_thinness,
     rips_delta,
@@ -280,6 +281,29 @@ def test_polygon_monotone_in_gon_size(make_pair):
     vals = [polygon_delta(ball, dist, n, EXHAUSTIVE).value_doubled for n in (1, 2, 3)]
     assert vals == sorted(vals)
     assert vals[0] > 0  # grid triangles are never all 0-thin
+
+
+@pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("(Z2 * Z3) x Z", 1), ("S4", 2)])
+def test_polygon_scan_continues_powers(monkeypatch, text, r_in):
+    # sizes asked in rising order continue from each probe's last power:
+    # one max-min product per hull probe and size above 1, each probe ends
+    # at its 3-step power, and the results are those of a scan asked for
+    # the largest size at once
+    ball = build_ball(parse_group_spec(text), r_in)
+    products = []
+    maxmin = invariants._maxmin
+    monkeypatch.setattr(invariants, "_maxmin", lambda A, B: products.append(1) or maxmin(A, B))
+    stepwise = invariants._polygon_scan(ball, DistanceMatrix(ball))
+    for n in (1, 2, 3):
+        stepwise.ensure(n)
+    assert len(products) == 2 * len(stepwise.hull)
+    for W, last in zip(stepwise.WP, stepwise.last):
+        assert (last == maxmin(maxmin(W, W), W)).all()
+    direct = invariants._polygon_scan(ball, DistanceMatrix(ball))
+    direct.ensure(3)
+    for n in (1, 2, 3):
+        assert (stepwise.results[n].value, stepwise.results[n].key) == (direct.results[n].value, direct.results[n].key)
+        assert stepwise.witness(n) == direct.witness(n)
 
 
 def test_rips_positive_on_grid(make_pair):
