@@ -28,7 +28,6 @@ than over the whole ``2 * r_in`` ball.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,21 +93,26 @@ class BallGraph:
 
     Vertices are indexed in breadth-first order from the identity (index 0),
     so ``dist0`` is nondecreasing and the inner ball is the index prefix
-    ``range(inner_count)``.  Adjacency lists are sorted by edge label, which
-    makes every traversal order intrinsic to the group rather than to the
-    ball that happens to contain it.  Immutable after construction.
+    ``range(inner_count)``.  The adjacency is the Cayley table ``nbr``, an
+    ``(n_vertices, len(letters))`` int32 array: ``nbr[u, li]`` is the index
+    of ``u * letters[li]``, or -1 when that product lies outside the ball.
+    Letters are sorted by label, so a row read left to right is in label
+    order, which makes every traversal order intrinsic to the group rather
+    than to the ball that happens to contain it.  ``index`` maps each
+    element to its vertex, in vertex order (None for a graph-only import).
+    Immutable after construction.
     """
 
-    def __init__(self, spec, letters, r_in, r_out, elements, dist0, adj, words=None):
+    def __init__(self, spec, letters, r_in, r_out, index, dist0, nbr, words=None):
         self.spec = spec
         self.letters = letters
         self.r_in = r_in
         self.r_out = r_out
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)} if elements is not None else None
+        self.index = index
+        self.elements = list(index) if index is not None else None
         self.dist0 = np.asarray(dist0, dtype=np.int16)
-        self.adj = adj  # adj[u] = [(v, letter_index), ...] sorted by label
-        self.n_vertices = len(adj)
+        self.nbr = nbr
+        self.n_vertices = len(nbr)
         self.inner_count = int(np.searchsorted(self.dist0, r_in, side="right"))
         self.mid_count = int(np.searchsorted(self.dist0, 2 * r_in, side="right"))
         self._words = dict(enumerate(words)) if words is not None else {}
@@ -147,22 +151,20 @@ class BallGraph:
         return self.letters[letter_index].label
 
     def csr(self):
+        """The adjacency as a scipy CSR matrix, for scipy's graph searches:
+        a view derived from ``nbr``, built on first request and cached."""
         if self._csr is None:
-            indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-            for u, nbrs in enumerate(self.adj):
-                indptr[u + 1] = indptr[u] + len(nbrs)
-            indices = np.empty(indptr[-1], dtype=np.int64)
-            k = 0
-            for nbrs in self.adj:
-                for v, _ in nbrs:
-                    indices[k] = v
-                    k += 1
-            data = np.ones(len(indices), dtype=np.int8)
-            self._csr = csr_matrix((data, indices, indptr), shape=(self.n_vertices, self.n_vertices))
+            self._csr = _table_csr(self.nbr)
         return self._csr
 
-    def degree(self, u):
-        return len(self.adj[u])
+
+def _table_csr(nbr):
+    """CSR matrix of a Cayley table, one unit entry per table entry >= 0."""
+    present = nbr >= 0
+    indptr = np.zeros(len(nbr) + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    data = np.ones(int(indptr[-1]), dtype=np.int8)
+    return csr_matrix((data, nbr[present], indptr), shape=(len(nbr), len(nbr)))
 
 
 def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_000) -> BallGraph:
@@ -181,17 +183,15 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
     elements = [ident]
     index = {ident: 0}
     dist0 = [0]
-    edges = []  # (u, v, letter_index)
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    table = []  # row-major nbr: rows are appended in vertex order
+    for u, eu in enumerate(elements):  # elements grows while it is read: a BFS
         du = dist0[u]
-        eu = elements[u]
-        for li, letter in enumerate(letters):
+        for letter in letters:
             w = spec.multiply(eu, letter.element)
             v = index.get(w)
             if v is None:
                 if du == r_out:
+                    table.append(-1)
                     continue
                 v = len(elements)
                 if v >= budget:
@@ -199,15 +199,9 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
                 index[w] = v
                 elements.append(w)
                 dist0.append(du + 1)
-                queue.append(v)
-            edges.append((u, v, li))
-
-    adj = [[] for _ in range(len(elements))]
-    for u, v, li in edges:
-        adj[u].append((v, li))
-    for u in range(len(adj)):
-        adj[u].sort(key=lambda pair: letters[pair[1]].label)
-    return BallGraph(spec, letters, r_in, r_out, elements, dist0, adj)
+            table.append(v)
+    nbr = np.array(table, dtype=np.int32).reshape(len(elements), len(letters))
+    return BallGraph(spec, letters, r_in, r_out, index, dist0, nbr)
 
 
 class DistanceMatrix:
@@ -357,13 +351,11 @@ def write_ball(ball: BallGraph) -> str:
     lines = [f"vertices {ball.n_vertices} radius_in {ball.r_in} radius_out {ball.r_out}"]
     for i in range(ball.n_vertices):
         lines.append(f"{i} {ball.word(i)}")
-    edge_lines = []
-    for u in range(ball.n_vertices):
-        for v, li in ball.adj[u]:
-            edge_lines.append((u, v, ball.label(li)))
-    edge_lines.sort()
-    for u, v, label in edge_lines:
-        lines.append(f"{u} {v} {label}")
+    us, lis = np.nonzero(ball.nbr >= 0)
+    vs = ball.nbr[us, lis]
+    order = np.lexsort((vs, us))  # stable: ties on (u, v) stay in label order
+    for u, v, li in zip(us[order].tolist(), vs[order].tolist(), lis[order].tolist()):
+        lines.append(f"{u} {v} {ball.label(li)}")
     return "\n".join(lines) + "\n"
 
 
@@ -373,9 +365,11 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     With ``spec`` the vertex words are re-evaluated to group elements and the
     ball supports full element lookups; without it the ball is graph-only
     (distances and invariants still work, subgroup enumeration does not).
-    Raises ValueError on a malformed header or vertex line, an edge endpoint
-    outside the ball, a repeated edge line, an edge without its reverse, or
-    a disconnected graph.
+    Letters are the edge labels in label order, as ``build_ball`` orders
+    them.  Raises ValueError on a malformed header or vertex line, an edge
+    endpoint outside the ball, a repeated edge line, two edges with one label
+    out of one vertex, an edge without its reverse, a disconnected graph, or
+    (with ``spec``) two vertex words naming one element.
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
@@ -390,10 +384,7 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
             raise ValueError(f"vertex lines out of order near {line!r}")
         words.append(word)
 
-    label_to_index = {}
-    letters = []
-    adj = [[] for _ in range(n)]
-    seen = set()
+    edges = []
     for line in lines[1 + n :]:
         if not line.strip():
             continue
@@ -401,37 +392,38 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
         u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range in {line!r}")
-        if (u, v, label) in seen:
-            raise ValueError(f"repeated edge {line!r}")
-        seen.add((u, v, label))
-        li = label_to_index.get(label)
-        if li is None:
-            li = len(letters)
-            label_to_index[label] = li
-            element = spec.parse_word(label) if spec is not None else None
-            letters.append(GeneratorLetter(label=label, word=label, inverted=False, element=element))
-        adj[u].append((v, li))
-    arcs = {(u, v) for u, v, _ in seen}
+        edges.append((u, v, label))
+    labels = sorted({label for _, _, label in edges})
+    column = {label: li for li, label in enumerate(labels)}
+    nbr = np.full((n, len(labels)), -1, dtype=np.int32)
+    for u, v, label in edges:
+        li = column[label]
+        if nbr[u, li] == v:
+            raise ValueError(f"repeated edge {u} {v} {label}")
+        if nbr[u, li] >= 0:
+            raise ValueError(f"vertex {u} has two edges labelled {label!r}")
+        nbr[u, li] = v
+    arcs = {(u, v) for u, v, _ in edges}
     one_way = sorted(arc for arc in arcs if arc[::-1] not in arcs)
     if one_way:
         u, v = one_way[0]
         raise ValueError(f"edge {u} {v} has no reverse edge {v} {u}")
-    for u in range(n):
-        adj[u].sort(key=lambda pair: letters[pair[1]].label)
 
-    dist0 = np.full(n, -1, dtype=np.int64)
-    dist0[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if dist0[v] < 0:
-                dist0[v] = dist0[u] + 1
-                queue.append(v)
-    if (dist0 < 0).any():
+    graph = _table_csr(nbr)
+    dist0 = dijkstra(graph, unweighted=True, indices=0)
+    if np.isinf(dist0).any():
         raise ValueError("imported ball is not connected")
 
-    elements = None
+    letters = [
+        GeneratorLetter(label=label, word=label, inverted=False,
+                        element=spec.parse_word(label) if spec is not None else None)
+        for label in labels
+    ]
+    index = None
     if spec is not None:
-        elements = [spec.parse_word(w) for w in words]
-    return BallGraph(spec, letters, r_in, r_out, elements, dist0, adj, words=words)
+        index = {spec.parse_word(w): i for i, w in enumerate(words)}
+        if len(index) < n:
+            raise ValueError("two vertex words name the same element")
+    ball = BallGraph(spec, letters, r_in, r_out, index, dist0, nbr, words=words)
+    ball._csr = graph
+    return ball

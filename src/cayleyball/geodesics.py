@@ -128,10 +128,10 @@ class GeodesicDag:
         self.pos = {w: i for i, w in enumerate(verts)}
         self.succ = []
         self.preds = []
-        for i, w in enumerate(verts):
+        for i, row in enumerate(ball.nbr.take(verts, axis=0).tolist()):  # label order
             nxt, prv = [], []
-            for nbr, _ in ball.adj[w]:  # already label-sorted
-                j = self.pos.get(nbr)
+            for w in row:
+                j = self.pos.get(w)  # None for -1, the product outside the ball
                 if j is not None:
                     if self.layer[j] == self.layer[i] + 1:
                         nxt.append(j)

@@ -612,8 +612,8 @@ def masked_path(ball, rp, r, x, y):
                 path.append(u)
                 u = prev[u]
             return list(reversed(path))
-        for v, _ in ball.adj[u]:
-            if allowed[v] and v not in prev:
+        for v in ball.nbr[u].tolist():
+            if v >= 0 and allowed[v] and v not in prev:  # allowed[-1] would read the last vertex
                 prev[v] = u
                 queue.append(v)
     raise ValueError("mask disconnects the endpoints")

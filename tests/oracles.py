@@ -86,9 +86,8 @@ def grid_sync_oracle(start, end):
 def nx_graph(ball):
     G = nx.Graph()
     G.add_nodes_from(range(ball.n_vertices))
-    for u in range(ball.n_vertices):
-        for v, _ in ball.adj[u]:
-            G.add_edge(u, v)
+    for u, row in enumerate(ball.nbr.tolist()):
+        G.add_edges_from((u, v) for v in row if v >= 0)
     return G
 
 

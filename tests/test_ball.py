@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleyball import (
@@ -102,10 +102,29 @@ def test_metric_axioms_sampled(make_pair):
         assert D[u, v] <= D[u, w] + D[w, v]
 
 
-def test_degree_bound(make_pair):
-    for text in ("F(a,b)", "Z2 * Z3", "S3"):
-        ball, _ = make_pair(text, 2)
-        assert all(ball.degree(u) <= len(ball.letters) for u in range(ball.n_vertices))
+def _draw_words(data, text):
+    # None (the standard generators) or one to three random words over them
+    if data.draw(st.booleans()):
+        return None
+    spec = parse_group_spec(text)
+    token = st.sampled_from([f"{n}{e}" for n in spec.generator_names for e in ("", "^-1")])
+    words = data.draw(st.lists(st.lists(token, min_size=1, max_size=2).map(".".join), min_size=1, max_size=3))
+    assume(all(spec.parse_word(w) != spec.identity() for w in words))
+    return words
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_table_is_right_multiplication(data):
+    # nbr[u, li] is the vertex of elements[u] * letters[li], -1 exactly outside
+    text, r_in = data.draw(st.sampled_from(ROW_CASES))
+    spec = parse_group_spec(text)
+    ball = build_ball(spec, r_in, generators=_draw_words(data, text))
+    assert ball.nbr.shape == (ball.n_vertices, len(ball.letters)) and ball.nbr.dtype == np.int32
+    assert ball.index == {e: i for i, e in enumerate(ball.elements)}
+    for u, row in enumerate(ball.nbr.tolist()):
+        for letter, v in zip(ball.letters, row):
+            assert v == ball.index.get(spec.multiply(ball.elements[u], letter.element), -1)
 
 
 def test_letters_closed_under_inversion():
@@ -191,12 +210,36 @@ def test_import_without_spec(make_pair):
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 2 a\n",
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n0 1 a\n1 0 a\n",
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n",
+        "vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 b\n0 1 a\n0 2 a\n1 0 a\n2 0 a\n",
     ],
-    ids=["empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge"],
+    ids=["empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge", "two-edges-one-label"],
 )
 def test_import_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         read_ball(text)
+
+
+def test_import_rejects_words_naming_one_element():
+    text = "vertices 2 radius_in 1 radius_out 1\n0 a\n1 a.b.b^-1\n0 1 b\n1 0 b^-1\n"
+    read_ball(text)  # graph-only: the words are not evaluated
+    with pytest.raises(ValueError):
+        read_ball(text, spec=parse_group_spec("F(a,b)"))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_export_round_trip_random(data):
+    # text -> graph-only ball -> text is the identity; with the spec the
+    # imported table and inner distances are the built ball's
+    text, r_in = data.draw(st.sampled_from(ROW_CASES + [("Z * Z4", 1), ("S3 * Z", 1), ("Z", 2)]))
+    spec = parse_group_spec(text)
+    ball = build_ball(spec, r_in, generators=_draw_words(data, text))
+    exported = write_ball(ball)
+    assert write_ball(read_ball(exported)) == exported
+    loaded = read_ball(exported, spec=spec)
+    assert (loaded.nbr == ball.nbr).all() and (loaded.dist0 == ball.dist0).all()
+    assert loaded.index == ball.index
+    assert (all_pairs_distances(loaded).inner == all_pairs_distances(ball).inner).all()
 
 
 def test_custom_generating_set(make_pair):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,9 +37,10 @@ from cayleyball.invariants import (
     _bruteforce_defect,
     _gromov_matrix,
     detour_for_pair,
+    masked_path,
     polygon_tuple_value,
 )
-from oracles import detour_pair_oracle, grid_bigon_oracle, grid_sync_oracle, mesh_bruteforce
+from oracles import detour_pair_oracle, grid_bigon_oracle, grid_sync_oracle, mesh_bruteforce, nx_graph
 
 EXHAUSTIVE = SamplingPlan.exhaustive()
 UNCAPPED = SamplingPlan(mode="exhaustive", geodesic_cap=None)
@@ -485,6 +487,22 @@ def test_detour_matches_oracle_on_small_balls(make_pair):
         for x, y in itertools.combinations(range(ball.inner_count), 2):
             value, _ = detour_for_pair(ball, dist, x, y)
             assert value == detour_pair_oracle(ball, x, y)
+
+
+@pytest.mark.parametrize("text,r_in", [("Z", 1), ("Z2 * Z3", 1), ("Z x Z", 1)])
+def test_masked_path_ignores_outside_entries(make_pair, text, r_in):
+    # with nothing masked, a path between boundary vertices is a shortest
+    # path of the ball: the -1 entries of boundary rows are not edges
+    ball, _ = make_pair(text, r_in)
+    graph = nx_graph(ball)
+    boundary = np.flatnonzero(ball.dist0 == ball.r_out).tolist()
+    everything = np.zeros(ball.n_vertices, dtype=np.int16)
+    for x in boundary:
+        for y in boundary:
+            path = masked_path(ball, everything, 0, x, y)
+            assert path[0] == x and path[-1] == y
+            assert len(path) - 1 == nx.shortest_path_length(graph, x, y)
+            assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 def test_detour_probe_at_endpoint_contributes_zero(make_pair):
