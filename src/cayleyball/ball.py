@@ -368,8 +368,10 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     Letters are the edge labels in label order, as ``build_ball`` orders
     them.  Raises ValueError on a malformed header or vertex line, an edge
     endpoint outside the ball, a repeated edge line, two edges with one label
-    out of one vertex, an edge without its reverse, a disconnected graph, or
-    (with ``spec``) two vertex words naming one element.
+    out of one vertex, an edge without its reverse, a disconnected graph,
+    vertex lines out of breadth-first order (a vertex closer to vertex 0
+    than the one before it), or (with ``spec``) two vertex words naming one
+    element.
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
@@ -413,6 +415,10 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     dist0 = dijkstra(graph, unweighted=True, indices=0)
     if np.isinf(dist0).any():
         raise ValueError("imported ball is not connected")
+    drop = np.flatnonzero(np.diff(dist0) < 0)
+    if drop.size:
+        v = int(drop[0])
+        raise ValueError(f"vertex lines not in breadth-first order: vertex {v + 1} is closer to vertex 0 than vertex {v}")
 
     letters = [
         GeneratorLetter(label=label, word=label, inverted=False,

@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .ball import DistanceMatrix
@@ -569,32 +570,81 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
 # ---------------------------------------------------------------------------
 # detour constant: how far an adversarial coterminal path can stay away
 
-def _avoidance_levels(ball, rp, queries):
-    """For probe distances rp, resolve g = max r such that each query pair is
-    connected in the subgraph on { w : rp[w] >= r }; descending union sweep
-    replaced by ascending connectivity checks, dropping pairs as they split.
+# Adjacency entries of one stacked graph in the batched detour pass.  On a
+# 2-vCPU VM, 2^15 to 2^18 ran the benchmark workloads' detour about equally
+# fast, and 2^16 keeps a stack's arrays near 0.5 MiB; much larger stacks fall
+# out of cache (2^22 ran free-r3's detour 1.5x slower).
+_DETOUR_ENTRIES = 1 << 16
+
+
+def _detour_levels(ball, dist, probes, xs, ys):
+    """Detour level of every query ``(probes[i], xs[i], ys[i])``, as an int
+    array aligned with the inputs.
+
+    The level of a query (p, x, y) is the largest ``r >= 1`` at which x and
+    y are connected in the subgraph induced on ``{w : rp[w] >= r}``, with
+    ``rp = dist.row(p)``, and 0 when there is none.  The subgraphs shrink as
+    ``r`` grows, so levels are resolved in ascending ``r`` and a query drops
+    out at the first ``r`` that splits its pair.
+
+    Per level, every probe with an unresolved query gets one copy of the
+    ball's CSR, and the copies are stacked block-diagonally, copy ``k``
+    offsetting vertex ids by ``k * n_vertices``, so one
+    ``connected_components`` call labels every copy at once.  An edge with
+    ``min(rp[s], rp[t]) < r`` is masked by pointing it back at its own row
+    (a self-loop): every copy keeps the cached CSR's ``indptr``, so nothing
+    is sorted or sliced.  A masked vertex is isolated in its copy, and a
+    query also needs both endpoints unmasked (which is what ends a query
+    with x == y).  The ball's graph is symmetric and an edge is masked with
+    its reverse, so the stack's strongly connected components are its
+    connected components; the strong search reads only ``indptr`` and
+    ``indices``, where an undirected one first transposes the whole stack.
+    Probes are stacked in chunks of at most ``_DETOUR_ENTRIES`` adjacency
+    entries (at least one probe per chunk), so each stacked graph stays
+    small enough for the cache.
     """
-    out = {q: 0 for q in queries}
-    active = list(queries)
+    probes, xs, ys = (np.asarray(a, dtype=np.int32) for a in (probes, xs, ys))
+    levels = np.zeros(len(probes), dtype=np.int32)
+    if not len(probes):
+        return levels
     graph = ball.csr()
+    n, nnz = ball.n_vertices, graph.nnz
+    order = np.argsort(probes, kind="stable")
+    sp, sx, sy = probes[order], xs[order], ys[order]
+    per_chunk = max(1, _DETOUR_ENTRIES // max(nnz, 1))
+    copies = min(per_chunk, len(np.unique(sp)))
+    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(graph.indptr))
+    dst = graph.indices.astype(np.int32, copy=False)
+    # the stack of `copies` copies; a chunk of m copies reads prefixes
+    shift = np.arange(copies, dtype=np.int32)[:, None]
+    indptr = np.append((graph.indptr[:-1] + shift * nnz).ravel(), copies * nnz).astype(np.int32, copy=False)
+    data = np.broadcast_to(1.0, (copies * nnz,))  # edge weights are never read
+    active = np.arange(len(sp))  # sorted positions of unresolved queries
     r = 1
-    while active:
-        keep = np.flatnonzero(rp >= r)
-        if keep.size == 0:
-            break
-        pos = np.full(ball.n_vertices, -1, dtype=np.int64)
-        pos[keep] = np.arange(keep.size)
-        sub = graph[keep][:, keep]
-        _, labels = connected_components(sub, directed=False)
-        nxt = []
-        for x, y in active:
-            px, py = pos[x], pos[y]
-            if px >= 0 and py >= 0 and labels[px] == labels[py]:
-                out[(x, y)] = r
-                nxt.append((x, y))
-        active = nxt
+    while active.size:
+        ap = sp[active]
+        live = np.unique(ap)
+        survivors = []
+        for lo in range(0, len(live), per_chunk):
+            chunk = live[lo : lo + per_chunk]
+            m = len(chunk)
+            allowed = np.stack([dist.row(p) for p in chunk.tolist()]) >= r
+            kept = allowed.take(src, axis=1)
+            kept &= allowed.take(dst, axis=1)
+            heads = np.where(kept, dst, src)
+            heads += shift[:m] * n
+            stacked = csr_matrix((data[: m * nnz], heads.ravel(), indptr[: m * n + 1]), shape=(m * n, m * n))
+            allowed = allowed.ravel()
+            _, labels = connected_components(stacked, directed=True, connection="strong")
+            q = active[np.searchsorted(ap, chunk[0]) : np.searchsorted(ap, chunk[-1], side="right")]
+            base = np.searchsorted(chunk, sp[q]) * n
+            vx, vy = base + sx[q], base + sy[q]
+            ok = allowed[vx] & allowed[vy] & (labels[vx] == labels[vy])
+            levels[order[q[ok]]] = r
+            survivors.append(q[ok])
+        active = np.concatenate(survivors)
         r += 1
-    return out
+    return levels
 
 
 def masked_path(ball, rp, r, x, y):
@@ -619,63 +669,68 @@ def masked_path(ball, rp, r, x, y):
     raise ValueError("mask disconnects the endpoints")
 
 
+def _pair_detours(ball, dist, pairs):
+    """Detour value and probe of each pair (x, y), as two int arrays: the
+    largest level over the probes of the pair's interval, and the smallest
+    probe attaining it.  One ``_detour_levels`` pass resolves every pair."""
+    verts = [interval(dist, x, y).vertices for x, y in pairs]
+    sizes = np.array([len(v) for v in verts], dtype=np.int64)
+    probes = np.fromiter(itertools.chain.from_iterable(verts), dtype=np.int32, count=int(sizes.sum()))
+    pair_of = np.repeat(np.arange(len(pairs), dtype=np.int32), sizes)
+    xs, ys = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)[pair_of].T
+    levels = _detour_levels(ball, dist, probes, xs, ys)
+    # per pair, highest level first and then smallest probe; pairs keep their blocks
+    best = np.lexsort((probes, -levels, pair_of))[np.cumsum(sizes) - sizes]
+    return levels[best], probes[best]
+
+
 def detour_for_pair(ball, dist, x, y):
     """Worst distance from a geodesic vertex of (x, y) to the image of an
     adversarial coterminal path inside the padded ball.
 
     Returns ``(value, probe_vertex)``.
     """
-    x, y = int(x), int(y)
-    best = _Extremum()
-    for p in interval(dist, x, y).vertices:
-        rp = dist.row(p)
-        g = _avoidance_levels(ball, rp, [(x, y)])[(x, y)]
-        best.offer(g, (p,))
-    return best.value, best.key[0]
+    values, probes = _pair_detours(ball, dist, [(int(x), int(y))])
+    return int(values[0]), int(probes[0])
 
 
 def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:
     """Detour constant over sampled inner pairs; always a lower bound, since
-    paths in the full group may leave any finite ball."""
+    paths in the full group may leave any finite ball.  The witness is the
+    lexicographically smallest (x, y, probe) attaining the maximum."""
     n = ball.inner_count
-    queries_by_probe: dict[int, list] = {}
-    for x, y in plan.unordered_tuples(n, 2):
-        if x == y:
-            continue
-        for p in interval(dist, x, y).vertices:
-            queries_by_probe.setdefault(int(p), []).append((x, y))
-    best = _Extremum()
-    best.offer(0, (0, 0, 0))
-    for p in sorted(queries_by_probe):
-        rp = dist.row(p)
-        resolved = _avoidance_levels(ball, rp, queries_by_probe[p])
-        for (x, y), g in resolved.items():
-            best.offer(g, (x, y, p))
-    x, y, p = best.key
+    pairs = np.array([t for t in plan.unordered_tuples(n, 2) if t[0] != t[1]], dtype=np.int64).reshape(-1, 2)
+    values, probes = _pair_detours(ball, dist, pairs)
+    value = int(values.max(initial=0))
+    x = y = p = 0
+    if value > 0:
+        hit = np.flatnonzero(values == value)
+        k = hit[np.lexsort(pairs[hit].T[::-1])[0]]
+        (x, y), p = pairs[k].tolist(), int(probes[k])
     witness = {
         "start": ball.word(x),
         "end": ball.word(y),
         "geodesic_point": ball.word(p),
-        "avoidance": int(best.value),
+        "avoidance": value,
     }
-    if best.value > 0 or x != y:
-        path = masked_path(ball, dist.row(p), best.value, x, y)
+    if value > 0 or x != y:
+        path = masked_path(ball, dist.row(p), value, x, y)
         witness["adversarial_path"] = _words(ball, path)
-    return _result("detour_epsilon", ball, 2 * best.value, "lower", plan, witness)
+    return _result("detour_epsilon", ball, 2 * value, "lower", plan, witness)
 
 
 # ---------------------------------------------------------------------------
 # mesh
 
-def _adversarial_side(ball, dist, x, y):
+def _adversarial_sides(ball, dist, pairs):
+    """Fill ``dist._adversarial_cache`` for the unordered pairs among
+    ``pairs`` that it lacks: each gets the masked path of its detour value
+    and probe, all resolved in one batched detour pass."""
     cache = dist._adversarial_cache
-    key = (min(x, y), max(x, y))
-    path = cache.get(key)
-    if path is None:
-        value, p = detour_for_pair(ball, dist, key[0], key[1])
-        path = tuple(masked_path(ball, dist.row(p), value, key[0], key[1]))
-        cache[key] = path
-    return path if path[0] == x else tuple(reversed(path))
+    todo = sorted({(min(x, y), max(x, y)) for x, y in pairs} - cache.keys())
+    values, probes = _pair_detours(ball, dist, todo)
+    for (x, y), value, p in zip(todo, values.tolist(), probes.tolist()):
+        cache[x, y] = tuple(masked_path(ball, dist.row(p), value, x, y))
 
 
 # A working tensor of the batched mesh holds at most this many int16 entries.
@@ -737,7 +792,10 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     combination of side choices is one row, in plan order with the choices
     in product order; degenerate triangles are skipped.  Rows are evaluated
     in chunks whose working tensors hold at most ``_MESH_CHUNK`` entries, so
-    memory stays bounded however many rows there are.  The winner is the
+    memory stays bounded however many rows there are; within a chunk, rows
+    are grouped by their longest side and each group's tensors are only
+    that wide (an adversarial side can be twice as long as a geodesic,
+    and the cost grows with the cube of the width).  The winner is the
     lexicographically smallest ``(a, b, c, i0, i1, i2)`` attaining the
     maximum, and its points are the first row-major argmin over its sides;
     when the maximum is 0 the witness keeps corners ``(0, 0, 0)`` and no
@@ -752,13 +810,17 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     for tri in _mesh_triangles(plan, n):
         u, v = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         new = pair_id[u, v] < 0
-        for code in np.unique(u[new] * n + v[new]).tolist():
+        codes = np.unique(u[new] * n + v[new]).tolist()
+        if mode == "adversarial":
+            _adversarial_sides(ball, dist, [divmod(code, n) for code in codes])
+        for code in codes:
             x, y = divmod(code, n)
             found, truncated = enumerate_geodesics(ball, dist, x, y, cap=plan.geodesic_cap)
             capped = capped or truncated
             choices = [p.vertices for p in found]
             if mode == "adversarial":
-                adv = _adversarial_side(ball, dist, x, y)
+                adv = dist._adversarial_cache[min(x, y), max(x, y)]
+                adv = adv if adv[0] == x else adv[::-1]
                 if adv not in choices:
                     choices.append(adv)
             pair_id[x, y] = len(first)
@@ -768,7 +830,8 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     best = _Extremum()
     best.offer(0, (0, 0, 0), None)
     if paths:
-        width = max(len(p) for p in paths)
+        lengths = np.array([len(p) for p in paths])
+        width = int(lengths.max())
         padded = np.array([p + p[-1:] * (width - len(p)) for p in paths], dtype=np.int64)
         used = np.unique(padded)
         # flat indices into the |U|x|U| block; int32 halves the index tensors
@@ -788,7 +851,11 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
                 local, k1, k2 = r - starts[t], k[t, 1], k[t, 2]
                 choice = np.column_stack([local // (k1 * k2), local // k2 % k1, local % k2])
                 q = first[pid[t]] + choice
-                values = _mesh_rows(P, D, q)
+                wq = lengths[q].max(axis=1)
+                values = np.empty(len(q), dtype=D.dtype)
+                for w in np.unique(wq).tolist():
+                    sel = wq == w
+                    values[sel] = _mesh_rows(P[:, :w], D, q[sel])
                 top = int(values.max())
                 if top == 0 or top < best.value:
                     continue

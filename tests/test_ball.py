@@ -211,8 +211,13 @@ def test_import_without_spec(make_pair):
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n0 1 a\n1 0 a\n",
         "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n",
         "vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 b\n0 1 a\n0 2 a\n1 0 a\n2 0 a\n",
+        # the path 0 - 2 - 1: dist0 = [0, 2, 1] would drop vertex 2 from the inner ball
+        "vertices 3 radius_in 1 radius_out 2\n0 1\n1 a^2\n2 a\n0 2 a\n2 0 a^-1\n2 1 a\n1 2 a^-1\n",
     ],
-    ids=["empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge", "two-edges-one-label"],
+    ids=[
+        "empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge",
+        "two-edges-one-label", "not-breadth-first",
+    ],
 )
 def test_import_rejects_malformed_text(text):
     with pytest.raises(ValueError):

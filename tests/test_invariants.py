@@ -29,7 +29,7 @@ from cayleyball import (
     subgroup_quasiconvexity,
 )
 from cayleyball import invariants
-from cayleyball.geodesics import GeodesicPath, Polygon
+from cayleyball.geodesics import GeodesicPath, Polygon, interval
 from cayleyball.invariants import (
     SamplingPlan,
     _bottleneck_chain,
@@ -489,6 +489,39 @@ def test_detour_matches_oracle_on_small_balls(make_pair):
             assert value == detour_pair_oracle(ball, x, y)
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_detour_for_pair_matches_oracle_random(make_pair, data):
+    # two-atom specs at R1: padded balls of at most 53 vertices, where the
+    # oracle's simple-path enumeration stays small
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    ball, dist = make_pair(text, 1)
+    x, y = data.draw(st.lists(st.integers(0, ball.inner_count - 1), min_size=2, max_size=2, unique=True))
+    value, p = detour_for_pair(ball, dist, x, y)
+    assert value == detour_pair_oracle(ball, x, y)
+    # the probe is the smallest one attaining the value: x and y stay linked
+    # outside its open (value)-ball, and outside no smaller probe's
+    graph = nx_graph(ball)
+
+    def linked(q, r):
+        sub = graph.subgraph(np.flatnonzero(dist.row(q) >= r).tolist())
+        return x in sub and y in sub and nx.has_path(sub, x, y)
+
+    probes = interval(dist, x, y).vertices
+    assert p in probes and linked(p, value)
+    assert not any(linked(q, value) for q in probes if q < p)
+
+
+@pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("Z10", 5)])
+@pytest.mark.parametrize("entries", [1, 1 << 30], ids=["one-probe-per-chunk", "one-chunk"])
+def test_detour_report_independent_of_chunk(make_pair, monkeypatch, text, r_in, entries):
+    ball, dist = make_pair(text, r_in)
+    expected = detour_epsilon(ball, dist, EXHAUSTIVE).to_dict()
+    monkeypatch.setattr(invariants, "_DETOUR_ENTRIES", entries)
+    assert detour_epsilon(ball, dist, EXHAUSTIVE).to_dict() == expected
+
+
 @pytest.mark.parametrize("text,r_in", [("Z", 1), ("Z2 * Z3", 1), ("Z x Z", 1)])
 def test_masked_path_ignores_outside_entries(make_pair, text, r_in):
     # with nothing masked, a path between boundary vertices is a shortest
@@ -511,8 +544,14 @@ def test_detour_probe_at_endpoint_contributes_zero(make_pair):
     assert res.bound == "lower"
     # the endpoint itself can never be avoided
     x, y = ball.index_of_word("1"), ball.index_of_word("t1^3")
-    from cayleyball.invariants import _avoidance_levels
-    assert _avoidance_levels(ball, dist.row(x), [(x, y)])[(x, y)] == 0
+    assert list(invariants._detour_levels(ball, dist, [x], [x], [y])) == [0]
+
+
+def test_detour_of_a_point_is_zero(make_pair):
+    # the only probe is the point itself, at distance 0 from every path
+    ball, dist = make_pair("Z x Z", 1)
+    for x in range(ball.inner_count):
+        assert detour_for_pair(ball, dist, x, x) == (0, x)
 
 
 def test_detour_witness_reevaluates(make_pair):
