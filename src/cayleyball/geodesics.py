@@ -231,6 +231,131 @@ def max_avoidance_block(ball, dist, u, v, rows_block) -> np.ndarray:
     return _bottleneck(dag, rows_block.T[dag.verts], np.minimum, np.maximum)[-1]
 
 
+# DP entries, one per (query, interval vertex), of one chunk of
+# max_avoidance_many, and the bound on pairs x mid_count of one interval
+# test.  On a 2-vCPU VM, 2^14 to 2^18 ran the sampled polygon:3 of Z2 * Z3
+# R9, Z x Z R4 and F(a,b) R3 within noise of each other; the allocation
+# peak of a 2^8-tuple batch on Z x Z R4 read 2.5, 4.9 and 5.3 MiB at 2^14,
+# 2^16 and 2^18.
+_AVOIDANCE_ENTRIES = 1 << 16
+
+
+def _interval_members(dist: DistanceMatrix, a, b):
+    """Interval vertices of every inner pair ``(a[k], b[k])`` (at least one
+    pair), as two aligned int64 arrays ``(k, w)`` sorted by pair and then
+    vertex, so pair k's vertices are those of ``interval(dist, a[k], b[k])``.
+
+    The test is ``interval``'s, ``d(a, w) + d(w, b) == d(a, b)`` on the
+    first ``mid_count`` columns of the inner rows, one vectorized test per
+    block of at most ``_AVOIDANCE_ENTRIES // mid_count`` pairs.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    mid = dist.ball.mid_count
+    rows = dist._inner_rows[:, :mid]
+    duv = dist.inner[a, b]
+    step = max(1, _AVOIDANCE_ENTRIES // mid)
+    ks, ws = [], []
+    for lo in range(0, len(a), step):
+        hi = lo + step
+        k, w = np.nonzero(rows[a[lo:hi]] + rows[b[lo:hi]] == duv[lo:hi, None])
+        ks.append(k + lo)
+        ws.append(w)
+    return np.concatenate(ks), np.concatenate(ws)
+
+
+def _interval_dags(ball, dist, a, b):
+    """Geodesic DAGs from a[k] to b[k] for inner pairs, flattened.
+
+    Returns ``(ptr, verts, layer, pred)``: pair k owns entries
+    ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex index) as in
+    :class:`GeodesicDag`, so its first entry is a[k] and its last b[k].
+    ``pred[e]`` lists entry e's predecessors (neighbours in the Cayley table
+    one layer closer to a[k] inside the same interval) as local indices
+    within the pair, padded with -1.
+    """
+    n = ball.n_vertices
+    k, w = _interval_members(dist, a, b)
+    layer = dist._inner_rows[a[k], w]
+    code = k * n + w  # ascending
+    z = ball.nbr[w]
+    zcode = k[:, None] * n + z
+    pos = np.minimum(np.searchsorted(code, zcode), len(code) - 1)
+    is_pred = (z >= 0) & (code[pos] == zcode) & (layer[pos] == layer[:, None] - 1)
+    order = np.lexsort((w, layer, k))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ptr = np.searchsorted(k, np.arange(len(a) + 1))
+    pred = np.where(is_pred, rank[pos] - ptr[k][:, None], -1)[order]
+    width = int(is_pred.sum(axis=1).max(initial=0))
+    pred = -np.sort(-pred, axis=1)[:, :width]  # predecessors first
+    return ptr, w[order], layer[order], pred
+
+
+def max_avoidance_many(ball, dist, us, vs, probes) -> np.ndarray:
+    """:func:`max_avoidance` of every query ``(us[i], vs[i], probes[i])``,
+    as an int16 array aligned with the inputs.
+
+    Both endpoints of every query must be inner vertices (ValueError
+    otherwise): their intervals are read from the first ``mid_count``
+    columns of the inner rows.  A probe may be any vertex; its row comes
+    from ``dist.row``, sliced to ``mid_count`` columns.
+
+    Each distinct unordered pair gets one flattened geodesic DAG (see
+    ``_interval_dags``), oriented from its smaller end, since a geodesic
+    and its reverse have the same image.  Queries are sorted by probe and
+    cut into chunks of at most ``_AVOIDANCE_ENTRIES`` DP entries, one per
+    (query, interval vertex), and at least one query per chunk.  A chunk
+    runs ``_bottleneck``'s max-min recurrence one layer at a time over all
+    of its queries: layer 0 reads ``d(p, u)``, and an entry of layer t
+    reads ``min(d(p, w), max over its predecessors)``, with a missing
+    predecessor pointing at a sentinel entry that holds -1.  That is at
+    most ``2 * r_in + 1`` numpy passes per chunk; the value of a query is
+    its last entry, the vertex farthest from u.
+    """
+    us, vs, probes = (np.asarray(x, dtype=np.int64) for x in (us, vs, probes))
+    if not (us.ndim == 1 and us.shape == vs.shape == probes.shape):
+        raise ValueError("us, vs and probes must be one-dimensional and of equal length")
+    out = np.empty(len(us), dtype=np.int16)
+    if not len(us):
+        return out
+    ni, mid = ball.inner_count, ball.mid_count
+    if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= ni:
+        raise ValueError("max_avoidance_many needs inner endpoints")
+    pairs, pair_of = np.unique(np.minimum(us, vs) * ni + np.maximum(us, vs), return_inverse=True)
+    ptr, verts, layers, pred = _interval_dags(ball, dist, pairs // ni, pairs % ni)
+    sizes = np.diff(ptr)
+    qorder = np.argsort(probes, kind="stable")
+    ends = np.cumsum(sizes[pair_of[qorder]])
+    lo = 0
+    while lo < len(qorder):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _AVOIDANCE_ENTRIES, side="right")))
+        q = qorder[lo:hi]
+        kq = pair_of[q]
+        sz = sizes[kq]
+        base = np.cumsum(sz) - sz
+        owner = np.repeat(np.arange(len(q)), sz)
+        entry = np.arange(ends[hi - 1] - start) + (ptr[kq] - base)[owner]
+        pu, pinv = np.unique(probes[q], return_inverse=True)
+        rows = np.stack([dist.row(p)[:mid] for p in pu.tolist()])
+        val = rows[pinv[owner], verts[entry]]
+        sentinel = len(entry)
+        local = pred[entry]
+        slots = np.where(local >= 0, local + base[owner][:, None], sentinel)
+        f = np.empty(sentinel + 1, dtype=np.int16)
+        f[sentinel] = -1
+        f[base] = val[base]  # layer 0: the query's u
+        lay = layers[entry]
+        by = np.argsort(lay, kind="stable")
+        cuts = np.cumsum(np.bincount(lay))
+        for t in range(1, len(cuts)):
+            idx = by[cuts[t - 1] : cuts[t]]
+            f[idx] = np.minimum(val[idx], f[slots[idx]].max(axis=1))
+        out[q] = f[base + sz - 1]
+        lo = hi
+    return out
+
+
 def most_avoiding_geodesic(ball, dist, u, v, p) -> GeodesicPath:
     """A geodesic from u to v achieving :func:`max_avoidance` for p."""
     dag = _dag(ball, dist, u, v)

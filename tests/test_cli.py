@@ -159,6 +159,25 @@ def test_mesh_report_matches_golden(config, golden):
     assert _strip_timing(text) == expected
 
 
+@pytest.mark.parametrize(
+    "group,r_in,golden",
+    [
+        ("Z x Z", 3, "report_sampled_polygon_zxz_r3.json"),
+        ("(Z2 * Z3) x Z", 2, "report_sampled_polygon_z2z3xz_r2.json"),
+    ],
+    ids=["zxz-r3", "z2z3xz-r2"],
+)
+def test_sampled_polygon_report_matches_golden(group, r_in, golden):
+    # non-zero sampled four-point and polygon values pin their tie-breaks
+    config = AnalysisConfig(
+        group=group, radii=[r_in], samples=400, seed=5,
+        invariants=["four_point", "polygon:1", "polygon:2", "polygon:3"],
+    )
+    text = emit_report(run_analysis(config), "json")
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert _strip_timing(text) == expected
+
+
 def test_no_exact_claims_under_sampling():
     config = AnalysisConfig(
         group="Z x Z", radii=[2], invariants=["four_point", "polygon:1", "mesh"],

@@ -13,6 +13,7 @@ from cayleyball.geodesics import (
     geodesic_through,
     max_avoidance,
     max_avoidance_block,
+    max_avoidance_many,
     most_avoiding_geodesic,
 )
 from oracles import count_geodesics_oracle
@@ -231,3 +232,34 @@ def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
     rows = np.stack([dist.row(q) for q in probes])
     block = max_avoidance_block(ball, dist, u, v, rows)
     assert block.tolist() == [max_avoidance(ball, dist, u, v, q) for q in probes]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_max_avoidance_many_matches_scalar(make_pair, data):
+    # the batched DP against one scalar DP per query: random inner pairs,
+    # u == v among them, and probes anywhere in the 2R ball, on or off the
+    # interval, or beyond it; several queries share a pair or a probe
+    text, r_in = data.draw(st.sampled_from(SMALL_CASES))
+    ball, dist = make_pair(text, r_in)
+    inner = st.integers(0, ball.inner_count - 1)
+    probe = st.one_of(st.integers(0, ball.mid_count - 1), st.integers(0, ball.n_vertices - 1))
+    queries = data.draw(st.lists(st.tuples(inner, inner, probe), min_size=1, max_size=40))
+    if data.draw(st.booleans()):
+        queries += [(u, u, p) for u, _, p in queries]
+    us, vs, probes = zip(*queries)
+    got = max_avoidance_many(ball, dist, us, vs, probes)
+    assert got.dtype == np.int16
+    assert got.tolist() == [max_avoidance(ball, dist, u, v, p) for u, v, p in queries]
+
+
+def test_max_avoidance_many_edge_cases(make_pair):
+    ball, dist = make_pair("Z x Z", 2)
+    empty = max_avoidance_many(ball, dist, [], [], [])
+    assert empty.dtype == np.int16 and empty.shape == (0,)
+    outer = ball.inner_count  # the first vertex outside the inner ball
+    for us, vs in (([0, outer], [1, 0]), ([0, 1], [0, outer]), ([-1], [0])):
+        with pytest.raises(ValueError):
+            max_avoidance_many(ball, dist, us, vs, [0] * len(us))
+    with pytest.raises(ValueError):
+        max_avoidance_many(ball, dist, [0, 1], [1], [0, 0])

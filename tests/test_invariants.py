@@ -28,7 +28,7 @@ from cayleyball import (
     rips_delta,
     subgroup_quasiconvexity,
 )
-from cayleyball import invariants
+from cayleyball import geodesics, invariants
 from cayleyball.geodesics import GeodesicPath, Polygon, interval
 from cayleyball.invariants import (
     SamplingPlan,
@@ -96,6 +96,28 @@ def test_four_point_sampled_below_exhaustive(make_pair):
     sampled = four_point_delta(dist, SamplingPlan.random(300, 11))
     assert sampled.value_doubled <= exhaustive.value_doubled
     assert sampled.bound == "lower"
+
+
+@pytest.mark.parametrize("text,r_in", [("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("S4", 2)])
+def test_sampled_four_point_matches_scalar_loop(make_pair, text, r_in):
+    # one doubled_gromov_product per term and quadruple, keeping the highest
+    # defect and then the smallest (p, x1, x0, x2)
+    ball, dist = make_pair(text, r_in)
+    plan = SamplingPlan.random(500, 4)
+    defect, key = max(
+        (
+            min(
+                doubled_gromov_product(dist, x0, x1, p),
+                doubled_gromov_product(dist, x1, x2, p),
+            ) - doubled_gromov_product(dist, x0, x2, p),
+            tuple(-c for c in (p, x1, x0, x2)),
+        )
+        for x0, x1, x2, p in plan.ordered_tuples(ball.inner_count, 4)
+    )
+    res = four_point_delta(dist, plan)
+    assert res.value_doubled == max(0, defect)
+    p, x1, x0, x2 = (-c for c in key)
+    assert [res.witness[k] for k in ("basepoint", "x1", "x0", "x2")] == [ball.word(c) for c in (p, x1, x0, x2)]
 
 
 def test_four_point_witness_reevaluates(make_pair):
@@ -247,9 +269,13 @@ def test_polygon_scan_matches_literal_enumeration(make_pair):
                 for u, v in zip(corners, corners[1:] + corners[:1]):
                     paths, _ = enumerate_geodesics(ball, dist, u, v)
                     side_paths.append(paths)
-                for combo in itertools.product(*side_paths):
-                    literal = max(literal, polygon_thinness(dist, Polygon(list(combo))))
+                tuple_literal = max(
+                    polygon_thinness(dist, Polygon(list(combo)))
+                    for combo in itertools.product(*side_paths)
+                )
                 tuple_val, _ = polygon_tuple_value(ball, dist, corners)
+                assert tuple_val == tuple_literal, corners
+                literal = max(literal, tuple_literal)
             assert scanned == 2 * literal
 
 
@@ -268,6 +294,64 @@ def test_polygon_tuple_value_matches_literal(make_pair):
         )
         value, _ = polygon_tuple_value(ball, dist, corners)
         assert value == literal
+
+
+# every corner tuple over every geodesic choice: the scan is the oracle
+EXHAUSTIVE_TUPLE_CASES = [
+    ("Z x Z", 1, 1), ("Z x Z", 1, 2), ("Z x Z", 1, 3), ("Z x Z", 2, 1), ("Z x Z", 2, 2),
+    ("Z2 * Z3", 2, 1), ("Z2 * Z3", 2, 2), ("Z2 * Z3", 2, 3),
+    ("S4", 1, 1), ("S4", 1, 2),
+    ("(Z2 * Z3) x Z", 1, 1), ("(Z2 * Z3) x Z", 1, 2),
+    ("Z6", 2, 1), ("Z6", 2, 2), ("Z6", 2, 3),
+]
+
+
+@pytest.mark.parametrize("text,r_in,n", EXHAUSTIVE_TUPLE_CASES)
+def test_exhaustive_tuples_match_scan(make_pair, text, r_in, n):
+    ball, dist = make_pair(text, r_in)
+    scan = polygon_delta(ball, dist, n, EXHAUSTIVE, method="scan")
+    tuples = polygon_delta(ball, dist, n, EXHAUSTIVE, method="tuples")
+    assert tuples.bound == scan.bound == "exact"
+    assert tuples.value_doubled == scan.value_doubled
+    # the witness is the first worst tuple in lexicographic order
+    corners = tuple(ball.index_of_word(w) for w in tuples.witness["corners"])
+    value, probe = polygon_tuple_value(ball, dist, corners)
+    assert 2 * value == tuples.value_doubled
+    assert ball.word(probe) == tuples.witness["far_point"]
+    for other in itertools.product(range(ball.inner_count), repeat=n + 1):
+        if other == corners:
+            break
+        assert 2 * polygon_tuple_value(ball, dist, other)[0] < tuples.value_doubled
+
+
+@pytest.mark.parametrize("text,r_in", [("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("Z2 * Z3", 4)])
+@pytest.mark.parametrize("entries", [1, 1 << 30], ids=["one-query-per-chunk", "one-chunk"])
+def test_sampled_polygon_report_independent_of_chunk(make_pair, monkeypatch, text, r_in, entries):
+    # also seven tuples per batch, so ties meet across batches
+    ball, dist = make_pair(text, r_in)
+    plan = SamplingPlan.random(120, 3)
+    expected = [polygon_delta(ball, dist, n, plan).to_dict() for n in (1, 2, 3)]
+    monkeypatch.setattr(geodesics, "_AVOIDANCE_ENTRIES", entries)
+    monkeypatch.setattr(invariants, "_POLYGON_TUPLES", 7)
+    assert [polygon_delta(ball, dist, n, plan).to_dict() for n in (1, 2, 3)] == expected
+
+
+def test_sampled_polygon_matches_scalar_tuples(make_pair):
+    # the batched path against one polygon_tuple_value per sampled tuple,
+    # with the same tie-breaks: highest value, then the smallest tuple
+    for text, r_in in (("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("S4", 2)):
+        ball, dist = make_pair(text, r_in)
+        for n in (1, 2, 3):
+            plan = SamplingPlan.random(60, 8 + n)
+            res = polygon_delta(ball, dist, n, plan)
+            best = max(
+                (polygon_tuple_value(ball, dist, corners)[0], tuple(-c for c in corners), corners)
+                for corners in plan.ordered_tuples(ball.inner_count, n + 1)
+            )
+            value, _, corners = max(best, (0, (0,) * (n + 1), (0,) * (n + 1)))
+            assert res.value_doubled == 2 * value
+            assert res.witness["corners"] == [ball.word(c) for c in corners]
+            assert ball.word(polygon_tuple_value(ball, dist, corners)[1]) == res.witness["far_point"]
 
 
 def test_grid_bigons_strictly_increase(make_pair):
