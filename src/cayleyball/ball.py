@@ -1,5 +1,16 @@
 """Cayley-graph balls with exact word-metric distances.
 
+A ball is enumerated one sphere at a time over array codes of the elements
+(``groups.ElementCodes``): every element has a fixed-width integer row, equal
+exactly when the elements are, and a whole sphere's block of rows is
+multiplied by each letter at once.  A product ``u * l`` of a vertex at
+distance ``d`` lies at distance ``d - 1``, ``d`` or ``d + 1``, so matching the
+products exactly against spheres ``d - 1`` and ``d`` and against each other
+finds sphere ``d + 1``; its vertices are numbered by first occurrence in
+(vertex, letter) order, the breadth-first order of a scalar search.  The
+ball keeps the Cayley table, not the elements: ``BallGraph.elements`` and
+``index`` are derived from the breadth-first tree on first access.
+
 A ball is built out to radius ``r_out = 3 * r_in``.  Any geodesic between
 two vertices of the inner ball has length at most ``2 * r_in``, so all of
 its vertices stay within ``3 * r_in`` of the identity; distances restricted
@@ -34,7 +45,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .groups import GeneratorLetter, GroupSpec, WordError
+from .groups import ElementCodes, GeneratorLetter, GroupSpec, WordError
 
 # Byte budget of the float64 block one Dijkstra search returns.
 _DIJKSTRA_BYTES = 16 << 20
@@ -98,9 +109,17 @@ class BallGraph:
     of ``u * letters[li]``, or -1 when that product lies outside the ball.
     Letters are sorted by label, so a row read left to right is in label
     order, which makes every traversal order intrinsic to the group rather
-    than to the ball that happens to contain it.  ``index`` maps each
-    element to its vertex, in vertex order (None for a graph-only import).
-    Immutable after construction.
+    than to the ball that happens to contain it.
+
+    ``elements`` (each vertex's group element, in vertex order) and
+    ``index`` (element to vertex) are views derived on first access, as
+    ``csr()`` is: vertex ``v``'s parent in the breadth-first tree is the
+    first ``(u, letter)`` in row-major order of ``nbr`` with
+    ``nbr[u, letter] == v``, and its element is the parent's times that
+    letter, one ``spec.multiply`` per vertex.  ``word(i)`` walks the parent
+    chain of ``i`` alone until the full list exists.  Both are None for a
+    graph-only import.  The table, ``dist0`` and the counts are fixed at
+    construction; the derived views fill in without locks.
     """
 
     def __init__(self, spec, letters, r_in, r_out, index, dist0, nbr, words=None):
@@ -108,8 +127,8 @@ class BallGraph:
         self.letters = letters
         self.r_in = r_in
         self.r_out = r_out
-        self.index = index
-        self.elements = list(index) if index is not None else None
+        self._index = index
+        self._elements = list(index) if index is not None else None
         self.dist0 = np.asarray(dist0, dtype=np.int16)
         self.nbr = nbr
         self.n_vertices = len(nbr)
@@ -117,6 +136,7 @@ class BallGraph:
         self.mid_count = int(np.searchsorted(self.dist0, 2 * r_in, side="right"))
         self._words = dict(enumerate(words)) if words is not None else {}
         self._csr = None
+        self._arcs = None
 
     def __repr__(self):
         text = self.spec.text if self.spec is not None else "<imported>"
@@ -131,12 +151,73 @@ class BallGraph:
         counts = np.bincount(self.dist0, minlength=self.r_out + 1)
         return [int(c) for c in counts]
 
+    def _parent_arcs(self):
+        """``arc[v] = u * len(letters) + li`` for the first ``(u, li)`` in
+        row-major order with ``nbr[u, li] == v`` (``arc[0]`` unused).  A
+        letter's column maps vertices one to one, so each column is one
+        scatter and the minimum over the columns is the first arc."""
+        if self._arcs is None:
+            n_letters = self.nbr.shape[1]
+            arc = np.full(self.n_vertices, np.iinfo(np.int64).max)
+            for li in range(n_letters):
+                u = np.flatnonzero(self.nbr[:, li] >= 0)
+                v = self.nbr[u, li]
+                arc[v] = np.minimum(arc[v], u * n_letters + li)
+            self._arcs = arc
+        return self._arcs
+
+    @property
+    def elements(self):
+        """Group element of each vertex, in vertex order (None without a spec)."""
+        if self._elements is None and self.spec is not None:
+            arcs = self._parent_arcs()[1:].tolist()
+            n_letters = len(self.letters)
+            letter_elements = [l.element for l in self.letters]
+            elements = [self.spec.identity()]
+            for a in arcs:
+                u, li = divmod(a, n_letters)
+                elements.append(self.spec.multiply(elements[u], letter_elements[li]))
+            self._elements = elements
+        return self._elements
+
+    @property
+    def index(self):
+        """Vertex of each element (None without a spec)."""
+        if self._index is None and self.elements is not None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        return self._index
+
+    def _element(self, i):
+        """Element of vertex ``i``: from the list once it exists, otherwise
+        the product of the letters on its parent chain."""
+        if self._elements is not None:
+            return self._elements[i]
+        arcs = self._parent_arcs()
+        chain = []
+        while i:
+            i, li = divmod(int(arcs[i]), len(self.letters))
+            chain.append(self.letters[li].element)
+        e = self.spec.identity()
+        for letter in reversed(chain):
+            e = self.spec.multiply(e, letter)
+        return e
+
     def word(self, i):
         """Normal-form word of vertex ``i``, formatted on first request."""
         w = self._words.get(i)
         if w is None:
-            w = self._words[i] = self.spec.format_element(self.elements[i])
+            w = self._words[i] = self.spec.format_element(self._element(i))
         return w
+
+    def words(self):
+        """Every vertex's word, in vertex order.  Derives the element list
+        first, one multiply per vertex rather than a chain walk per word."""
+        if len(self._words) < self.n_vertices:
+            elements = self.elements
+            for i in range(self.n_vertices):
+                if i not in self._words:
+                    self._words[i] = self.spec.format_element(elements[i])
+        return [self._words[i] for i in range(self.n_vertices)]
 
     def index_of_word(self, word):
         """Vertex index of the element a word evaluates to; KeyError if outside."""
@@ -168,40 +249,133 @@ def _table_csr(nbr):
 
 
 def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_000) -> BallGraph:
-    """Breadth-first enumeration of the Cayley ball of radius ``3 * r_in``.
+    """Breadth-first enumeration of the Cayley ball of radius ``3 * r_in``,
+    one sphere at a time over array codes of the elements.
 
     ``generators`` optionally replaces the standard generating set by words
-    over it (changing the graph while fixing the group).  Raises
+    over it (changing the graph while fixing the group).  Each sphere's code
+    block is multiplied by every letter in label order, which lists the
+    products in (vertex, letter) row-major order.  A product ``u * l`` of a
+    vertex at distance ``d`` lies at distance ``d - 1``, ``d`` or ``d + 1``,
+    so it is matched exactly (full code rows) against those two spheres and
+    the other products; the products found in neither are the next sphere,
+    numbered by first occurrence.  That is the order a scalar breadth-first
+    search gives.  Only three spheres of codes are alive at a time and no
+    element is kept: ``BallGraph.elements`` is derived on demand.  Raises
     BudgetExceededError when more than ``budget`` vertices appear.
     """
     if r_in < 1:
         raise ValueError("r_in must be at least 1")
     letters = resolve_letters(spec, generators)
     r_out = 3 * r_in
+    elements = [l.element for l in letters]
+    codes = ElementCodes(spec.root, elements, r_out)
+    prev = np.zeros((0, 1), dtype=codes.dtype)  # spheres d - 1 and d, trimmed
+    cur = _trimmed(codes.encode(spec.identity())[None, :])
+    start = 0  # vertex index of prev's first row; cur follows prev
+    counts = [1]
+    table = []
+    for d in range(r_out + 1):
+        if len(cur) == 0:
+            break
+        rows = _sphere_rows(codes, elements, prev, cur)
+        known = len(prev) + len(cur)
+        # the known rows are classes 0 .. known - 1 and the next sphere the
+        # classes after them, so class c is vertex start + c
+        first, cls = _row_classes(rows.view(np.uint64))
+        n, fresh = start + known, len(first) - known
+        vertex = start + cls[known:]
+        if d == r_out:  # products outside the ball
+            vertex[vertex >= n] = -1
+            fresh = 0
+        elif n + fresh > budget:
+            raise BudgetExceededError(budget, max(n, budget), d)
+        table.append(vertex.astype(np.int32))
+        counts.append(fresh)
+        prev, cur, start = cur, rows[first[known : known + fresh]], start + len(prev)
+    nbr = np.concatenate(table).reshape(-1, len(letters))
+    dist0 = np.repeat(np.arange(len(counts)), counts)
+    return BallGraph(spec, letters, r_in, r_out, None, dist0, nbr)
 
-    ident = spec.identity()
-    elements = [ident]
-    index = {ident: 0}
-    dist0 = [0]
-    table = []  # row-major nbr: rows are appended in vertex order
-    for u, eu in enumerate(elements):  # elements grows while it is read: a BFS
-        du = dist0[u]
-        for letter in letters:
-            w = spec.multiply(eu, letter.element)
-            v = index.get(w)
-            if v is None:
-                if du == r_out:
-                    table.append(-1)
-                    continue
-                v = len(elements)
-                if v >= budget:
-                    raise BudgetExceededError(budget, v, du)
-                index[w] = v
-                elements.append(w)
-                dist0.append(du + 1)
-            table.append(v)
-    nbr = np.array(table, dtype=np.int32).reshape(len(elements), len(letters))
-    return BallGraph(spec, letters, r_in, r_out, index, dist0, nbr)
+
+def _sphere_rows(codes, elements, prev, cur):
+    """Sphere ``d - 1``, sphere ``d`` and the product of each vertex of
+    sphere ``d`` with each letter, in (vertex, letter) row-major order: code
+    rows zero-padded to a common width of whole uint64 words."""
+    if cur.shape[1] >= codes.width:
+        full = cur[:, : codes.width]
+    else:
+        full = np.zeros((len(cur), codes.width), dtype=codes.dtype)
+        full[:, : cur.shape[1]] = cur
+    products = codes.multiply(full, elements).reshape(-1, codes.width)
+    per_word = 8 // codes.dtype.itemsize
+    if codes.width > per_word:  # a code of one word has no words to trim
+        products = _trimmed(products)
+    width = -(-max(prev.shape[1], cur.shape[1], products.shape[1]) // per_word) * per_word
+    rows = np.zeros((len(prev) + len(cur) + len(products), width), dtype=codes.dtype)
+    at = 0
+    for block in (prev, cur, products):
+        rows[at : at + len(block), : block.shape[1]] = block
+        at += len(block)
+    return rows
+
+
+def _trimmed(block):
+    """``block`` without its trailing all-zero columns (at least one column)."""
+    used = np.flatnonzero(block.any(axis=0))
+    return block[:, : used[-1] + 1 if used.size else 1]
+
+
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _row_hashes(words, seed):
+    """One 64-bit hash per row of a uint64 array: the first word xor the
+    seed, then a bijective mix (the splitmix64 finalizer) before each
+    further word is xored in."""
+    h = words[:, 0] ^ np.uint64(seed) if seed or words.shape[1] > 1 else words[:, 0]
+    for j in range(1, words.shape[1]):
+        h ^= h >> np.uint64(30)
+        h *= _MIX[0]
+        h ^= h >> np.uint64(27)
+        h *= _MIX[1]
+        h ^= h >> np.uint64(31)
+        h ^= words[:, j]
+    return h
+
+
+def _row_classes(words):
+    """Exact classes of equal rows of a 2-D uint64 array, numbered by first
+    occurrence: ``first[c]`` is the first row of class ``c`` (ascending) and
+    ``cls[i]`` the class of row ``i``.
+
+    Rows are grouped by ``_row_hashes`` and every row is then compared in
+    full with its class's first row.  Should two different rows share a
+    hash, that comparison fails and the rows are grouped again under the
+    next seed, so the classes never depend on the hash.
+    """
+    seed = 0
+    while True:
+        h = _row_hashes(words, seed)
+        order = np.argsort(h)
+        sorted_h = h[order]
+        head = np.empty(len(h), dtype=bool)
+        head[:1] = True
+        np.not_equal(sorted_h[1:], sorted_h[:-1], out=head[1:])
+        first = np.minimum.reduceat(order, np.flatnonzero(head))  # per hash
+        renumber = np.argsort(first)
+        rank = np.empty_like(renumber)
+        rank[renumber] = np.arange(len(renumber))
+        first = first[renumber]
+        cls = np.empty(len(h), dtype=np.intp)
+        cls[order] = rank[np.cumsum(head) - 1]
+        if words.shape[1] == 1:  # a one-word row is its own hash up to the xor
+            return first, cls
+        dup = np.flatnonzero(first[cls] != np.arange(len(cls)))
+        rep = first[cls[dup]]
+        if all((words[dup, j] == words[rep, j]).all() for j in range(words.shape[1])):
+            return first, cls
+        seed += 1
 
 
 class DistanceMatrix:
@@ -349,8 +523,7 @@ def all_pairs_distances(ball: BallGraph) -> DistanceMatrix:
 def write_ball(ball: BallGraph) -> str:
     """Serialize a ball to the line-based text format (bit-exact round trip)."""
     lines = [f"vertices {ball.n_vertices} radius_in {ball.r_in} radius_out {ball.r_out}"]
-    for i in range(ball.n_vertices):
-        lines.append(f"{i} {ball.word(i)}")
+    lines += [f"{i} {w}" for i, w in enumerate(ball.words())]
     us, lis = np.nonzero(ball.nbr >= 0)
     vs = ball.nbr[us, lis]
     order = np.lexsort((vs, us))  # stable: ties on (u, v) stay in label order

@@ -60,6 +60,8 @@ class AnalysisConfig:
             raise ValueError("radii must be positive")
         if self.samples is not None and self.samples < 1:
             raise ValueError("sample count must be positive")
+        if self.budget < 1:
+            raise ValueError("vertex budget must be positive")
         self.plan()  # rejects a bad geodesic cap
         self.tasks = [_parse_invariant(s, self) for s in self.invariants]
 

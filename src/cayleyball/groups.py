@@ -28,6 +28,11 @@ Words over the generators are dot-separated: ``a.b^-1.a``.  Any integer
 exponent is accepted (``t1^3``), and ``1`` denotes the identity.  The
 canonical word produced by :meth:`GroupSpec.format_element` parses back to
 the same element.
+
+For ball enumeration every normal form also has a fixed-width integer code
+(see :class:`ElementCodes`): one row of a 2-D array per element, equal rows
+exactly for equal elements, and a vectorized right multiplication of a whole
+block of rows by each of a few fixed elements.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 Element = Any  # canonical normal-form value, hashable
 
@@ -85,6 +92,46 @@ class FreeGroupNode:
     def word_syllables(self, a):
         return [(self.names[gen], sign) for gen, sign in a]
 
+    # code: [length, last letter, .., first letter, 0 ..] with S letter slots;
+    # letter = sign * (gen + 1).  Last first: a product changes column 1.
+    def code_demand(self, a, demand):
+        demand[self] = demand.get(self, 0) + len(a)
+
+    def code_width(self, codes):
+        return 1 + codes.bounds.get(self, 0)
+
+    def code_limit(self, codes):
+        return max(codes.bounds.get(self, 0), len(self.names))
+
+    def encode(self, a, codes):
+        slots = codes.bounds.get(self, 0)
+        if len(a) > slots:
+            raise _slot_overflow(slots)
+        return [len(a)] + [sign * (gen + 1) for gen, sign in reversed(a)] + [0] * (slots - len(a))
+
+    def multiply_codes(self, block, elements, codes):
+        out, which = _per_element_rows(block, elements)
+        for k in range(max(map(len, elements), default=0)):
+            # letter k of each element, 0 for an element shorter than that
+            x = [b[k][1] * (b[k][0] + 1) if k < len(b) else 0 for b in elements]
+            x = np.array(x, dtype=out.dtype)[which]
+            active = x != 0
+            cancel = active & (out[:, 1] == -x)  # the last letter is x^-1
+            grow = active ^ cancel
+            if np.any(out[:, -1], where=grow):  # every slot is taken
+                raise _slot_overflow(codes.bounds.get(self, 0))
+            new = out.copy()
+            p = np.flatnonzero(grow)
+            new[p, 0] += 1
+            new[p, 1] = x[p]
+            new[p, 2:] = out[p, 1:-1]
+            c = np.flatnonzero(cancel)
+            new[c, 0] -= 1
+            new[c, 1:-1] = out[c, 2:]
+            new[c, -1] = 0
+            out = new
+        return out.reshape(len(block), len(elements), block.shape[1])
+
 
 class CyclicNode:
     """Infinite cyclic group (order None) or Z/nZ; elements are integers."""
@@ -108,6 +155,26 @@ class CyclicNode:
 
     def word_syllables(self, a):
         return [] if a == 0 else [(self.name, a)]
+
+    # code: [a]; the values of Z are bounded by the summed letter exponents
+    def code_demand(self, a, demand):
+        if not self.order:
+            demand[self] = demand.get(self, 0) + abs(a)
+
+    def code_width(self, codes):
+        return 1
+
+    def code_limit(self, codes):
+        return self.order or codes.bounds.get(self, 0)
+
+    def encode(self, a, codes):
+        return [a]
+
+    def multiply_codes(self, block, elements, codes):
+        return _add_codes(block, [[b] for b in elements], codes.memo(self._add_layout))
+
+    def _add_layout(self, codes):
+        return _cyclic_layout([self], codes)
 
 
 class SymmetricNode:
@@ -151,6 +218,22 @@ class SymmetricNode:
                     swaps.append(k)
                     changed = True
         return [(self.names[k], 1) for k in reversed(swaps)]
+
+    # code: the permutation in one-line notation, n columns
+    def code_demand(self, a, demand):
+        pass
+
+    def code_width(self, codes):
+        return self.n
+
+    def code_limit(self, codes):
+        return self.n
+
+    def encode(self, a, codes):
+        return list(a)
+
+    def multiply_codes(self, block, elements, codes):
+        return block[:, np.array(elements)]  # (a*b)[k] = a[b[k]]
 
 
 class FreeProductNode:
@@ -204,6 +287,98 @@ class FreeProductNode:
             out.extend(self.factors[fi].word_syllables(e))
         return out
 
+    # code: [length, last syllable, .., first syllable, 0 ..] with S syllable
+    # slots; a syllable is the tag fi + 1 and the factor's code, zero-padded
+    # to the widest factor.  Last first: a product changes the first slot.
+    def code_demand(self, a, demand):
+        demand[self] = demand.get(self, 0) + len(a)
+        for fi, e in a:
+            self.factors[fi].code_demand(e, demand)
+
+    def code_width(self, codes):
+        return 1 + codes.bounds.get(self, 0) * self._syllable_width(codes)
+
+    def _syllable_width(self, codes):
+        return 1 + max(codes.width_of(f) for f in self.factors)
+
+    def code_limit(self, codes):
+        limits = [f.code_limit(codes) for f in self.factors]
+        return max([codes.bounds.get(self, 0), len(self.factors)] + limits)
+
+    def encode(self, a, codes):
+        slots = codes.bounds.get(self, 0)
+        if len(a) > slots:
+            raise _slot_overflow(slots)
+        sw = self._syllable_width(codes)
+        out = [len(a)]
+        for fi, e in reversed(a):
+            code = self.factors[fi].encode(e, codes)
+            out += [fi + 1] + code + [0] * (sw - 1 - len(code))
+        return out + [0] * ((slots - len(a)) * sw)
+
+    def multiply_codes(self, block, elements, codes):
+        slots, sw, ident = codes.memo(self._code_layout)
+        out, which = _per_element_rows(block, elements)
+        w = out.shape[1]
+        tail = np.zeros(len(out), dtype=np.intp)  # slot of the last merged or surviving syllable
+        steps = max(map(len, elements), default=0)
+        for k in range(steps):
+            # syllable k of each element as a code row, all zero for an element shorter than that
+            syllables = np.zeros((len(elements), sw), dtype=out.dtype)
+            for li, b in enumerate(elements):
+                if k < len(b):
+                    fi, e = b[k]
+                    code = self.factors[fi].encode(e, codes)
+                    syllables[li, : 1 + len(code)] = [fi + 1] + code
+            tag = syllables[which, 0]
+            active = tag != 0
+            merge = active & (out[:, 1] == tag)  # b[k] merges into the last syllable
+            grow = active ^ merge
+            if np.any(out[:, w - sw], where=grow):  # every slot is taken
+                raise _slot_overflow(slots)
+            new = out.copy()
+            p = np.flatnonzero(grow)
+            new[p, 0] += 1
+            new[p, 1 : 1 + sw] = syllables[which[p]]
+            new[p, 1 + sw :] = out[p, 1 : w - sw]
+            r = np.flatnonzero(merge)
+            if r.size:
+                of = which[r]
+                for li, b in enumerate(elements):
+                    rl = r[of == li] if k < len(b) else ()
+                    if len(rl):
+                        fi, e = b[k]
+                        factor = self.factors[fi]
+                        fw = codes.width_of(factor)
+                        new[rl, 2 : 2 + fw] = factor.multiply_codes(out[rl, 2 : 2 + fw], [e], codes)[:, 0]
+                gone = r[(new[r, 2 : 1 + sw] == ident[tag[r]]).all(axis=1)]
+                new[gone, 0] -= 1
+                new[gone, 1 : w - sw] = out[gone, 1 + sw :]
+                new[gone, w - sw :] = 0
+            tail = np.where(merge, 0, tail + grow)
+            out = new
+        # reduced factors can break the normal form only where they meet: no
+        # identity syllable and no equal neighbouring tags among the slots
+        # next to the junction
+        k = min(steps + 2, slots)
+        syl = out[:, 1 : 1 + k * sw].reshape(len(out), k, sw)
+        live = (np.abs(np.arange(k) - tail[:, None]) <= 1) & (np.arange(k) < out[:, :1])
+        tags = syl[..., 0]
+        bad = (syl[..., 1:] == ident[tags]).all(axis=2)
+        bad[:, 1:] |= (tags[:, 1:] == tags[:, :-1]) & live[:, :-1]
+        if (bad & live).any():
+            raise InternalCheckError("free-product normal form violated")
+        return out.reshape(len(block), len(elements), w)
+
+    def _code_layout(self, codes):
+        """Slot count, syllable width, and each tag's identity syllable code
+        (tag 0, an empty slot, reads as an identity)."""
+        sw = self._syllable_width(codes)
+        ident = np.zeros((len(self.factors) + 1, sw - 1), dtype=codes.dtype)
+        for fi, factor in enumerate(self.factors):
+            ident[fi + 1, : codes.width_of(factor)] = codes.identity(factor)
+        return codes.bounds.get(self, 0), sw, ident
+
 
 class DirectProductNode:
     """Direct product; elements are tuples of per-factor elements."""
@@ -235,6 +410,137 @@ class DirectProductNode:
         for factor, x in zip(self.factors, a):
             out.extend(factor.word_syllables(x))
         return out
+
+    # code: the factors' codes side by side
+    def code_demand(self, a, demand):
+        for factor, x in zip(self.factors, a):
+            factor.code_demand(x, demand)
+
+    def code_width(self, codes):
+        return sum(codes.width_of(f) for f in self.factors)
+
+    def code_limit(self, codes):
+        return max(f.code_limit(codes) for f in self.factors)
+
+    def _add_layout(self, codes):
+        """A product of cyclic groups is abelian: its codes add columnwise."""
+        if all(isinstance(f, CyclicNode) for f in self.factors):
+            return _cyclic_layout(self.factors, codes)
+        return None
+
+    def encode(self, a, codes):
+        return [v for factor, x in zip(self.factors, a) for v in factor.encode(x, codes)]
+
+    def multiply_codes(self, block, elements, codes):
+        layout = codes.memo(self._add_layout)
+        if layout is not None:
+            return _add_codes(block, elements, layout)
+        out = np.repeat(block[:, None, :], len(elements), axis=1)
+        col = 0
+        for fi, factor in enumerate(self.factors):
+            w = codes.width_of(factor)
+            ident = factor.identity()
+            moved = [li for li, b in enumerate(elements) if b[fi] != ident]
+            if moved:
+                parts = [elements[li][fi] for li in moved]
+                out[:, moved, col : col + w] = factor.multiply_codes(block[:, col : col + w], parts, codes)
+            col += w
+        return out
+
+
+def _per_element_rows(block, elements):
+    """Each row of ``block`` once per element, row ``u * len(elements) + li``
+    for element ``li``, and that element index of every row."""
+    return np.repeat(block, len(elements), axis=0), np.tile(np.arange(len(elements)), len(block))
+
+
+def _cyclic_layout(cyclics, codes):
+    """Orders (0 for Z) and value limits of a row of cyclic code columns."""
+    orders = np.array([c.order or 0 for c in cyclics])
+    limits = np.array([c.order or codes.bounds.get(c, 0) for c in cyclics])
+    return codes.dtype, orders if orders.any() else None, limits if not orders.all() else None
+
+
+def _add_codes(block, addends, layout):
+    """The ``(m, len(addends), k)`` codes of a block of ``k`` cyclic columns
+    plus each addend row, reduced mod each finite order.  The dtype holds
+    twice the largest bound, so no sum wraps around; a value of Z beyond its
+    bound raises InternalCheckError."""
+    dtype, orders, limits = layout  # orders None: all Z; limits None: no Z
+    out = block[:, None, :] + np.array(addends, dtype=dtype)
+    if orders is not None:
+        np.remainder(out, orders, out=out, where=orders > 0)
+    if limits is not None and (np.abs(out) > limits).any():
+        raise InternalCheckError("Z code value beyond its bound")
+    return out
+
+
+def _slot_overflow(slots):
+    return InternalCheckError(f"normal-form code needs more than its {slots} syllable slots")
+
+
+class ElementCodes:
+    """Fixed-width integer codes for every element within ``r_out`` letters.
+
+    A code is one row of ``width`` integers of type ``dtype``, and two rows
+    are equal exactly when the elements are: a cyclic element is one column,
+    a permutation its one-line notation, a direct product its factors'
+    columns side by side, and a free group or free product element a length
+    column plus ``S`` syllable slots, last syllable first (a free-group
+    letter ``sign * (gen + 1)``; a free-product syllable the tag ``fi + 1``
+    and the factor's code), with every unused column zero.
+
+    The bounds are read off the letters.  A product of ``k`` letters has at
+    most the summed syllable counts of its letters at every node, and an
+    infinite cyclic value at most their summed absolute exponents, so
+    ``(r_out + 1)`` times the largest per-letter count bounds every element
+    of the ball and every product of one with a letter.  ``dtype`` holds
+    twice the largest bound, so a sum of two in-bound values never wraps.
+    A row outside its bounds raises InternalCheckError; nothing is
+    truncated.
+    """
+
+    def __init__(self, root, letters, r_out):
+        peak = {}
+        for e in letters:
+            demand = {}
+            root.code_demand(e, demand)
+            for node, k in demand.items():
+                peak[node] = max(peak.get(node, 0), k)
+        self.root = root
+        self.bounds = {node: (r_out + 1) * k for node, k in peak.items()}
+        self._memo = {}
+        self._identities = {}
+        limit = 2 * root.code_limit(self)
+        self.dtype = np.min_scalar_type(-limit - 1)  # the smallest signed type holding +-limit
+        if self.dtype.kind != "i":
+            raise InternalCheckError(f"code values up to {limit} overflow int64")
+        self.width = self.width_of(root)
+
+    def memo(self, method):
+        """``method(self)`` for a bound method of a group node, computed once."""
+        if method not in self._memo:
+            self._memo[method] = method(self)
+        return self._memo[method]
+
+    def width_of(self, node):
+        return self.memo(node.code_width)
+
+    def identity(self, node):
+        """The code row of ``node``'s identity."""
+        row = self._identities.get(node)
+        if row is None:
+            row = self._identities[node] = np.array(node.encode(node.identity(), self), dtype=self.dtype)
+        return row
+
+    def encode(self, e):
+        """The code row of an element of the root group."""
+        return np.array(self.root.encode(e, self), dtype=self.dtype)
+
+    def multiply(self, block, elements):
+        """The ``(m, len(elements), width)`` codes of ``a * e`` for every row
+        ``a`` of an ``(m, width)`` block and every element ``e``."""
+        return self.root.multiply_codes(block, elements, self)
 
 
 # ---------------------------------------------------------------------------

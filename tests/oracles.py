@@ -9,6 +9,9 @@ oracle that checks it.
 import itertools
 
 import networkx as nx
+import numpy as np
+
+from cayleyball.ball import BallGraph, BudgetExceededError, resolve_letters
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,42 @@ def grid_sync_oracle(start, end):
         for a in paths
         for b in paths
     )
+
+
+# ---------------------------------------------------------------------------
+# the Cayley ball by a scalar breadth-first search over element values
+
+def ball_bfs_oracle(spec, r_in, generators=None, budget=500_000):
+    """The ball ``build_ball`` returns, built one ``spec.multiply`` and one
+    dict lookup per (vertex, letter), with every element kept."""
+    if r_in < 1:
+        raise ValueError("r_in must be at least 1")
+    letters = resolve_letters(spec, generators)
+    r_out = 3 * r_in
+
+    ident = spec.identity()
+    elements = [ident]
+    index = {ident: 0}
+    dist0 = [0]
+    table = []  # row-major nbr: rows are appended in vertex order
+    for u, eu in enumerate(elements):  # elements grows while it is read: a BFS
+        du = dist0[u]
+        for letter in letters:
+            w = spec.multiply(eu, letter.element)
+            v = index.get(w)
+            if v is None:
+                if du == r_out:
+                    table.append(-1)
+                    continue
+                v = len(elements)
+                if v >= budget:
+                    raise BudgetExceededError(budget, v, du)
+                index[w] = v
+                elements.append(w)
+                dist0.append(du + 1)
+            table.append(v)
+    nbr = np.array(table, dtype=np.int32).reshape(len(elements), len(letters))
+    return BallGraph(spec, letters, r_in, r_out, index, dist0, nbr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -17,10 +19,12 @@ from cayleyball import (
     read_ball,
     write_ball,
 )
+from cayleyball import ball as ball_module
 from cayleyball.ball import resolve_letters
 from cayleyball.groups import GroupSpec
 from oracles import (
     all_pairs_oracle,
+    ball_bfs_oracle,
     grid_bigon_oracle,
     monotone_lattice_paths,
     nx_graph,
@@ -372,3 +376,136 @@ def test_bfs_order_is_by_distance(make_pair):
     assert ball.dist0[ball.inner_count - 1] <= ball.r_in
     if ball.inner_count < ball.n_vertices:
         assert ball.dist0[ball.inner_count] == ball.r_in + 1
+
+
+# ---------------------------------------------------------------------------
+# the sphere-by-sphere build against the scalar breadth-first search
+
+def _outcome(build, spec, r_in, generators, budget):
+    """The ball ``build`` returns, or the fields of the budget error it raises."""
+    try:
+        return build(spec, r_in, generators, budget=budget)
+    except BudgetExceededError as exc:
+        return (str(exc), exc.budget, exc.vertices_found, exc.radius_reached)
+
+
+def _assert_same_ball(ball, oracle):
+    assert ball.nbr.dtype == np.int32 and ball.nbr.shape == oracle.nbr.shape
+    assert (ball.nbr == oracle.nbr).all()
+    assert (ball.dist0 == oracle.dist0).all()
+    assert ball.counts_per_radius == oracle.counts_per_radius
+    assert [l.label for l in ball.letters] == [l.label for l in oracle.letters]
+
+
+_ATOMS = ["Z", "Z2", "Z3", "Z4", "Z5", "S3", "F(a)", "F(a,b)"]
+
+
+def _draw_spec(data, depth=2):
+    """A group expression: ``*`` and ``x`` nested up to ``depth`` over the atoms."""
+    if depth == 0 or data.draw(st.booleans()):
+        return data.draw(st.sampled_from(_ATOMS))
+    op = data.draw(st.sampled_from([" * ", " x "]))
+    parts = [_draw_spec(data, depth - 1) for _ in range(2)]
+    return op.join(f"({p})" if " " in p else p for p in parts)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_build_matches_bfs_oracle_on_random_specs(data):
+    # free generators get fresh names, so any two atoms can meet
+    names = (f"x{k}" for k in itertools.count(1))
+    text = re.sub(r"\b[ab]\b", lambda m: next(names), _draw_spec(data))
+    spec = parse_group_spec(text)
+    r_in = data.draw(st.integers(1, 2))
+    generators = _draw_words(data, text)
+    ball = _outcome(build_ball, spec, r_in, generators, budget=1500)
+    oracle = _outcome(ball_bfs_oracle, spec, r_in, generators, budget=1500)
+    if isinstance(oracle, tuple):
+        assert ball == oracle
+        return
+    _assert_same_ball(ball, oracle)
+    # words first, walked up the tree one vertex at a time; then the whole list
+    assert [ball.word(i) for i in range(ball.n_vertices)] == [oracle.word(i) for i in range(ball.n_vertices)]
+    assert ball.elements == oracle.elements and ball.index == oracle.index
+    graph = nx_graph(ball)
+    from_identity = nx.single_source_shortest_path_length(graph, 0)
+    assert ball.dist0.tolist() == [from_identity[v] for v in range(ball.n_vertices)]
+    dist = DistanceMatrix(ball)
+    for u in range(min(ball.inner_count, 8)):
+        bfs = nx.single_source_shortest_path_length(graph, u)
+        assert dist.row(u).tolist() == [min(bfs[w], dist.clip) for w in range(ball.n_vertices)]
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    for _ in range(20):  # d(g, h) = |g^-1 h| on inner pairs
+        g, h = rng.randrange(ball.inner_count), rng.randrange(ball.inner_count)
+        shifted = spec.multiply(spec.invert(ball.elements[g]), ball.elements[h])
+        assert dist.d(g, h) == ball.dist0[ball.index[shifted]]
+
+
+@pytest.mark.parametrize("text", ["F(a,b)", "Z2 * Z3", "Z x Z"])
+@pytest.mark.parametrize("budget", [-5, 0, 1, 2, 5, 13, 40, 100, 300, 2000])
+def test_budget_matches_bfs_oracle(text, budget):
+    # the same error fields where the scalar search stops, the same ball where it does not
+    spec = parse_group_spec(text)
+    for r_in in (1, 2, 3):
+        ball = _outcome(build_ball, spec, r_in, None, budget)
+        oracle = _outcome(ball_bfs_oracle, spec, r_in, None, budget)
+        if isinstance(oracle, tuple):
+            assert ball == oracle
+        else:
+            _assert_same_ball(ball, oracle)
+
+
+@pytest.mark.parametrize("text,r_in", [("Z2 * Z3", 9), ("F(a,b)", 3)])
+def test_large_ball_matches_bfs_oracle(text, r_in):
+    spec = parse_group_spec(text)
+    _assert_same_ball(build_ball(spec, r_in), ball_bfs_oracle(spec, r_in))
+
+
+@pytest.mark.parametrize(
+    "text,r_in,generators",
+    [(text, r_in, None) for text, r_in in ROW_CASES]
+    + [
+        ("Z x Z", 2, ["t1", "t2", "t1.t2"]),
+        ("Z2 * Z3", 2, ["t1.t2", "t2"]),
+        ("S3 * Z", 1, ["s1_1.s1_2", "t2^2"]),
+    ],
+)
+def test_export_matches_bfs_oracle(text, r_in, generators):
+    spec = parse_group_spec(text)
+    built, oracle = build_ball(spec, r_in, generators), ball_bfs_oracle(spec, r_in, generators)
+    assert write_ball(built) == write_ball(oracle)
+
+
+def test_hash_collisions_are_resolved(monkeypatch):
+    # a hash that sends every multi-word row to one value at the first seed:
+    # the full-row comparison catches it and the next seed groups the rows
+    seeds = []
+    original = ball_module._row_hashes
+
+    def colliding(words, seed):
+        seeds.append(seed)
+        if seed == 0 and words.shape[1] > 1:
+            return np.zeros(len(words), dtype=np.uint64)
+        return original(words, seed)
+
+    monkeypatch.setattr(ball_module, "_row_hashes", colliding)
+    spec = parse_group_spec("Z2 * Z3")
+    _assert_same_ball(build_ball(spec, 3), ball_bfs_oracle(spec, 3))
+    assert 1 in seeds
+
+
+def test_analysis_derives_few_elements(monkeypatch):
+    # the ball keeps no elements: an analysis multiplies only along the
+    # parent chains of its witness words
+    config = cli.AnalysisConfig(group="Z2 * Z3", radii=[4])
+    n_vertices = build_ball(config.spec, 4).n_vertices
+    calls = []
+    original = GroupSpec.multiply
+
+    def counting(self, a, b):
+        calls.append(a)
+        return original(self, a, b)
+
+    monkeypatch.setattr(GroupSpec, "multiply", counting)
+    cli.run_analysis(config)
+    assert 0 < len(calls) < n_vertices

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,8 @@ def test_bad_invariant_exit_code(capsys):
         ["--invariants", "four_point", "--geodesic-cap", "0"],
         ["--invariants", "chain:bruteforce:-3"],
         ["--invariants", "chain:bottleneck:7"],
+        ["--invariants", "four_point", "--budget", "0"],
+        ["--invariants", "four_point", "--budget", "-5"],
     ],
 )
 def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
@@ -248,3 +253,19 @@ def test_radii_argument_validation(capsys):
         )
         == 2
     )
+
+
+def test_optimized_interpreter_reports_the_same():
+    # every check raises InternalCheckError rather than asserting, so a run
+    # under python -O, which strips asserts, reports the same bytes
+    args = ["-m", "cayleyball.cli", "analyze", "--group", "Z2 * Z3", "--radius", "2", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def report(*flags):
+        cmd = [sys.executable, *flags, *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+
+    plain, optimized = report(), report("-O")
+    assert json.loads(plain)["runs"][0]["results"]
+    assert _strip_timing(optimized) == _strip_timing(plain)

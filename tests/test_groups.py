@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleyball import SpecParseError, WordError, parse_group_spec
-from cayleyball.groups import InternalCheckError
+from cayleyball.ball import resolve_letters
+from cayleyball.groups import ElementCodes, InternalCheckError
 from oracles import z2z3_rewrite
 
 
@@ -234,3 +236,68 @@ def test_elements_are_hashable_values():
     spec = parse_group_spec("(Z2 * Z3) x Z2")
     e = spec.parse_word("t1.t3")
     assert {e: 1}[spec.multiply(e, spec.identity())] == 1
+
+
+def _codes(text, r_out):
+    spec = parse_group_spec(text)
+    return spec, ElementCodes(spec.root, [l.element for l in resolve_letters(spec)], r_out)
+
+
+@pytest.mark.parametrize("letter", ["1", "t2", "t2^-1"])
+def test_free_product_codes_check_normal_form(letter):
+    # a code block holding a non-reduced element trips the junction check of
+    # the vectorized multiply, as it does the scalar one
+    spec, codes = _codes("Z2 * Z3", 3)
+    identity_syllable = ((0, spec.root.factors[0].identity()),)
+    e = spec.parse_word(letter)
+    with pytest.raises(InternalCheckError, match="free-product normal form"):
+        spec.multiply(identity_syllable, e)
+    block = codes.encode(identity_syllable)[None, :]
+    with pytest.raises(InternalCheckError, match="free-product normal form"):
+        codes.multiply(block, [e])
+
+
+@pytest.mark.parametrize(
+    "text,full,letter",
+    [("Z2 * Z3", "t1.t2", "t1"), ("F(a,b)", "a.b", "a"), ("(Z2 * Z3) x Z", "t1.t2", "t1")],
+)
+def test_codes_refuse_slot_overflow(text, full, letter):
+    # at r_out = 1 every letter has one syllable, so there are two slots: a
+    # block already at that bound cannot grow, and nothing is truncated
+    spec, codes = _codes(text, 1)
+    block = codes.encode(spec.parse_word(full))[None, :]
+    with pytest.raises(InternalCheckError, match="slots"):
+        codes.multiply(block, [spec.parse_word(letter)])
+    with pytest.raises(InternalCheckError, match="slots"):
+        codes.encode(spec.parse_word(f"{full}.{letter}"))
+
+
+def test_codes_refuse_value_beyond_bound():
+    # a Z value past (r_out + 1) times the letters' exponent raises
+    spec, codes = _codes("Z x Z", 1)
+    block = codes.encode(spec.parse_word("t1^2"))[None, :]
+    assert codes.multiply(block, [spec.parse_word("t1^-1")]).tolist() == [[[1, 0]]]
+    with pytest.raises(InternalCheckError, match="bound"):
+        codes.multiply(block, [spec.parse_word("t1")])
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_codes_multiply_like_elements(data):
+    # codes of a * b for random a and letters b equal the codes of the
+    # scalar products, and equal codes mean equal elements
+    texts = ["Z2 * Z3", "F(a,b)", "S3 * Z", "(Z x Z4) * S3", "(Z2 * Z3) x Z", "(Z * Z2) * F(a)"]
+    text = data.draw(st.sampled_from(texts))
+    spec, codes = _codes(text, 8)
+    names = list(spec.generator_names)
+    token = st.sampled_from(names + [f"{n}^-1" for n in names])
+    words = data.draw(st.lists(st.lists(token, max_size=4), min_size=1, max_size=6))
+    elements = [spec.parse_word(".".join(w)) for w in words]
+    letters = [l.element for l in resolve_letters(spec)]
+    block = np.stack([codes.encode(e) for e in elements])
+    products = codes.multiply(block, letters)
+    for i, e in enumerate(elements):
+        for li, b in enumerate(letters):
+            assert products[i, li].tolist() == codes.encode(spec.multiply(e, b)).tolist()
+    rows = {codes.encode(e).tobytes(): e for e in elements}
+    assert len(rows) == len(set(elements))
