@@ -393,12 +393,14 @@ class DistanceMatrix:
     ``ensure_mid_rows`` bulk-computes them for every vertex of the geodesic
     hull (see ``hull``) ahead of an exhaustive scan.
 
-    Logically read-only, but the hull, the hull rows and the lazy row,
-    interval and DAG caches are filled on first use without locks.  Every
-    probe on an inner-pair geodesic lies in the hull, so after
-    ``ensure_mid_rows`` reading those rows is read-only; the other rows (the
-    mesh's adversarial sides) and the interval and DAG caches still fill on
-    demand, so concurrent readers need a lock of their own.
+    Logically read-only, but the hull, the hull rows and the lazy row and
+    interval caches are filled on first use without locks.  Every probe on
+    an inner-pair geodesic lies in the hull, so after ``ensure_mid_rows``
+    reading those rows is read-only; the other rows (the mesh's adversarial
+    sides) and the interval cache still fill on demand, so concurrent
+    readers need a lock of their own.  Geodesic DAGs are not cached: each
+    caller builds the flattened store it needs (``geodesics._interval_dags``)
+    for a whole batch of pairs at once.
     """
 
     def __init__(self, ball: BallGraph):
@@ -409,9 +411,7 @@ class DistanceMatrix:
         self._hull_block: np.ndarray | None = None
         self._hull_pos: dict[int, int] = {}  # non-inner hull vertex -> block row
         self._interval_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        # filled lazily: geodesic DAGs by geodesics, the polygon scan and
-        # mesh's adversarial sides by invariants
-        self._dag_cache: dict = {}
+        # filled lazily by invariants: the polygon scan and mesh's adversarial sides
         self._adversarial_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._pscan = None
         inner_rows = self._clipped_rows(list(range(ball.inner_count)))

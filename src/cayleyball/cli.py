@@ -108,7 +108,7 @@ def _parse_invariant(text, config):
         if n < 1:
             raise ValueError("polygon size parameter must be at least 1")
         method = args[1] if len(args) > 1 else "auto"
-        if method not in ("auto", "scan", "tuples", "interval"):
+        if method not in ("auto", "scan", "tuples"):
             raise ValueError(f"unknown polygon method {method!r}")
         return text, lambda ball, dist, plan: [polygon_delta(ball, dist, n, plan, method=method)]
     if name == "bigons" and not args:

@@ -1,9 +1,21 @@
-"""Geodesic intervals, explicit geodesic enumeration, and polygon thinness.
+"""Geodesic intervals, the flattened geodesic-DAG store, and polygon thinness.
 
 The geodesics between two vertices form a layered DAG inside the metric
-interval ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Enumeration walks that DAG
-depth-first with successors ordered by edge label, so the k-th geodesic of a
-pair is the same no matter which ball the pair is embedded in.
+interval ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Every such DAG lives in one
+flattened store, built for many pairs at once by ``_interval_dags``: each
+interval is grown from its first end one layer at a time through the Cayley
+table, and its edges keep the table's column (edge-label) order.  Everything
+that walks geodesics reads that store:
+
+* the max-min avoidance recurrence, one layer at a time, with one probe per
+  query (``max_avoidance_many``) or every row of a probe block per pair
+  (``max_avoidance_block``, the polygon scan's ``WP``);
+* path counts per entry, from which geodesics are unranked in
+  label-lexicographic order (``enumerate_geodesics`` and the mesh's side
+  choices), so the k-th geodesic of a pair is the same no matter which ball
+  the pair is embedded in;
+* the one-pair walks of the witnesses (``geodesic_through``,
+  ``most_avoiding_geodesic``).
 
 Thinness of a polygon is measured against the union of ALL sides other than
 the distinguished last one (the variant under which the thinness/chain/mesh
@@ -13,10 +25,11 @@ equivalences actually run), not just the two sides adjacent to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ball import BallGraph, DistanceMatrix
+from .ball import DistanceMatrix
 from .groups import InternalCheckError
 
 
@@ -82,247 +95,177 @@ class Polygon:
         return sorted(out)
 
 
-def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
-    """Exact geodesic interval by a single vectorized scan over the ball.
+# ---------------------------------------------------------------------------
+# the store
 
-    Raises ValueError when ``d(u, v) >= dist.clip``: the scan tests
-    ``d(u, w) + d(w, v) == d(u, v)`` on clipped rows, which is exact only
-    below the clip (every inner pair is).  An inner pair's interval lies
-    within ``2 * r_in`` of the identity, so only the first ``mid_count``
-    columns are scanned for it.  The vertex tuple is cached per unordered
-    pair, so a repeated call allocates no new tuple.
+class IntervalDags(NamedTuple):
+    """Geodesic DAGs of many pairs, flattened; see ``_interval_dags``."""
+
+    ptr: np.ndarray  # pair k owns entries ptr[k]:ptr[k + 1]
+    verts: np.ndarray  # vertex of each entry
+    layer: np.ndarray  # its distance from the pair's first end
+    succ: np.ndarray  # (entries, letters) pair-local successors, -1 for none
+    pred: np.ndarray  # (entries, letters) pair-local predecessors, -1 for none
+
+    @property
+    def pair(self):
+        """The pair owning each entry."""
+        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+
+
+def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
+    """Geodesic DAGs from a[k] to b[k], flattened into one store.
+
+    Pair k owns entries ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex
+    index), so its first entry is a[k] and its last b[k]; ``layer[e]`` is
+    the distance from a[k].  The interval is grown from a[k] one layer at a
+    time through ``ball.nbr``: layer t + 1 holds the neighbours z of layer t
+    with ``d(z, b[k]) == d(a[k], b[k]) - t - 1``, which are exactly the
+    interval vertices at distance t + 1 from a[k], so only interval vertices
+    and their neighbours are ever touched.  ``succ[e, c]`` (``pred[e, c]``)
+    is the pair-local index of the entry that column c of the Cayley table
+    leads to from e when it lies one layer up (down) in the same interval,
+    and -1 otherwise, so both keep edge-label order.
+
+    Distances to b[k] are read from the inner rows when every b[k] is inner
+    and from ``dist.row`` otherwise.  Raises ValueError when some
+    ``d(a[k], b[k]) >= dist.clip``, where clipped rows stop being exact.
+    """
+    a = np.asarray(a, dtype=np.int64).ravel()
+    b = np.asarray(b, dtype=np.int64).ravel()
+    n, letters = ball.n_vertices, ball.nbr.shape[1]
+    if len(b) and 0 <= b.min() and b.max() < ball.inner_count:
+        rows, bi = dist._inner_rows, b
+    else:
+        ub, bi = np.unique(b, return_inverse=True)
+        rows = np.stack([dist.row(x) for x in ub.tolist()]) if len(ub) else np.empty((0, n), np.int16)
+    duv = rows[bi, a].astype(np.int64)
+    if (duv >= dist.clip).any():
+        raise ValueError(f"a pair is at least {dist.clip} apart: beyond the clipped distance rows")
+    # grow layer by layer; links index the concatenated layer blocks
+    k, w, off, t = np.arange(len(a)), a, 0, 0
+    pred = np.full((len(a), letters), -1, dtype=np.int32)
+    blocks = []
+    while True:
+        z = ball.nbr[w]
+        on = (z >= 0) & (rows[bi[k][:, None], z] == (duv[k] - t - 1)[:, None])
+        nxt, inv = np.unique((k[:, None] * n + z)[on], return_inverse=True)
+        succ = np.full(z.shape, -1, dtype=np.int32)
+        succ[on] = inv + off + len(k)
+        blocks.append((k, w, np.full(len(k), t), succ, pred))
+        if not len(nxt):
+            break
+        code = k * n + w  # ascending: a layer block is sorted by (pair, vertex)
+        k, w = nxt // n, nxt % n
+        y = ball.nbr[w]
+        ycode = k[:, None] * n + y
+        pos = np.minimum(np.searchsorted(code, ycode), len(code) - 1)
+        pred = np.where((y >= 0) & (code[pos] == ycode), pos + off, -1).astype(np.int32)
+        off += len(code)
+        t += 1
+    K, W, T, S, P = zip(*blocks)
+    K = np.concatenate(K)
+    # pair-major order; a stable sort keeps (layer, vertex) within each pair
+    order = np.argsort(K, kind="stable")
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order))
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(K, minlength=len(a)))])
+    base = ptr[K[order]].astype(np.int32)[:, None]
+
+    def local(links):  # concatenated-block indices to pair-local ones, in order
+        links = np.concatenate(links)[order]
+        none = links < 0
+        links = rank[links]
+        links -= base
+        links[none] = -1
+        return links
+
+    return IntervalDags(ptr, np.concatenate(W)[order], np.concatenate(T)[order], local(S), local(P))
+
+
+def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
+    """Exact geodesic interval of one pair, read from its store entry.
+
+    Raises ValueError when ``d(u, v) >= dist.clip``, where clipped rows stop
+    being exact (every inner pair is below it).  The vertex tuple is cached
+    per unordered pair, so a repeated call allocates no new tuple.
     """
     u, v = int(u), int(v)
     key = (u, v) if u <= v else (v, u)
     cached = dist._interval_cache.get(key)
     if cached is None:
-        ru, rv = dist.row(key[0]), dist.row(key[1])
-        duv = int(ru[key[1]])
-        if duv >= dist.clip:
-            raise ValueError(f"d({u}, {v}) >= {dist.clip}: beyond the clipped distance rows")
-        if key[1] < dist.ball.inner_count:  # the pair's interval lies in the 2R ball
-            ru, rv = ru[: dist.ball.mid_count], rv[: dist.ball.mid_count]
-        cached = tuple(np.flatnonzero(ru.astype(np.int32) + rv == duv).tolist())
-        dist._interval_cache[key] = cached
-    return GeodesicInterval(u=u, v=v, dist_uv=int(dist.row(u)[v]), vertices=cached)
-
-
-class GeodesicDag:
-    """Layered DAG of all geodesics from u to v, local vertex numbering.
-
-    ``verts`` is sorted by (layer, vertex index), so local index 0 is u and
-    the last one is v; ``succ`` and ``preds`` hold, per vertex, a tuple of
-    its neighbours one layer up and down in edge-label order.  Tuples keep
-    the cached DAGs small and out of the garbage collector's way.
-    """
-
-    __slots__ = ("u", "v", "dist_uv", "verts", "layer", "succ", "preds", "pos")
-
-    def __init__(self, ball: BallGraph, dist: DistanceMatrix, u: int, v: int):
-        iv = interval(dist, u, v)
-        ru = dist.row(u)
-        verts = sorted(iv.vertices, key=lambda w: (int(ru[w]), w))
-        self.u, self.v, self.dist_uv = int(u), int(v), iv.dist_uv
-        self.verts = verts
-        self.layer = [int(ru[w]) for w in verts]
-        self.pos = {w: i for i, w in enumerate(verts)}
-        self.succ = []
-        self.preds = []
-        for i, row in enumerate(ball.nbr.take(verts, axis=0).tolist()):  # label order
-            nxt, prv = [], []
-            for w in row:
-                j = self.pos.get(w)  # None for -1, the product outside the ball
-                if j is not None:
-                    if self.layer[j] == self.layer[i] + 1:
-                        nxt.append(j)
-                    elif self.layer[j] == self.layer[i] - 1:
-                        prv.append(j)
-            self.succ.append(tuple(nxt))
-            self.preds.append(tuple(prv))
-
-
-def _dag(ball, dist, u, v):
-    key = (int(u), int(v))
-    dag = dist._dag_cache.get(key)
-    if dag is None:
-        dag = dist._dag_cache[key] = GeodesicDag(ball, dist, u, v)
-    return dag
-
-
-def enumerate_geodesics(ball, dist, u, v, cap=None):
-    """All geodesics from u to v in label-lexicographic order.
-
-    Returns ``(paths, truncated)``; with ``cap`` set, at most ``cap`` paths
-    are returned and ``truncated`` reports whether more exist.
-    """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be at least 1 (or None for no cap)")
-    dag = _dag(ball, dist, u, v)
-    limit = None if cap is None else cap + 1
-    paths = []
-    stack = [(dag.pos[int(u)], [int(u)])]
-    while stack:
-        i, trail = stack.pop()
-        if dag.verts[i] == int(v) and len(trail) == dag.dist_uv + 1:
-            paths.append(GeodesicPath(tuple(trail)))
-            if limit is not None and len(paths) >= limit:
-                break
-            continue
-        for j in reversed(dag.succ[i]):
-            stack.append((j, trail + [dag.verts[j]]))
-    if cap is not None and len(paths) > cap:
-        return paths[:cap], True
-    return paths, False
-
-
-def geodesic_through(ball, dist, u, v, via):
-    """Some geodesic from u to v passing through an interval vertex ``via``."""
-    dag = _dag(ball, dist, u, v)
-    i = dag.pos[int(via)]
-    forward = [dag.verts[i]]
-    j = i
-    while dag.verts[j] != int(v):
-        j = dag.succ[j][0]
-        forward.append(dag.verts[j])
-    j = i
-    backward = []
-    while dag.verts[j] != int(u):
-        j = dag.preds[j][0]
-        backward.append(dag.verts[j])
-    return GeodesicPath(tuple(reversed(backward)) + tuple(forward))
-
-
-def polygon_thinness(dist: DistanceMatrix, poly: Polygon) -> int:
-    """Least vertex-level thinness of one polygon: the farthest a last-side
-    vertex gets from the union of all other sides."""
-    Z = np.asarray(poly.union_of_other_sides(), dtype=np.int64)
-    return max(dist.d_to_set(p, Z) for p in poly.last_side.vertices)
+        verts = _interval_dags(dist.ball, dist, [key[0]], [key[1]]).verts
+        cached = dist._interval_cache[key] = tuple(np.sort(verts).tolist())
+    return GeodesicInterval(u=u, v=v, dist_uv=dist.d(u, v), vertices=cached)
 
 
 # ---------------------------------------------------------------------------
-# worst-case machinery: maximal avoidance of a probe point by a geodesic
+# max-min avoidance on the store
 
-def _bottleneck(dag, vals, lo, hi):
-    """Best prefix values of the geodesic DAG: ``f[i]`` is the max over
-    geodesic prefixes ending at local vertex ``i`` of the least ``vals`` on
-    them.  ``vals`` holds one value per local vertex in DAG order; ``lo`` and
-    ``hi`` are the min and max of those values (builtins for numbers,
-    ``np.minimum``/``np.maximum`` for arrays of probes).
-    """
-    f = [vals[0]]
-    for i in range(1, len(dag.verts)):
-        preds = dag.preds[i]
-        best = f[preds[0]]
-        for j in preds[1:]:
-            best = hi(best, f[j])
-        f.append(lo(best, vals[i]))
-    return f
-
-
-def max_avoidance(ball, dist, u, v, p) -> int:
-    """max over geodesics from u to v of d(p, image of the geodesic)."""
-    dag = _dag(ball, dist, u, v)
-    return _bottleneck(dag, dist.row(p)[dag.verts].tolist(), min, max)[-1]
-
-
-def max_avoidance_block(ball, dist, u, v, rows_block) -> np.ndarray:
-    """Vector form of :func:`max_avoidance` over every source of ``rows_block``."""
-    dag = _dag(ball, dist, u, v)
-    return _bottleneck(dag, rows_block.T[dag.verts], np.minimum, np.maximum)[-1]
-
-
-# DP entries, one per (query, interval vertex), of one chunk of
-# max_avoidance_many, and the bound on pairs x mid_count of one interval
-# test.  On a 2-vCPU VM, 2^14 to 2^18 ran the sampled polygon:3 of Z2 * Z3
-# R9, Z x Z R4 and F(a,b) R3 within noise of each other; the allocation
-# peak of a 2^8-tuple batch on Z x Z R4 read 2.5, 4.9 and 5.3 MiB at 2^14,
-# 2^16 and 2^18.
+# DP values of one chunk of the avoidance recurrence: (query, interval
+# vertex) entries for max_avoidance_many, (pair, interval vertex, probe)
+# triples for max_avoidance_block.  On a 2-vCPU VM, 2^14 to 2^18 ran the
+# sampled polygon:3 of Z2 * Z3 R9, Z x Z R4 and F(a,b) R3 within noise of
+# each other, and its allocation peak on Z2 * Z3 R9 read 3.2, 4.7 and 7.6
+# MiB at 2^14, 2^16 and 2^18.  The WP fill of Z2 * Z3 R10 (23,871 pairs,
+# 218 probes) took 1.47, 0.49, 0.38 and 0.31 s at 2^14, 2^16, 2^18 and 2^20.
 _AVOIDANCE_ENTRIES = 1 << 16
 
 
-def _interval_members(dist: DistanceMatrix, a, b):
-    """Interval vertices of every inner pair ``(a[k], b[k])`` (at least one
-    pair), as two aligned int64 arrays ``(k, w)`` sorted by pair and then
-    vertex, so pair k's vertices are those of ``interval(dist, a[k], b[k])``.
+def _maxmin_layers(dags, entry, base, sizes, val):
+    """The max-min avoidance recurrence over DP units laid end to end.
 
-    The test is ``interval``'s, ``d(a, w) + d(w, b) == d(a, b)`` on the
-    first ``mid_count`` columns of the inner rows, one vectorized test per
-    block of at most ``_AVOIDANCE_ENTRIES // mid_count`` pairs.
+    Unit i copies the store entries of one pair: ``entry[base[i]:base[i] +
+    sizes[i]]``.  ``val`` holds one value (or one row of values, the vector
+    axis) per DP entry.  Layer 0, the pair's first end, reads its own value;
+    an entry of layer t reads ``min(val, max over its predecessors)``, a
+    missing predecessor pointing at a sentinel that holds -1.  That is one
+    numpy pass per layer, at most ``2 * r_in + 1``.  Returns the best
+    prefix value of every DP entry; a unit's value is its last entry's.
     """
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    mid = dist.ball.mid_count
-    rows = dist._inner_rows[:, :mid]
-    duv = dist.inner[a, b]
-    step = max(1, _AVOIDANCE_ENTRIES // mid)
-    ks, ws = [], []
-    for lo in range(0, len(a), step):
-        hi = lo + step
-        k, w = np.nonzero(rows[a[lo:hi]] + rows[b[lo:hi]] == duv[lo:hi, None])
-        ks.append(k + lo)
-        ws.append(w)
-    return np.concatenate(ks), np.concatenate(ws)
+    local = dags.pred[entry]
+    slots = np.where(local >= 0, local + np.repeat(base, sizes)[:, None], len(entry))
+    f = np.empty((len(entry) + 1,) + val.shape[1:], dtype=np.int16)
+    f[-1] = -1
+    f[base] = val[base]
+    lay = dags.layer[entry]
+    by = np.argsort(lay, kind="stable")
+    cuts = np.cumsum(np.bincount(lay))
+    for t in range(1, len(cuts)):
+        idx = by[cuts[t - 1] : cuts[t]]
+        f[idx] = np.minimum(val[idx], f[slots[idx]].max(axis=1))
+    return f[:-1]
 
 
-def _interval_dags(ball, dist, a, b):
-    """Geodesic DAGs from a[k] to b[k] for inner pairs, flattened.
+def _packed(dags):
+    """The store with each entry's predecessors moved to the front and the
+    columns cut to the largest in-degree: the recurrence reads them in any
+    order, and where geodesics are unique it gathers one column instead of
+    one per letter."""
+    width = max(1, int((dags.pred >= 0).sum(axis=1).max(initial=0)))
+    return dags._replace(pred=-np.sort(-dags.pred, axis=1)[:, :width])
 
-    Returns ``(ptr, verts, layer, pred)``: pair k owns entries
-    ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex index) as in
-    :class:`GeodesicDag`, so its first entry is a[k] and its last b[k].
-    ``pred[e]`` lists entry e's predecessors (neighbours in the Cayley table
-    one layer closer to a[k] inside the same interval) as local indices
-    within the pair, padded with -1.
+
+def _segments(starts, sizes):
+    """The concatenated index ranges ``starts[i]:starts[i] + sizes[i]``."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(int(np.sum(sizes))) + np.repeat(starts - offsets, sizes)
+
+
+def _store_avoidance(dist, dags, pair_of, probes) -> np.ndarray:
+    """Max avoidance of every query ``(pair_of[i], probes[i])`` on a store.
+
+    Queries are sorted by probe and cut into chunks of at most
+    ``_AVOIDANCE_ENTRIES`` DP entries, one per (query, interval vertex), and
+    at least one query per chunk; a chunk is one ``_maxmin_layers`` call.
+    Probe rows are cut after the store's largest vertex index.
     """
-    n = ball.n_vertices
-    k, w = _interval_members(dist, a, b)
-    layer = dist._inner_rows[a[k], w]
-    code = k * n + w  # ascending
-    z = ball.nbr[w]
-    zcode = k[:, None] * n + z
-    pos = np.minimum(np.searchsorted(code, zcode), len(code) - 1)
-    is_pred = (z >= 0) & (code[pos] == zcode) & (layer[pos] == layer[:, None] - 1)
-    order = np.lexsort((w, layer, k))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ptr = np.searchsorted(k, np.arange(len(a) + 1))
-    pred = np.where(is_pred, rank[pos] - ptr[k][:, None], -1)[order]
-    width = int(is_pred.sum(axis=1).max(initial=0))
-    pred = -np.sort(-pred, axis=1)[:, :width]  # predecessors first
-    return ptr, w[order], layer[order], pred
-
-
-def max_avoidance_many(ball, dist, us, vs, probes) -> np.ndarray:
-    """:func:`max_avoidance` of every query ``(us[i], vs[i], probes[i])``,
-    as an int16 array aligned with the inputs.
-
-    Both endpoints of every query must be inner vertices (ValueError
-    otherwise): their intervals are read from the first ``mid_count``
-    columns of the inner rows.  A probe may be any vertex; its row comes
-    from ``dist.row``, sliced to ``mid_count`` columns.
-
-    Each distinct unordered pair gets one flattened geodesic DAG (see
-    ``_interval_dags``), oriented from its smaller end, since a geodesic
-    and its reverse have the same image.  Queries are sorted by probe and
-    cut into chunks of at most ``_AVOIDANCE_ENTRIES`` DP entries, one per
-    (query, interval vertex), and at least one query per chunk.  A chunk
-    runs ``_bottleneck``'s max-min recurrence one layer at a time over all
-    of its queries: layer 0 reads ``d(p, u)``, and an entry of layer t
-    reads ``min(d(p, w), max over its predecessors)``, with a missing
-    predecessor pointing at a sentinel entry that holds -1.  That is at
-    most ``2 * r_in + 1`` numpy passes per chunk; the value of a query is
-    its last entry, the vertex farthest from u.
-    """
-    us, vs, probes = (np.asarray(x, dtype=np.int64) for x in (us, vs, probes))
-    if not (us.ndim == 1 and us.shape == vs.shape == probes.shape):
-        raise ValueError("us, vs and probes must be one-dimensional and of equal length")
-    out = np.empty(len(us), dtype=np.int16)
-    if not len(us):
+    out = np.empty(len(probes), dtype=np.int16)
+    if not len(probes):
         return out
-    ni, mid = ball.inner_count, ball.mid_count
-    if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= ni:
-        raise ValueError("max_avoidance_many needs inner endpoints")
-    pairs, pair_of = np.unique(np.minimum(us, vs) * ni + np.maximum(us, vs), return_inverse=True)
-    ptr, verts, layers, pred = _interval_dags(ball, dist, pairs // ni, pairs % ni)
+    dags = _packed(dags)
+    ptr = dags.ptr
+    cols = int(dags.verts.max()) + 1
     sizes = np.diff(ptr)
     qorder = np.argsort(probes, kind="stable")
     ends = np.cumsum(sizes[pair_of[qorder]])
@@ -334,39 +277,193 @@ def max_avoidance_many(ball, dist, us, vs, probes) -> np.ndarray:
         kq = pair_of[q]
         sz = sizes[kq]
         base = np.cumsum(sz) - sz
-        owner = np.repeat(np.arange(len(q)), sz)
-        entry = np.arange(ends[hi - 1] - start) + (ptr[kq] - base)[owner]
+        entry = _segments(ptr[kq], sz)
         pu, pinv = np.unique(probes[q], return_inverse=True)
-        rows = np.stack([dist.row(p)[:mid] for p in pu.tolist()])
-        val = rows[pinv[owner], verts[entry]]
-        sentinel = len(entry)
-        local = pred[entry]
-        slots = np.where(local >= 0, local + base[owner][:, None], sentinel)
-        f = np.empty(sentinel + 1, dtype=np.int16)
-        f[sentinel] = -1
-        f[base] = val[base]  # layer 0: the query's u
-        lay = layers[entry]
-        by = np.argsort(lay, kind="stable")
-        cuts = np.cumsum(np.bincount(lay))
-        for t in range(1, len(cuts)):
-            idx = by[cuts[t - 1] : cuts[t]]
-            f[idx] = np.minimum(val[idx], f[slots[idx]].max(axis=1))
+        rows = np.stack([dist.row(p)[:cols] for p in pu.tolist()])
+        f = _maxmin_layers(dags, entry, base, sz, rows[np.repeat(pinv, sz), dags.verts[entry]])
         out[q] = f[base + sz - 1]
         lo = hi
     return out
 
 
+def _check_inner(ball, us, vs):
+    if len(us) and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= ball.inner_count):
+        raise ValueError("the batched avoidance forms need inner endpoints")
+
+
+def max_avoidance_many(ball, dist, us, vs, probes) -> np.ndarray:
+    """:func:`max_avoidance` of every query ``(us[i], vs[i], probes[i])``,
+    as an int16 array aligned with the inputs.
+
+    Both endpoints of every query must be inner vertices (ValueError
+    otherwise).  A probe may be any vertex; its row comes from ``dist.row``.
+    Each distinct unordered pair gets one store entry, oriented from its
+    smaller end, since a geodesic and its reverse have the same image; the
+    value axis is the query's one probe.
+    """
+    us, vs, probes = (np.asarray(x, dtype=np.int64) for x in (us, vs, probes))
+    if not (us.ndim == 1 and us.shape == vs.shape == probes.shape):
+        raise ValueError("us, vs and probes must be one-dimensional and of equal length")
+    _check_inner(ball, us, vs)
+    ni = ball.inner_count
+    pairs, pair_of = np.unique(np.minimum(us, vs) * ni + np.maximum(us, vs), return_inverse=True)
+    dags = _interval_dags(ball, dist, pairs // ni, pairs % ni)
+    return _store_avoidance(dist, dags, pair_of, probes)
+
+
+def max_avoidance_block(ball, dist, us, vs, rows_block) -> np.ndarray:
+    """:func:`max_avoidance` of every inner pair ``(us[k], vs[k])`` against
+    every probe row of ``rows_block``, as a ``(pairs, probes)`` int16 array:
+    entry ``[k, j]`` is the max over geodesics from us[k] to vs[k] of the
+    least ``rows_block[j, w]`` over their vertices.
+
+    This is the polygon scan's ``WP`` fill.  The probes are the vector axis
+    of one ``_maxmin_layers`` pass per chunk, over the store entries of
+    consecutive pairs; a chunk holds at most ``_AVOIDANCE_ENTRIES`` DP values
+    (entries times probes) and at least one pair.  Interval vertices of inner
+    pairs lie below ``mid_count``, so only those columns of the block are
+    read, once, transposed so that an entry's probe values are one row.
+    """
+    us, vs = (np.asarray(x, dtype=np.int64) for x in (us, vs))
+    if not (us.ndim == 1 and us.shape == vs.shape):
+        raise ValueError("us and vs must be one-dimensional and of equal length")
+    _check_inner(ball, us, vs)
+    out = np.empty((len(us), len(rows_block)), dtype=np.int16)
+    if not len(us):
+        return out
+    dags = _packed(_interval_dags(ball, dist, us, vs))
+    by_vertex = np.ascontiguousarray(rows_block[:, : ball.mid_count].T)
+    ptr, sizes = dags.ptr, np.diff(dags.ptr)
+    step = max(1, _AVOIDANCE_ENTRIES // max(1, len(rows_block)))
+    lo = 0
+    while lo < len(us):
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + step, side="right")) - 1)
+        entry = np.arange(ptr[lo], ptr[hi])
+        f = _maxmin_layers(dags, entry, ptr[lo:hi] - ptr[lo], sizes[lo:hi], by_vertex[dags.verts[entry]])
+        out[lo:hi] = f[ptr[lo + 1 : hi + 1] - ptr[lo] - 1]
+        lo = hi
+    return out
+
+
+def _first(links):
+    """The first linked entry in label order, or None."""
+    return next((j for j in links if j >= 0), None)
+
+
+def _avoidance_prefixes(dist, dags, p):
+    """Best prefix values of a one-pair store against probe p."""
+    size = len(dags.verts)
+    return _maxmin_layers(dags, np.arange(size), np.zeros(1, np.int64), np.array([size]), dist.row(p)[dags.verts])
+
+
+def max_avoidance(ball, dist, u, v, p) -> int:
+    """max over geodesics from u to v of d(p, image of the geodesic)."""
+    return int(_avoidance_prefixes(dist, _interval_dags(ball, dist, [u], [v]), p)[-1])
+
+
 def most_avoiding_geodesic(ball, dist, u, v, p) -> GeodesicPath:
-    """A geodesic from u to v achieving :func:`max_avoidance` for p."""
-    dag = _dag(ball, dist, u, v)
-    f = _bottleneck(dag, dist.row(p)[dag.verts].tolist(), min, max)
+    """A geodesic from u to v achieving :func:`max_avoidance` for p: walk
+    back from v, each step to the first predecessor in label order that
+    keeps the best prefix value."""
+    dags = _interval_dags(ball, dist, [u], [v])
+    f = _avoidance_prefixes(dist, dags, p).tolist()
+    pred = dags.pred.tolist()
     trail = [len(f) - 1]
     while trail[-1] != 0:
         i = trail[-1]
-        for j in dag.preds[i]:
-            if f[j] >= f[i]:
-                trail.append(j)
-                break
-        else:  # pragma: no cover - the DP guarantees a predecessor exists
+        j = _first(j for j in pred[i] if j >= 0 and f[j] >= f[i])
+        if j is None:  # pragma: no cover - the DP guarantees a predecessor exists
             raise InternalCheckError("avoidance backtrack failed")
-    return GeodesicPath(tuple(dag.verts[i] for i in reversed(trail)))
+        trail.append(j)
+    return GeodesicPath(tuple(dags.verts[trail[::-1]].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# geodesics as paths: counting and unranking on the store
+
+def _path_counts(dags, limit):
+    """Geodesics from each entry to its pair's last entry, saturating at
+    ``limit``, with one trailing 0 for the sentinel.  Layers are resolved
+    from the top down; every entry but the last of its pair has a successor,
+    and the last one counts its own one-vertex path."""
+    n_entries = len(dags.verts)
+    glob = np.where(dags.succ >= 0, dags.succ + dags.ptr[dags.pair][:, None], n_entries)
+    count = np.zeros(n_entries + 1, dtype=np.int64)
+    by = np.argsort(dags.layer, kind="stable")
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(dags.layer))])
+    for t in range(len(cuts) - 2, -1, -1):
+        idx = by[cuts[t] : cuts[t + 1]]
+        count[idx] = np.clip(count[glob[idx]].sum(axis=1), 1, limit)
+    return count, glob
+
+
+def _geodesic_rows(ball, dist, us, vs, cap):
+    """Geodesics from us[k] to vs[k], in label-lexicographic order per pair.
+
+    Returns ``(rows, counts, truncated)``: ``rows`` is an int64 matrix of
+    vertex paths, pair after pair, padded by repeating the last vertex to
+    the longest pair's length; pair k owns ``counts[k]`` of them, the first
+    ``cap`` of its geodesics (all of them when ``cap`` is None), and
+    ``truncated[k]`` says whether it has more.  Paths are unranked from
+    per-entry path counts that saturate at ``cap + 1``: at each step the
+    r-th path takes the first column whose running count exceeds r.
+    """
+    dags = _interval_dags(ball, dist, us, vs)
+    letters = dags.succ.shape[1]
+    limit = np.iinfo(np.int64).max // letters if cap is None else cap + 1
+    count, glob = _path_counts(dags, limit)
+    total = count[dags.ptr[:-1]]
+    counts = total if cap is None else np.minimum(total, cap)
+    pair = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
+    e = dags.ptr[pair]
+    width = int(dags.layer.max(initial=0)) + 1
+    rows = np.empty((len(pair), width), dtype=np.int64)
+    rows[:, 0] = dags.verts[e]
+    at = np.arange(len(pair))
+    for s in range(1, width):
+        nxt = glob[e]
+        running = np.cumsum(count[nxt], axis=1)
+        col = (running <= rank[:, None]).sum(axis=1)
+        go = col < letters  # a finished path has no successor and stays put
+        col = np.minimum(col, letters - 1)
+        rank = rank - np.where(go & (col > 0), running[at, col - 1], 0)
+        e = np.where(go, nxt[at, col], e)
+        rows[:, s] = dags.verts[e]
+    truncated = np.zeros(len(total), dtype=bool) if cap is None else total > cap
+    return rows, counts, truncated
+
+
+def enumerate_geodesics(ball, dist, u, v, cap=None):
+    """All geodesics from u to v in label-lexicographic order.
+
+    Returns ``(paths, truncated)``; with ``cap`` set, at most ``cap`` paths
+    are returned and ``truncated`` reports whether more exist.  The one-pair
+    call of ``_geodesic_rows``.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1 (or None for no cap)")
+    rows, _, truncated = _geodesic_rows(ball, dist, [u], [v], cap)
+    return [GeodesicPath(tuple(r)) for r in rows.tolist()], bool(truncated[0])
+
+
+def geodesic_through(ball, dist, u, v, via):
+    """Some geodesic from u to v passing through an interval vertex ``via``:
+    from ``via``, the first successor in label order up to v and the first
+    predecessor down to u."""
+    dags = _interval_dags(ball, dist, [u], [v])
+    i = int(np.flatnonzero(dags.verts == int(via))[0])
+    succ, pred = dags.succ.tolist(), dags.pred.tolist()
+    forward, backward = [i], [i]
+    while (j := _first(succ[forward[-1]])) is not None:
+        forward.append(j)
+    while (j := _first(pred[backward[-1]])) is not None:
+        backward.append(j)
+    return GeodesicPath(tuple(dags.verts[backward[:0:-1] + forward].tolist()))
+
+
+def polygon_thinness(dist: DistanceMatrix, poly: Polygon) -> int:
+    """Least vertex-level thinness of one polygon: the farthest a last-side
+    vertex gets from the union of all other sides."""
+    Z = np.asarray(poly.union_of_other_sides(), dtype=np.int64)
+    return max(dist.d_to_set(p, Z) for p in poly.last_side.vertices)

@@ -29,15 +29,17 @@ from scipy.sparse.csgraph import connected_components
 
 from .ball import DistanceMatrix
 from .geodesics import (
-    _bottleneck,
-    _dag,
-    _interval_members,
-    enumerate_geodesics,
+    _geodesic_rows,
+    _interval_dags,
+    _maxmin_layers,
+    _packed,
+    _segments,
+    _store_avoidance,
+    enumerate_geodesics,  # noqa: F401 - not called here; the geodesics.enumerate probe binds it
     geodesic_through,
     interval,
     max_avoidance,
     max_avoidance_block,
-    max_avoidance_many,
     most_avoiding_geodesic,
 )
 from .groups import InternalCheckError
@@ -374,12 +376,11 @@ class _PolygonScan:
         rows = dist.ensure_mid_rows()
         self.hull = dist.hull()
         ni = ball.inner_count
+        us, vs = np.triu_indices(ni)
+        vals = max_avoidance_block(ball, dist, us, vs, rows).T
         WP = np.empty((len(self.hull), ni, ni), dtype=np.int16)
-        for u in range(ni):
-            for v in range(u, ni):
-                vals = max_avoidance_block(ball, dist, u, v, rows)
-                WP[:, u, v] = vals
-                WP[:, v, u] = vals
+        WP[:, us, vs] = vals
+        WP[:, vs, us] = vals
         self.WP = WP
         self.last = list(WP)
         self.D = dist.inner.astype(np.int16)
@@ -476,17 +477,22 @@ def _polygon_tuple_batch(ball, dist, corners):
 
     A tuple's probes are the interval of its last side (c_n, c_0), and its
     value is the max over probes of the min over its other sides of the
-    maximal avoidance; one ``max_avoidance_many`` call answers every
-    (probe, side) query of the batch.
+    maximal avoidance.  Every side of the batch, the last ones included,
+    gets one entry of one store, oriented from its smaller end; the last
+    sides' entries are the probes, and one ``_store_avoidance`` pass
+    answers every (probe, side) query.
     """
-    n = corners.shape[1] - 1
-    k, probes = _interval_members(dist, corners[:, -1], corners[:, 0])
-    sides = corners[k]
-    avoid = max_avoidance_many(
-        ball, dist, sides[:, :-1].ravel(), sides[:, 1:].ravel(), np.repeat(probes, n)
-    )
+    t, n = len(corners), corners.shape[1] - 1
+    ni = ball.inner_count
+    nxt = np.roll(corners, -1, axis=1)  # side i runs from corner i to corner i + 1
+    pairs, pid = np.unique(np.minimum(corners, nxt) * ni + np.maximum(corners, nxt), return_inverse=True)
+    pid = pid.reshape(t, n + 1)
+    dags = _interval_dags(ball, dist, pairs // ni, pairs % ni)
+    sizes = np.diff(dags.ptr)[pid[:, -1]]
+    k = np.repeat(np.arange(t), sizes)
+    probes = dags.verts[_segments(dags.ptr[pid[:, -1]], sizes)]
+    avoid = _store_avoidance(dist, dags, pid[k, :-1].ravel(), np.repeat(probes, n))
     vals = avoid.reshape(-1, n).min(axis=1)
-    sizes = np.bincount(k, minlength=len(corners))
     # per tuple, highest value first and then smallest probe; tuples keep their blocks
     best = np.lexsort((probes, -vals, k))[np.cumsum(sizes) - sizes]
     vals, probes = vals[best], probes[best]
@@ -501,11 +507,10 @@ def polygon_delta(ball, dist, n, plan: SamplingPlan, method="auto") -> Invariant
     ``method='scan'`` (the exhaustive default) covers every corner tuple and
     every geodesic choice with max-min powers; ``'tuples'`` evaluates the
     plan's corner tuples, each exactly over all geodesic choices, in batches
-    of ``_POLYGON_TUPLES`` that each take one ``max_avoidance_many`` call.
-    Under an exhaustive plan ``'tuples'`` covers every corner tuple, so it
-    is exact and agrees with the scan, its oracle in the tests; sampled, it
-    is a lower bound.  ``'interval'`` is the cheap lower-bound mode that
-    replaces each side image by the full geodesic interval.
+    of ``_POLYGON_TUPLES`` that each take one pass over one geodesic-DAG
+    store.  Under an exhaustive plan ``'tuples'`` covers every corner tuple,
+    so it is exact and agrees with the scan, its oracle in the tests;
+    sampled, it is a lower bound.
     """
     if n < 1:
         raise ValueError("polygon size parameter must be at least 1")
@@ -526,31 +531,15 @@ def polygon_delta(ball, dist, n, plan: SamplingPlan, method="auto") -> Invariant
             "polygon_delta", ball, 2 * ext.value, "exact", plan, scan.witness(n), {"n": n, "method": method}
         )
 
+    if method != "tuples":
+        raise ValueError(f"unknown polygon method {method!r}")
     best = _Extremum()
     best.offer(0, tuple([0] * (n + 1)), 0)
-    bound = "lower"
-    if method == "tuples":
-        tuples = plan.ordered_tuples(ball.inner_count, n + 1)
-        for corners in _tuple_batches(tuples, n + 1, _POLYGON_TUPLES):
-            best.offer(*_polygon_tuple_batch(ball, dist, corners))
-        witness = _polygon_tuple_witness(ball, dist, list(best.key), best.data, best.value)
-        if plan.mode == "exhaustive":
-            bound = "exact"
-    elif method == "interval":
-        for corners in plan.ordered_tuples(ball.inner_count, n + 1):
-            Z = sorted(
-                set(
-                    w
-                    for u, v in zip(corners, corners[1:])
-                    for w in interval(dist, u, v).vertices
-                )
-            )
-            iv = interval(dist, corners[-1], corners[0])
-            value = max(dist.d_to_set(p, Z) for p in iv.vertices)
-            best.offer(value, tuple(corners))
-        witness = {"corners": _words(ball, best.key), "thinness": int(best.value)}
-    else:
-        raise ValueError(f"unknown polygon method {method!r}")
+    tuples = plan.ordered_tuples(ball.inner_count, n + 1)
+    for corners in _tuple_batches(tuples, n + 1, _POLYGON_TUPLES):
+        best.offer(*_polygon_tuple_batch(ball, dist, corners))
+    witness = _polygon_tuple_witness(ball, dist, list(best.key), best.data, best.value)
+    bound = "exact" if plan.mode == "exhaustive" else "lower"
     return _result("polygon_delta", ball, 2 * best.value, bound, plan, witness, {"n": n, "method": method})
 
 
@@ -564,45 +553,86 @@ def rips_delta(ball, dist, plan: SamplingPlan) -> InvariantResult:
 # ---------------------------------------------------------------------------
 # bigons: asynchronous and synchronous fellow-traveling constants
 
+# Plan pairs read into one bigon store at a time.  On a 2-vCPU VM, 2^10
+# ran the bigons of Z2 * Z3 R9 (5000 sampled pairs) in 45 ms against 70 ms
+# at 2^8, and the peak RSS of the Z x Z R2..4 sweep read 68.5 MiB, against
+# 69.8 MiB with the per-pair DAGs the store replaced.
+_BIGON_PAIRS = 1 << 10
+
+
+def _bigon_batch(ball, dist, pairs):
+    """async and sync values, with their vertices, of a batch's pairs that
+    have more than one geodesic: ``(pairs, a_val, a_vertex, s_val, s_a,
+    s_b)``, in batch order.  The first maximum counts, in DAG order for
+    async and in row-major (entry, entry) order for sync."""
+    dags = _interval_dags(ball, dist, pairs[:, 0], pairs[:, 1])
+    sizes = np.diff(dags.ptr)
+    keep = np.flatnonzero(sizes > dist.inner[pairs[:, 0], pairs[:, 1]] + 1)
+    if not len(keep):
+        none = np.empty(0, dtype=np.int64)
+        return pairs[keep], none, none, none, none, none
+    sizes = sizes[keep]
+    base = np.cumsum(sizes) - sizes
+    e = _segments(dags.ptr[keep], sizes)
+    verts = dags.verts[e]
+    owner = np.repeat(np.arange(len(keep)), sizes)
+    used, local = np.unique(verts, return_inverse=True)
+    D = np.stack([dist.row(w)[used] for w in used.tolist()])  # symmetric
+    # async: a pair's own interval vertices are the probes, the vector axis
+    # of one recurrence; a shorter interval repeats its first probe
+    col = np.arange(sizes.max())
+    probe = local[base[:, None] + np.where(col < sizes[:, None], col, 0)]
+    f = _maxmin_layers(_packed(dags), e, base, sizes, D[local[:, None], probe[owner]])
+    avoid = f[base + sizes - 1]
+    k = avoid.argmax(axis=1)
+    # sync: every same-layer pair of entries
+    layer = dags.layer[e]
+    starts = np.r_[True, (owner[1:] != owner[:-1]) | (layer[1:] != layer[:-1])]
+    head = np.flatnonzero(starts)
+    group = np.cumsum(starts) - 1
+    reach = np.diff(np.r_[head, len(e)])[group]  # same-layer partners of each entry
+    i = np.repeat(np.arange(len(e)), reach)
+    j = _segments(head[group], reach)
+    same = D[local[i], local[j]]
+    seg = owner[i]
+    s = np.lexsort((-same, seg))[np.searchsorted(seg, np.arange(len(keep)))]
+    a_val = avoid[np.arange(len(keep)), k]
+    return pairs[keep], a_val, verts[base + k], same[s], verts[i[s]], verts[j[s]]
+
+
 def bigon_constants(ball, dist, plan: SamplingPlan):
     """(async, sync) fellow-traveler constants over sampled coterminal
     geodesic pairs, maximized over ALL geodesic pairs of each endpoint pair.
 
     async is the worst one-sided Hausdorff distance from one geodesic into a
-    coterminal one: the max over interval probes p of the max avoidance of p,
-    one block DP over the interval's own distance block.  sync is the worst
-    distance between same-parameter vertices: the largest diameter of one
-    DAG layer's slice of the interval, since two geodesics can pass through
-    any two vertices of a layer.  Neither enumerates paths, so the geodesic
-    cap does not apply and both are exact under every exhaustive plan.
-    Every evaluated pair is checked against sync <= 2 * async.
+    coterminal one: the max over interval probes p of the max avoidance of p.
+    sync is the worst distance between same-parameter vertices: the largest
+    diameter of one DAG layer's slice of the interval, since two geodesics
+    can pass through any two vertices of a layer.  Plan pairs are read in
+    batches of ``_BIGON_PAIRS``, each one geodesic-DAG store: pairs whose
+    interval holds one vertex per layer have a unique geodesic and drop
+    out; async is one max-min pass over the others' entries with the pair's
+    own interval vertices as probes, and it and sync read one distance
+    block over the batch's interval vertices.  Neither enumerates paths, so the geodesic cap does not apply
+    and both are exact under every exhaustive plan.  Every evaluated pair is
+    checked against sync <= 2 * async.
     """
     n = ball.inner_count
     best_async = _Extremum()
     best_sync = _Extremum()
     best_async.offer(0, (0, 0), None)
     best_sync.offer(0, (0, 0), None)
-    for x, y in plan.unordered_tuples(n, 2):
-        iv = interval(dist, x, y)
-        if len(iv) == iv.dist_uv + 1:
-            continue  # unique geodesic: both constants are 0
-        dag = _dag(ball, dist, x, y)
-        verts = dag.verts
-        # symmetric, so row i is both probe i's distances and vertex i's values
-        block = np.stack([dist.row(w)[verts] for w in verts])
-        avoid = _bottleneck(dag, block, np.minimum, np.maximum)[-1]
-        k = int(avoid.argmax())
-        a_val = int(avoid[k])
-        layer = np.asarray(dag.layer)
-        same = np.where(layer[:, None] == layer[None, :], block, -1)
-        flat = int(same.argmax())
-        s_val = int(same.flat[flat])
-        if s_val > 2 * a_val:
-            raise InternalCheckError(
-                f"fellow-traveler bound violated for pair ({ball.word(x)}, {ball.word(y)})"
-            )
-        best_async.offer(a_val, (x, y), (verts[k],))
-        best_sync.offer(s_val, (x, y), (verts[flat // len(verts)], verts[flat % len(verts)]))
+    for batch in _tuple_batches(plan.unordered_tuples(n, 2), 2, _BIGON_PAIRS):
+        pairs, a_val, a_w, s_val, s_a, s_b = _bigon_batch(ball, dist, batch)
+        bad = np.flatnonzero(s_val > 2 * a_val)
+        if len(bad):
+            x, y = pairs[bad[0]].tolist()
+            raise InternalCheckError(f"fellow-traveler bound violated for pair ({ball.word(x)}, {ball.word(y)})")
+        for ext, val, data in ((best_async, a_val, (a_w,)), (best_sync, s_val, (s_a, s_b))):
+            if len(val):
+                hit = np.flatnonzero(val == val.max())
+                w = hit[np.lexsort(pairs[hit].T[::-1])[0]]
+                ext.offer(int(val[w]), tuple(pairs[w].tolist()), tuple(int(d[w]) for d in data))
     bound = "exact" if plan.mode == "exhaustive" else "lower"
 
     def async_sides(x, y, p):
@@ -734,12 +764,13 @@ def masked_path(ball, rp, r, x, y):
 def _pair_detours(ball, dist, pairs):
     """Detour value and probe of each pair (x, y), as two int arrays: the
     largest level over the probes of the pair's interval, and the smallest
-    probe attaining it.  One ``_detour_levels`` pass resolves every pair."""
-    verts = [interval(dist, x, y).vertices for x, y in pairs]
-    sizes = np.array([len(v) for v in verts], dtype=np.int64)
-    probes = np.fromiter(itertools.chain.from_iterable(verts), dtype=np.int32, count=int(sizes.sum()))
-    pair_of = np.repeat(np.arange(len(pairs), dtype=np.int32), sizes)
-    xs, ys = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)[pair_of].T
+    probe attaining it.  The intervals are one geodesic-DAG store, and one
+    ``_detour_levels`` pass resolves every pair."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    dags = _interval_dags(ball, dist, pairs[:, 0], pairs[:, 1])
+    sizes, probes, pair_of = np.diff(dags.ptr), dags.verts.astype(np.int32), dags.pair
+    del dags  # the pass reads no DAG edges; free them before it runs
+    xs, ys = pairs[pair_of].T
     levels = _detour_levels(ball, dist, probes, xs, ys)
     # per pair, highest level first and then smallest probe; pairs keep their blocks
     best = np.lexsort((probes, -levels, pair_of))[np.cumsum(sizes) - sizes]
@@ -795,6 +826,37 @@ def _adversarial_sides(ball, dist, pairs):
         cache[x, y] = tuple(masked_path(ball, dist.row(p), value, x, y))
 
 
+def _pad_rows(rows, width):
+    """Path rows padded to ``width`` columns by repeating their last column."""
+    return rows[:, np.minimum(np.arange(width), rows.shape[1] - 1)]
+
+
+def _with_adversarial(dist, x, y, rows, counts, size):
+    """The mesh's side choices with each pair's maximal-detour path (from
+    ``dist._adversarial_cache``) after the pair's geodesic rows, unless it
+    is one of them.  ``rows`` and ``counts`` are as ``_geodesic_rows``
+    returns them and ``size`` holds each row's path length; returns the
+    three updated."""
+    starts = np.cumsum(counts) - counts
+    extra, owner = [], []
+    for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+        adv = dist._adversarial_cache[min(a, b), max(a, b)]
+        adv = adv if adv[0] == a else adv[::-1]
+        own = rows[starts[i] : starts[i] + counts[i], : len(adv)]
+        if len(adv) != dist.inner[a, b] + 1 or not (own == adv).all(axis=1).any():
+            extra.append(adv)
+            owner.append(i)
+    if not extra:
+        return rows, counts, size
+    width = max(rows.shape[1], max(map(len, extra)))
+    more = np.array([p + p[-1:] * (width - len(p)) for p in extra], dtype=np.int64)
+    # a stable sort by pair puts each pair's extra row after its geodesics
+    order = np.argsort(np.concatenate([np.repeat(np.arange(len(counts)), counts), owner]), kind="stable")
+    rows = np.concatenate([_pad_rows(rows, width), more])[order]
+    size = np.concatenate([size, [len(p) for p in extra]])[order]
+    return rows, counts + np.bincount(owner, minlength=len(counts)), size
+
+
 # A working tensor of the batched mesh holds at most this many int16 entries.
 _MESH_CHUNK = 1 << 18
 # Corner triples read from a sampling plan at a time.
@@ -841,12 +903,14 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     additionally offers each side's maximal-detour path.  Always reported as
     a lower bound: the true mesh ranges over arbitrary triangles.
 
-    One batched program: each ordered corner pair's side choices are
-    enumerated once and stored as rows of a path matrix padded by repeating
-    the last vertex (a repeated vertex changes no minimum), over a compact
-    distance block of the vertices used.  Every (triangle, i0, i1, i2)
-    combination of side choices is one row, in plan order with the choices
-    in product order; degenerate triangles are skipped.  Rows are evaluated
+    One batched program: each ordered corner pair's side choices are listed
+    once, unranked in label-lexicographic order from one geodesic-DAG store
+    per batch of new pairs (``_geodesic_rows``, the order and cap of
+    ``enumerate_geodesics``), straight into the rows of a path matrix padded
+    by repeating the last vertex (a repeated vertex changes no minimum),
+    over a compact distance block of the vertices used.  Every (triangle,
+    i0, i1, i2) combination of side choices is one row, in plan order with
+    the choices in product order; degenerate triangles are skipped.  Rows are evaluated
     in chunks whose working tensors hold at most ``_MESH_CHUNK`` entries, so
     memory stays bounded however many rows there are; within a chunk, rows
     are grouped by their longest side and each group's tensors are only
@@ -861,34 +925,34 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
         raise ValueError(f"unknown mesh mode {mode!r}")
     n = ball.inner_count
     pair_id = np.full((n, n), -1, dtype=np.int64)
-    first, count, paths = [], [], []
+    first, count, blocks, lengths = [], [], [], []
+    rows_before = 0
     capped = False
     for tri in _mesh_triangles(plan, n):
         u, v = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         new = pair_id[u, v] < 0
-        codes = np.unique(u[new] * n + v[new]).tolist()
+        codes = np.unique(u[new] * n + v[new])
+        if not len(codes):
+            continue
+        x, y = codes // n, codes % n
+        rows, k, truncated = _geodesic_rows(ball, dist, x, y, plan.geodesic_cap)
+        capped = capped or bool(truncated.any())
+        size = np.repeat(dist.inner[x, y] + 1, k)
         if mode == "adversarial":
-            _adversarial_sides(ball, dist, [divmod(code, n) for code in codes])
-        for code in codes:
-            x, y = divmod(code, n)
-            found, truncated = enumerate_geodesics(ball, dist, x, y, cap=plan.geodesic_cap)
-            capped = capped or truncated
-            choices = [p.vertices for p in found]
-            if mode == "adversarial":
-                adv = dist._adversarial_cache[min(x, y), max(x, y)]
-                adv = adv if adv[0] == x else adv[::-1]
-                if adv not in choices:
-                    choices.append(adv)
-            pair_id[x, y] = len(first)
-            first.append(len(paths))
-            count.append(len(choices))
-            paths.extend(choices)
+            _adversarial_sides(ball, dist, list(zip(x.tolist(), y.tolist())))
+            rows, k, size = _with_adversarial(dist, x, y, rows, k, size)
+        pair_id[x, y] = len(first) + np.arange(len(codes))
+        first.extend((rows_before + np.cumsum(k) - k).tolist())
+        count.extend(k.tolist())
+        blocks.append(rows)
+        lengths.append(size)
+        rows_before += len(rows)
     best = _Extremum()
     best.offer(0, (0, 0, 0), None)
-    if paths:
-        lengths = np.array([len(p) for p in paths])
+    if blocks:
+        lengths = np.concatenate(lengths)
         width = int(lengths.max())
-        padded = np.array([p + p[-1:] * (width - len(p)) for p in paths], dtype=np.int64)
+        padded = np.concatenate([_pad_rows(b, width) for b in blocks])
         used = np.unique(padded)
         # flat indices into the |U|x|U| block; int32 halves the index tensors
         P = np.searchsorted(used, padded).astype(np.int32 if len(used) ** 2 < 2**31 else np.int64)
@@ -921,7 +985,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
                 best.offer(top, tuple(keys[w].tolist()), q[hit[w]].tolist())
     witness = {"corners": _words(ball, best.key[:3]), "mesh": int(best.value)}
     if best.data is not None:
-        sides = [paths[i] for i in best.data]
+        sides = [padded[i, : lengths[i]].tolist() for i in best.data]
         a, b, c = (np.searchsorted(used, s) for s in sides)
         T = np.maximum(D[np.ix_(a, b)][:, :, None], D[np.ix_(b, c)][None])
         T = np.maximum(T, D[np.ix_(a, c)][:, None, :])

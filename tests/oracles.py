@@ -6,7 +6,9 @@ strings, or lean on networkx, so a bug in the fast code cannot hide in the
 oracle that checks it.
 """
 
+import functools
 import itertools
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -117,6 +119,117 @@ def ball_bfs_oracle(spec, r_in, generators=None, budget=500_000):
             table.append(v)
     nbr = np.array(table, dtype=np.int32).reshape(len(elements), len(letters))
     return BallGraph(spec, letters, r_in, r_out, index, dist0, nbr)
+
+
+# ---------------------------------------------------------------------------
+# geodesics by a depth-first walk and avoidance by the per-pair scalar DP,
+# on plain breadth-first distances (no distance rows, intervals or DAGs)
+
+@functools.lru_cache(maxsize=4096)
+def bfs_distances(ball, source):
+    """Ball-graph distances from ``source`` to every vertex, by a
+    breadth-first search over the Cayley table (-1 where unreached)."""
+    nbr = ball.nbr.tolist()
+    out = [-1] * ball.n_vertices
+    out[source] = 0
+    queue = deque([source])
+    while queue:
+        w = queue.popleft()
+        for z in nbr[w]:
+            if z >= 0 and out[z] < 0:
+                out[z] = out[w] + 1
+                queue.append(z)
+    return tuple(out)
+
+
+def _interval_layers(ball, u, v):
+    """The interval of (u, v) in (distance from u, vertex) order, with each
+    vertex's neighbours one layer up and down inside it, in column order."""
+    du, dv = bfs_distances(ball, u), bfs_distances(ball, v)
+    duv = du[v]
+    inside = [w for w in range(ball.n_vertices) if du[w] >= 0 and du[w] + dv[w] == duv]
+    inside.sort(key=lambda w: (du[w], w))
+    members = set(inside)
+    nbr = ball.nbr.tolist()
+    succ = {w: [z for z in nbr[w] if z in members and du[z] == du[w] + 1] for w in inside}
+    pred = {w: [z for z in nbr[w] if z in members and du[z] == du[w] - 1] for w in inside}
+    return inside, succ, pred
+
+
+def geodesics_dfs_oracle(ball, u, v, cap=None):
+    """All geodesics from u to v in label-lexicographic order, by a
+    depth-first walk that takes successors in Cayley-table column order.
+
+    Returns ``(paths, truncated)`` as vertex tuples; with ``cap`` set, at
+    most ``cap`` paths, and ``truncated`` says whether more exist.
+    """
+    inside, succ, _ = _interval_layers(ball, u, v)
+    limit = None if cap is None else cap + 1
+    paths = []
+    stack = [[u]]
+    while stack:
+        trail = stack.pop()
+        if trail[-1] == v:
+            paths.append(tuple(trail))
+            if limit is not None and len(paths) >= limit:
+                break
+            continue
+        for z in reversed(succ[trail[-1]]):
+            stack.append(trail + [z])
+    if cap is not None and len(paths) > cap:
+        return paths[:cap], True
+    return paths, False
+
+
+def max_avoidance_oracle(ball, u, v, probes):
+    """max over geodesics from u to v of the least distance from the probe
+    to their vertices, for each probe: the scalar bottleneck DP over the
+    interval in layer order, ``f[w] = min(d(p, w), max f over w's
+    predecessors)``.  Distances are clipped at ``2 * r_in + 1``, as the
+    library's rows are."""
+    inside, _, pred = _interval_layers(ball, u, v)
+    clip = 2 * ball.r_in + 1
+    out = []
+    for p in probes:
+        dp = bfs_distances(ball, int(p))
+        f = {}
+        for w in inside:
+            best = max((f[z] for z in pred[w]), default=clip)
+            f[w] = min(min(dp[w], clip), best)
+        out.append(f[v])
+    return out
+
+
+def quasiconvexity_oracle(ball, subgroup_gens):
+    """Farthest a vertex of a shortest path between inner subgroup
+    elements gets from the subgroup's trace in the ball, and the smallest
+    ``(h, h2, p)`` attaining it: the closure of the identity under the
+    generators and their inverses (a networkx component), every
+    ``nx.all_shortest_paths`` path, and breadth-first distances."""
+    spec = ball.spec
+    letters = []
+    for word in subgroup_gens:
+        e = spec.parse_word(word)
+        letters += [e, spec.invert(e)]
+    moves = nx.Graph()
+    moves.add_nodes_from(range(ball.n_vertices))
+    for h, eh in enumerate(ball.elements):
+        for g in letters:
+            target = ball.index.get(spec.multiply(eh, g))
+            if target is not None:
+                moves.add_edge(h, target)
+    H = sorted(nx.node_connected_component(moves, 0))
+    G = nx_graph(ball)
+    nearest = {}
+    best = (0, (0, 0, 0))
+    for h, h2 in itertools.combinations_with_replacement([h for h in H if h < ball.inner_count], 2):
+        for p in sorted({p for path in nx.all_shortest_paths(G, h, h2) for p in path}):
+            if p not in nearest:
+                dp = nx.single_source_shortest_path_length(G, p)
+                nearest[p] = min(dp[x] for x in H)
+            if nearest[p] > best[0]:
+                best = (nearest[p], (h, h2, p))
+    return best
 
 
 # ---------------------------------------------------------------------------

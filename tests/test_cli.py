@@ -46,6 +46,7 @@ def test_bad_invariant_exit_code(capsys):
         ["--invariants", "chain:bottleneck:7"],
         ["--invariants", "four_point", "--budget", "0"],
         ["--invariants", "four_point", "--budget", "-5"],
+        ["--invariants", "polygon:2:interval"],
     ],
 )
 def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyball import enumerate_geodesics, interval, polygon_thinness
+from cayleyball import enumerate_geodesics, geodesics, interval, parse_group_spec, polygon_thinness
 from cayleyball.geodesics import (
     GeodesicPath,
     Polygon,
+    _geodesic_rows,
     geodesic_through,
     max_avoidance,
     max_avoidance_block,
     max_avoidance_many,
     most_avoiding_geodesic,
 )
-from oracles import count_geodesics_oracle
+from oracles import count_geodesics_oracle, geodesics_dfs_oracle, max_avoidance_oracle
 
 
 def test_interval_point(make_pair):
@@ -212,16 +213,17 @@ SMALL_CASES = [
 @given(data=st.data())
 def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
     # scalar, backtracked and block forms of the one DP against the literal
-    # max over every geodesic
+    # max over every geodesic, enumerated by the oracle's depth-first walk
     text, r_in = data.draw(st.sampled_from(SMALL_CASES))
     ball, dist = make_pair(text, r_in)
     u = data.draw(st.integers(0, ball.inner_count - 1))
     v = data.draw(st.integers(0, ball.inner_count - 1))
     probes = interval(dist, u, v).vertices
     p = data.draw(st.sampled_from(probes))
-    paths, truncated = enumerate_geodesics(ball, dist, u, v, cap=None)
+    paths, truncated = geodesics_dfs_oracle(ball, u, v)
     assert not truncated
-    literal = max(min(dist.d(p, w) for w in path.vertices) for path in paths)
+    literal = max(min(dist.d(p, w) for w in path) for path in paths)
+    assert max_avoidance_oracle(ball, u, v, [p]) == [literal]
     assert max_avoidance(ball, dist, u, v, p) == literal
 
     best = most_avoiding_geodesic(ball, dist, u, v, p)
@@ -230,16 +232,17 @@ def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
     assert min(dist.d(p, w) for w in best.vertices) == literal
 
     rows = np.stack([dist.row(q) for q in probes])
-    block = max_avoidance_block(ball, dist, u, v, rows)
-    assert block.tolist() == [max_avoidance(ball, dist, u, v, q) for q in probes]
+    block = max_avoidance_block(ball, dist, [u], [v], rows)
+    assert block.shape == (1, len(probes))
+    assert block[0].tolist() == max_avoidance_oracle(ball, u, v, probes)
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_max_avoidance_many_matches_scalar(make_pair, data):
-    # the batched DP against one scalar DP per query: random inner pairs,
-    # u == v among them, and probes anywhere in the 2R ball, on or off the
-    # interval, or beyond it; several queries share a pair or a probe
+    # the batched DP against the oracle's scalar DP per query: random inner
+    # pairs, u == v among them, and probes anywhere in the 2R ball, on or
+    # off the interval, or beyond it; several queries share a pair or a probe
     text, r_in = data.draw(st.sampled_from(SMALL_CASES))
     ball, dist = make_pair(text, r_in)
     inner = st.integers(0, ball.inner_count - 1)
@@ -250,7 +253,64 @@ def test_max_avoidance_many_matches_scalar(make_pair, data):
     us, vs, probes = zip(*queries)
     got = max_avoidance_many(ball, dist, us, vs, probes)
     assert got.dtype == np.int16
-    assert got.tolist() == [max_avoidance(ball, dist, u, v, p) for u, v, p in queries]
+    assert got.tolist() == [max_avoidance_oracle(ball, u, v, [p])[0] for u, v, p in queries]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_store_paths_match_dfs_oracle(make_pair, data):
+    # unranked geodesics, one pair at a time and batched as the mesh reads
+    # them, against the depth-first walk: same paths in the same order, the
+    # same cap and the same truncated flag, u == v included
+    text, r_in = data.draw(st.sampled_from(SMALL_CASES))
+    ball, dist = make_pair(text, r_in)
+    cap = data.draw(st.sampled_from([1, 2, None]))
+    inner = st.integers(0, ball.inner_count - 1)
+    pairs = data.draw(st.lists(st.tuples(inner, inner), min_size=1, max_size=12))
+    u = pairs[0][0]
+    pairs.append((u, u))
+    expected = [geodesics_dfs_oracle(ball, x, y, cap=cap) for x, y in pairs]
+    for (x, y), (paths, truncated) in zip(pairs, expected):
+        got, got_truncated = enumerate_geodesics(ball, dist, x, y, cap=cap)
+        assert [g.vertices for g in got] == paths and got_truncated == truncated
+    xs, ys = (np.array(c) for c in zip(*pairs))
+    rows, counts, truncated = _geodesic_rows(ball, dist, xs, ys, cap)
+    assert counts.tolist() == [len(paths) for paths, _ in expected]
+    assert truncated.tolist() == [t for _, t in expected]
+    assert rows.shape == (counts.sum(), max(len(paths[0]) for paths, _ in expected))
+    flat = [path for paths, _ in expected for path in paths]
+    for row, path in zip(rows.tolist(), flat):
+        assert row == list(path) + [path[-1]] * (len(row) - len(path))
+
+
+WP_CASES = [
+    ("S4", 1), ("S4", 2), ("(Z2 * Z3) x Z", 1), ("(Z2 * Z3) x Z", 2),
+    ("Z x Z", 2), ("Z2 * Z3", 2), ("F(a,b)", 1), ("Z6", 2),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_wp_block_matches_oracle(make_pair, data):
+    # the polygon scan's WP fill: every inner pair against every hull row,
+    # on standard or extended generating sets, in chunks of one pair or in
+    # one chunk, against the oracle's scalar DP
+    text, r_in = data.draw(st.sampled_from(WP_CASES))
+    names = list(parse_group_spec(text).generator_names)
+    gens = None
+    if len(names) >= 2 and data.draw(st.booleans()):
+        first, second = data.draw(st.permutations(names))[:2]
+        gens = names + [f"{first}.{second}"]
+    ball, dist = make_pair(text, r_in, generators=gens)
+    rows = dist.ensure_mid_rows()
+    hull = dist.hull().tolist()
+    us, vs = np.triu_indices(ball.inner_count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geodesics, "_AVOIDANCE_ENTRIES", data.draw(st.sampled_from([1, 1 << 16])))
+        block = max_avoidance_block(ball, dist, us, vs, rows)
+    assert block.dtype == np.int16 and block.shape == (len(us), len(hull))
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        assert block[k].tolist() == max_avoidance_oracle(ball, u, v, hull)
 
 
 def test_max_avoidance_many_edge_cases(make_pair):

@@ -40,7 +40,14 @@ from cayleyball.invariants import (
     masked_path,
     polygon_tuple_value,
 )
-from oracles import detour_pair_oracle, grid_bigon_oracle, grid_sync_oracle, mesh_bruteforce, nx_graph
+from oracles import (
+    detour_pair_oracle,
+    grid_bigon_oracle,
+    grid_sync_oracle,
+    mesh_bruteforce,
+    nx_graph,
+    quasiconvexity_oracle,
+)
 
 EXHAUSTIVE = SamplingPlan.exhaustive()
 UNCAPPED = SamplingPlan(mode="exhaustive", geodesic_cap=None)
@@ -412,15 +419,6 @@ def test_polygon_sampled_below_exhaustive(make_pair):
     assert sampled.bound == "lower"
 
 
-def test_polygon_interval_mode_is_lower_bound(make_pair):
-    ball, dist = make_pair("Z x Z", 2)
-    plan = SamplingPlan.random(100, 5)
-    lo = polygon_delta(ball, dist, 2, plan, method="interval")
-    hi = polygon_delta(ball, dist, 2, plan, method="tuples")
-    assert lo.value_doubled <= hi.value_doubled
-    assert lo.bound == "lower"
-
-
 def test_polygon_too_many_corners(make_pair):
     ball, dist = make_pair("Z2", 1)
     with pytest.raises(ValueError):
@@ -780,6 +778,30 @@ def test_quasiconvexity_witness_reevaluates(make_pair):
     p = ball.index_of_word(res.witness["geodesic_point"])
     nearest = ball.index_of_word(res.witness["nearest_subgroup_element"])
     assert dist.d(p, nearest) == res.value_doubled // 2
+
+
+QC_CASES = [
+    (text, r_in)
+    for text in ("F(a,b)", "Z x Z", "Z2 * Z3", "S4", "(Z2 * Z3) x Z")
+    for r_in in (1, 2)
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_quasiconvexity_matches_networkx_oracle(make_pair, data):
+    # random subgroups of random small balls: one or two generator words of
+    # one to three letters, against closure, all shortest paths and BFS
+    text, r_in = data.draw(st.sampled_from(QC_CASES))
+    ball, dist = make_pair(text, r_in)
+    letter = st.sampled_from([ball.label(i) for i in range(len(ball.letters))])
+    words = data.draw(st.lists(st.lists(letter, min_size=1, max_size=3), min_size=1, max_size=2))
+    gens = [".".join(w) for w in words]
+    res = subgroup_quasiconvexity(ball, dist, gens)
+    value, witness = quasiconvexity_oracle(ball, gens)
+    assert res.value_doubled == 2 * value
+    keys = ("h", "h2", "geodesic_point")
+    assert [res.witness[key] for key in keys] == [ball.word(w) for w in witness]
 
 
 def test_quasiconvexity_rejects_escaping_generator(make_pair):
