@@ -49,6 +49,9 @@ from .groups import ElementCodes, GeneratorLetter, GroupSpec, WordError
 
 # Byte budget of the float64 block one Dijkstra search returns.
 _DIJKSTRA_BYTES = 16 << 20
+# Distances are int16, and the Gromov kernels add two inner distances of at
+# most 2 * r_in each: 4 * r_in must stay at most 32767.
+_MAX_R_IN = 8191
 
 
 class BudgetExceededError(RuntimeError):
@@ -266,6 +269,8 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
     """
     if r_in < 1:
         raise ValueError("r_in must be at least 1")
+    if r_in > _MAX_R_IN:
+        raise ValueError(f"r_in must be at most {_MAX_R_IN}, so that 4 * r_in fits int16")
     letters = resolve_letters(spec, generators)
     r_out = 3 * r_in
     elements = [l.element for l in letters]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -91,26 +92,15 @@ def _parse_invariant(text, config):
 
     if name == "four_point" and not args:
         return text, lambda ball, dist, plan: [four_point_delta(dist, plan)]
-    if name == "chain" and len(args) <= 2:
-        method = args[0] if args else "bottleneck"
-        if method not in ("bottleneck", "bruteforce"):
-            raise ValueError(f"unknown chain method {method!r}")
-        if len(args) > 1 and method != "bruteforce":
-            raise ValueError("only the bruteforce chain method takes a length bound")
-        maxlen = int(args[1]) if len(args) > 1 else 4
-        if maxlen < 1:
-            raise ValueError("chain length bound must be at least 1")
-        return text, lambda ball, dist, plan: [chain_defect(dist, method=method, maxlen=maxlen)]
+    if name == "chain" and not args:
+        return text, lambda ball, dist, plan: [chain_defect(dist)]
     if name == "rips" and not args:
         return text, lambda ball, dist, plan: [rips_delta(ball, dist, plan)]
-    if name == "polygon" and 1 <= len(args) <= 2:
+    if name == "polygon" and len(args) == 1:
         n = int(args[0])
         if n < 1:
             raise ValueError("polygon size parameter must be at least 1")
-        method = args[1] if len(args) > 1 else "auto"
-        if method not in ("auto", "scan", "tuples"):
-            raise ValueError(f"unknown polygon method {method!r}")
-        return text, lambda ball, dist, plan: [polygon_delta(ball, dist, n, plan, method=method)]
+        return text, lambda ball, dist, plan: [polygon_delta(ball, dist, n, plan)]
     if name == "bigons" and not args:
         return text, lambda ball, dist, plan: list(bigon_constants(ball, dist, plan))
     if name == "detour" and not args:
@@ -206,8 +196,11 @@ def emit_report(report: Report, fmt: str = "table") -> str:
 
 def _write_output(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -221,6 +214,8 @@ def _parse_radii(args):
         lo, _, hi = args.radii.partition("..")
         if not hi:
             raise ValueError("--radii wants a range like 2..5")
+        if int(hi) < int(lo):
+            raise ValueError(f"--radii range {args.radii} is empty")
         return list(range(int(lo), int(hi) + 1))
     raise ValueError("one of --radius or --radii is required")
 
@@ -341,6 +336,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"the directory of --out {args.out!r} does not exist")
         return args.func(args)
     except (SpecParseError, WordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -195,7 +195,10 @@ def doubled_gromov_product(dist: DistanceMatrix, x, y, p) -> int:
 
 
 def _gromov_matrix(dist, p):
-    D = dist.inner.astype(np.int32)
+    """Doubled Gromov products at basepoint p over inner pairs, as int16:
+    no sum ``d(p, x) + d(p, y)`` exceeds ``4 * r_in``, which ``build_ball``'s
+    radius bound keeps inside int16."""
+    D = dist.inner
     dp = D[p]
     return dp[:, None] + dp[None, :] - D
 
@@ -206,20 +209,34 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
         max over (x0, x1, x2, p) of  min{(x0|x1)_p, (x1|x2)_p} - (x0|x2)_p
 
     floored at zero, in doubled units.
+
+    Exhaustively this is the chain condition's 2-chain case: at basepoint p
+    the max over x1 is the max-min square of the Gromov matrix G, so p's
+    value is ``(_maxmin(G, G) - G).max()``.  The witness, the
+    lexicographically first (p, x1, x0, x2) attaining the maximum, is
+    rebuilt for the first winning basepoint only.
     """
     ball = dist.ball
     n = ball.inner_count
-    best = _Extremum()
     if plan.mode == "exhaustive":
+        values = []
         for p in range(n):
             G = _gromov_matrix(dist, p)
-            # T[x1, x0, x2] = min{(x0|x1)_p, (x1|x2)_p} - (x0|x2)_p
-            T = np.minimum(G[:, :, None], G[:, None, :]) - G
-            x1, x0, x2 = np.unravel_index(int(T.argmax()), T.shape)
-            best.offer(int(T[x1, x0, x2]), (p, int(x1), int(x0), int(x2)))
+            values.append(int((_maxmin(G, G) - G).max()))
+        value = max(values)
+        p = values.index(value)
+        G = _gromov_matrix(dist, p)
+        # the pairs (x0, x2) attaining the value, in row-major order; x1 is the
+        # first vertex whose 2-chain reaches the value on one of them
+        x0, x2 = np.nonzero(_maxmin(G, G) - G == value)
+        for x1 in range(n):
+            hit = np.flatnonzero(np.minimum(G[x1, x0], G[x1, x2]) - G[x0, x2] == value)
+            if len(hit):
+                x0, x2 = int(x0[hit[0]]), int(x2[hit[0]])
+                break
     else:
         x0, x1, x2, p = np.array(plan.ordered_tuples(n, 4), dtype=np.int64).reshape(-1, 4).T
-        D = dist.inner.astype(np.int32)
+        D = dist.inner
         d0, d1, d2 = D[p, x0], D[p, x1], D[p, x2]
         # doubled Gromov products (x0|x1)_p, (x1|x2)_p and (x0|x2)_p
         g01 = d0 + d1 - D[x0, x1]
@@ -228,9 +245,8 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
         defect = np.minimum(g01, g12) - g02
         # the highest defect, then the smallest (p, x1, x0, x2)
         k = np.lexsort((x2, x0, x1, p, -defect))[0]
-        best.offer(int(defect[k]), (int(p[k]), int(x1[k]), int(x0[k]), int(x2[k])))
-    value = max(0, best.value or 0)
-    p, x1, x0, x2 = best.key if best.key is not None else (0, 0, 0, 0)
+        value = max(0, int(defect[k]))
+        p, x1, x0, x2 = (int(c[k]) for c in (p, x1, x0, x2))
     witness = {
         "x0": ball.word(x0),
         "x1": ball.word(x1),
@@ -282,69 +298,28 @@ def _bottleneck_chain(G, x, y, defect):
     return _maxmin_chain(powers, x, y)
 
 
-def _bruteforce_defect(G, maxlen):
-    """Literal enumeration of every chain with at most ``maxlen`` steps."""
-    n = G.shape[0]
-    best = _Extremum()
-    best.offer(0, (0, 0), (0, 0))
-    for x in range(n):
-        Gx = G[x]
-        for y in range(n):
-            direct = int(G[x, y])
-            Gy = G[:, y]
-            if maxlen >= 2:
-                vals = np.minimum(Gx, Gy)
-                z = int(vals.argmax())
-                best.offer(int(vals[z]) - direct, (x, y, z), (x, z, y))
-            for m in range(3, maxlen + 1):
-                for prefix in itertools.product(range(n), repeat=m - 2):
-                    pv = int(Gx[prefix[0]])
-                    for a, b in zip(prefix, prefix[1:]):
-                        pv = min(pv, int(G[a, b]))
-                    vals = np.minimum(pv, np.minimum(G[prefix[-1]], Gy))
-                    z = int(vals.argmax())
-                    best.offer(int(vals[z]) - direct, (x, y) + prefix + (z,), (x,) + prefix + (z, y))
-    return max(0, best.value), list(best.data)
-
-
-def chain_defect(dist: DistanceMatrix, basepoint=None, method="bottleneck", maxlen=4) -> InvariantResult:
+def chain_defect(dist: DistanceMatrix) -> InvariantResult:
     """Least defect making the chain inequality hold for chains of every
-    length through inner-ball vertices, at a fixed basepoint (or maximized
-    over all inner basepoints when ``basepoint`` is None).
+    length through inner-ball vertices, maximized over all inner basepoints.
 
-    ``bottleneck`` computes the supremum over all chain lengths exactly as
-    the max-min closure of the Gromov-product matrix; its witness is a
-    shortest chain attaining the defect, rebuilt for the winning basepoint
-    only.  ``bruteforce`` enumerates chains of at most ``maxlen`` steps as an
-    independent oracle (a lower bound).
+    The supremum over all chain lengths is exactly the max-min closure of
+    the Gromov-product matrix; the witness is a shortest chain attaining
+    the defect, rebuilt for the first winning basepoint only.
     """
-    if method not in ("bottleneck", "bruteforce"):
-        raise ValueError(f"unknown chain method {method!r}")
-    if maxlen < 1:
-        raise ValueError("chain length bound must be at least 1")
     ball = dist.ball
-    basepoints = range(ball.inner_count) if basepoint is None else [int(basepoint)]
     best = _Extremum()
-    for p in basepoints:
-        G = _gromov_matrix(dist, p)
-        if method == "bottleneck":
-            value, found = _bottleneck_defect(G)  # the pair (x, y)
-        else:
-            value, found = _bruteforce_defect(G, maxlen)  # the chain
-        best.offer(value, (p,), found)
-    p, chain = best.key[0], best.data
-    if method == "bottleneck":
-        chain = _bottleneck_chain(_gromov_matrix(dist, p), *chain, best.value)
+    for p in range(ball.inner_count):
+        value, pair = _bottleneck_defect(_gromov_matrix(dist, p))
+        best.offer(value, (p,), pair)
+    p = best.key[0]
+    chain = _bottleneck_chain(_gromov_matrix(dist, p), *best.data, best.value)
     witness = {
         "basepoint": ball.word(p),
         "chain": _words(ball, chain),
         "defect_doubled": int(best.value),
     }
-    extra = {"method": method, "basepoint_mode": "all_inner" if basepoint is None else "fixed"}
-    if method == "bruteforce":
-        extra["maxlen"] = maxlen
-    bound = "exact" if method == "bottleneck" else "lower"
-    return _result("chain_defect", ball, best.value, bound, SamplingPlan.exhaustive(), witness, extra)
+    extra = {"method": "bottleneck", "basepoint_mode": "all_inner"}
+    return _result("chain_defect", ball, best.value, "exact", SamplingPlan.exhaustive(), witness, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +476,27 @@ def _polygon_tuple_batch(ball, dist, corners):
     return int(vals[j]), tuple(corners[j].tolist()), int(probes[j])
 
 
-def polygon_delta(ball, dist, n, plan: SamplingPlan, method="auto") -> InvariantResult:
+def _polygon_tuples(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
+    """Worst thinness over the plan's corner tuples, each exact over all
+    geodesic choices, in batches of ``_POLYGON_TUPLES`` that each take one
+    pass over one geodesic-DAG store.  Under an exhaustive plan it covers
+    every corner tuple and agrees with the scan, its oracle in the tests."""
+    best = _Extremum()
+    best.offer(0, tuple([0] * (n + 1)), 0)
+    tuples = plan.ordered_tuples(ball.inner_count, n + 1)
+    for corners in _tuple_batches(tuples, n + 1, _POLYGON_TUPLES):
+        best.offer(*_polygon_tuple_batch(ball, dist, corners))
+    witness = _polygon_tuple_witness(ball, dist, list(best.key), best.data, best.value)
+    bound = "exact" if plan.mode == "exhaustive" else "lower"
+    return _result("polygon_delta", ball, 2 * best.value, bound, plan, witness, {"n": n, "method": "tuples"})
+
+
+def polygon_delta(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
     """Worst vertex-level thinness over geodesic (n+1)-gons.
 
-    ``method='scan'`` (the exhaustive default) covers every corner tuple and
-    every geodesic choice with max-min powers; ``'tuples'`` evaluates the
-    plan's corner tuples, each exactly over all geodesic choices, in batches
-    of ``_POLYGON_TUPLES`` that each take one pass over one geodesic-DAG
-    store.  Under an exhaustive plan ``'tuples'`` covers every corner tuple,
-    so it is exact and agrees with the scan, its oracle in the tests;
-    sampled, it is a lower bound.
+    An exhaustive plan runs the scan, which covers every corner tuple and
+    every geodesic choice with max-min powers; a sampled one evaluates its
+    corner tuples with ``_polygon_tuples`` and is a lower bound.
     """
     if n < 1:
         raise ValueError("polygon size parameter must be at least 1")
@@ -519,28 +505,12 @@ def polygon_delta(ball, dist, n, plan: SamplingPlan, method="auto") -> Invariant
             f"a {n + 1}-gon needs {n + 1} corners but the inner ball has only "
             f"{ball.inner_count} vertices"
         )
-    if method == "auto":
-        method = "scan" if plan.mode == "exhaustive" else "tuples"
-    if method == "scan":
-        if plan.mode != "exhaustive":
-            raise ValueError("the scan method is only meaningful for exhaustive plans")
-        scan = _polygon_scan(ball, dist)
-        scan.ensure(n)
-        ext = scan.results[n]
-        return _result(
-            "polygon_delta", ball, 2 * ext.value, "exact", plan, scan.witness(n), {"n": n, "method": method}
-        )
-
-    if method != "tuples":
-        raise ValueError(f"unknown polygon method {method!r}")
-    best = _Extremum()
-    best.offer(0, tuple([0] * (n + 1)), 0)
-    tuples = plan.ordered_tuples(ball.inner_count, n + 1)
-    for corners in _tuple_batches(tuples, n + 1, _POLYGON_TUPLES):
-        best.offer(*_polygon_tuple_batch(ball, dist, corners))
-    witness = _polygon_tuple_witness(ball, dist, list(best.key), best.data, best.value)
-    bound = "exact" if plan.mode == "exhaustive" else "lower"
-    return _result("polygon_delta", ball, 2 * best.value, bound, plan, witness, {"n": n, "method": method})
+    if plan.mode != "exhaustive":
+        return _polygon_tuples(ball, dist, n, plan)
+    scan = _polygon_scan(ball, dist)
+    scan.ensure(n)
+    ext = scan.results[n]
+    return _result("polygon_delta", ball, 2 * ext.value, "exact", plan, scan.witness(n), {"n": n, "method": "scan"})
 
 
 def rips_delta(ball, dist, plan: SamplingPlan) -> InvariantResult:

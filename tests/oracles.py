@@ -286,3 +286,49 @@ def mesh_bruteforce(ball):
             )
             best = max(best, mesh)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Gromov-product oracles: literal enumeration over a distance matrix
+
+def four_point_tensor(D):
+    """Exhaustive four-point defect of the distance matrix D and the
+    lexicographically first (p, x1, x0, x2) attaining it, from one
+    ``T[x1, x0, x2] = min{(x0|x1)_p, (x1|x2)_p} - (x0|x2)_p`` tensor per
+    basepoint p (doubled units)."""
+    D = np.asarray(D, dtype=np.int32)
+    best = None
+    for p in range(len(D)):
+        G = D[p][:, None] + D[p][None, :] - D
+        T = np.minimum(G[:, :, None], G[:, None, :]) - G
+        x1, x0, x2 = np.unravel_index(int(T.argmax()), T.shape)
+        # the highest defect wins, then the smallest key
+        cand = (-int(T[x1, x0, x2]), (p, int(x1), int(x0), int(x2)))
+        best = cand if best is None else min(best, cand)
+    return -best[0], best[1]
+
+
+def chain_bruteforce(G, maxlen):
+    """Chain defect of the Gromov matrix G by literal enumeration of every
+    chain with at most ``maxlen`` steps (a lower bound for longer chains):
+    the highest defect, floored at 0, and a chain attaining it."""
+    n = G.shape[0]
+    best = (0, (0, 0), (0, 0))  # (-defect, key, chain): the smallest wins
+    for x in range(n):
+        Gx = G[x]
+        for y in range(n):
+            direct = int(G[x, y])
+            Gy = G[:, y]
+            if maxlen >= 2:
+                vals = np.minimum(Gx, Gy)
+                z = int(vals.argmax())
+                best = min(best, (direct - int(vals[z]), (x, y, z), (x, z, y)))
+            for m in range(3, maxlen + 1):
+                for prefix in itertools.product(range(n), repeat=m - 2):
+                    pv = int(Gx[prefix[0]])
+                    for a, b in zip(prefix, prefix[1:]):
+                        pv = min(pv, int(G[a, b]))
+                    vals = np.minimum(pv, np.minimum(G[prefix[-1]], Gy))
+                    z = int(vals.argmax())
+                    best = min(best, (direct - int(vals[z]), (x, y) + prefix + (z,), (x,) + prefix + (z, y)))
+    return -best[0], list(best[2])

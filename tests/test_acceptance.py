@@ -20,8 +20,8 @@ from cayleyball import (
     subgroup_quasiconvexity,
 )
 from cayleyball.cli import AnalysisConfig, emit_report, run_analysis
-from cayleyball.invariants import SamplingPlan, detour_for_pair
-from oracles import detour_pair_oracle, grid_bigon_oracle
+from cayleyball.invariants import SamplingPlan, _bottleneck_defect, _gromov_matrix, detour_for_pair
+from oracles import chain_bruteforce, detour_pair_oracle, grid_bigon_oracle
 
 EXHAUSTIVE = SamplingPlan.exhaustive()
 UNCAPPED = SamplingPlan(mode="exhaustive", geodesic_cap=None)
@@ -66,8 +66,9 @@ def test_criterion_2_bottleneck_oracle(make_pair):
     for text, r_in in cases:
         ball, dist = make_pair(text, r_in)
         for p in range(ball.inner_count):
-            fast = chain_defect(dist, basepoint=p).value_doubled
-            slow = chain_defect(dist, basepoint=p, method="bruteforce", maxlen=4).value_doubled
+            G = _gromov_matrix(dist, p)
+            fast = _bottleneck_defect(G)[0]
+            slow = chain_bruteforce(G, maxlen=4)[0]
             if fast != slow:
                 mismatches.append((text, r_in, p, fast, slow))
     _criterion(

@@ -148,6 +148,16 @@ def test_duplicate_and_identity_generators():
         resolve_letters(spec, ["t1.t1^-1"])
 
 
+def test_radius_beyond_int16_rejected_before_enumeration(monkeypatch):
+    # 4 * r_in must fit int16: R8192 is refused before any sphere is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ball_module, "ElementCodes", unreachable)
+    with pytest.raises(ValueError, match="8191"):
+        build_ball(parse_group_spec("Z"), 8192)
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError) as err:
         build_ball(parse_group_spec("F(a,b)"), 3, budget=100)

@@ -47,6 +47,13 @@ def test_bad_invariant_exit_code(capsys):
         ["--invariants", "four_point", "--budget", "0"],
         ["--invariants", "four_point", "--budget", "-5"],
         ["--invariants", "polygon:2:interval"],
+        ["--invariants", "polygon:2:scan"],
+        ["--invariants", "polygon:2:tuples"],
+        ["--invariants", "chain:bottleneck"],
+        ["--invariants", "chain:bruteforce"],
+        ["--invariants", "chain:bruteforce:3"],
+        ["--invariants", "four_point", "--radii", "3..2"],
+        ["--invariants", "four_point", "--out", "missing-directory/report.json"],
     ],
 )
 def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
@@ -54,8 +61,29 @@ def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
         raise AssertionError("build_ball called")
 
     monkeypatch.setattr(cli, "build_ball", unreachable)
-    assert cli.main(["analyze", "--group", "F(a,b)", "--radius", "3"] + extra) == 2
+    radius = [] if "--radii" in extra else ["--radius", "3"]
+    assert cli.main(["analyze", "--group", "F(a,b)"] + radius + extra) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_empty_radii_range_is_named(capsys):
+    assert cli.main(["analyze", "--group", "Z", "--radii", "3..2", "--invariants", "four_point"]) == 2
+    assert "error: --radii range 3..2 is empty" in capsys.readouterr().err
+
+
+def test_out_under_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    rc = cli.main(["analyze", "--group", "Z", "--radius", "1", "--invariants", "four_point", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # the directory exists, but the path names a directory: the write fails after the analysis
+    rc = cli.main(["analyze", "--group", "Z", "--radius", "1", "--invariants", "four_point", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 def test_budget_exit_code(capsys):

@@ -34,14 +34,16 @@ from cayleyball.invariants import (
     SamplingPlan,
     _bottleneck_chain,
     _bottleneck_defect,
-    _bruteforce_defect,
     _gromov_matrix,
+    _polygon_tuples,
     detour_for_pair,
     masked_path,
     polygon_tuple_value,
 )
 from oracles import (
+    chain_bruteforce,
     detour_pair_oracle,
+    four_point_tensor,
     grid_bigon_oracle,
     grid_sync_oracle,
     mesh_bruteforce,
@@ -153,13 +155,36 @@ def test_four_point_witness_reevaluates(make_pair):
     assert (p, x1, x0, x2) == min(key for key, value in values.items() if value == best)
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_four_point_matches_tensor_oracle(make_pair, data):
+    # two-atom specs, standard generators at R1 or R2 or one to three extra
+    # generator words at R1: the max-min square against one tensor per basepoint
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    words, r_in = None, data.draw(st.sampled_from([1, 2]))
+    if data.draw(st.booleans()):
+        spec = parse_group_spec(text)
+        token = st.sampled_from([f"{n}{e}" for n in spec.generator_names for e in ("", "^-1")])
+        words = list(spec.generator_names) + data.draw(
+            st.lists(st.lists(token, min_size=1, max_size=2).map(".".join), min_size=1, max_size=3)
+        )
+        words = [w for w in words if spec.parse_word(w) != spec.identity()]
+        r_in = 1
+    ball, dist = make_pair(text, r_in, generators=words)
+    res = four_point_delta(dist, EXHAUSTIVE)
+    value, key = four_point_tensor(dist.inner)
+    assert res.value_doubled == value and res.bound == "exact"
+    assert [res.witness[k] for k in ("basepoint", "x1", "x0", "x2")] == [ball.word(c) for c in key]
+
+
 # ---------------------------------------------------------------------------
 # chain defect
 
 def test_chain_tree_zero(make_pair):
-    _, dist = make_pair("F(a,b)", 2)
+    ball, dist = make_pair("F(a,b)", 2)
     assert chain_defect(dist).value_doubled == 0
-    assert chain_defect(dist, method="bruteforce", maxlen=4).value_doubled == 0
+    assert all(chain_bruteforce(_gromov_matrix(dist, p), maxlen=4)[0] == 0 for p in range(ball.inner_count))
 
 
 def test_chain_two_vertex_ball(make_pair):
@@ -173,9 +198,8 @@ def test_chain_two_vertex_ball(make_pair):
 def test_bottleneck_equals_bruteforce(make_pair, text, r_in):
     ball, dist = make_pair(text, r_in)
     for p in range(ball.inner_count):
-        fast = chain_defect(dist, basepoint=p)
-        slow = chain_defect(dist, basepoint=p, method="bruteforce", maxlen=4)
-        assert fast.value_doubled == slow.value_doubled
+        G = _gromov_matrix(dist, p)
+        assert _bottleneck_defect(G)[0] == chain_bruteforce(G, maxlen=4)[0]
 
 
 def test_chain_dominates_four_point(make_pair):
@@ -183,8 +207,8 @@ def test_chain_dominates_four_point(make_pair):
     # defect is at least the four-point defect
     ball, dist = make_pair("Z x Z", 2)
     for p in range(ball.inner_count):
-        chain = chain_defect(dist, basepoint=p).value_doubled
         G = _gromov_matrix(dist, p)
+        chain = _bottleneck_defect(G)[0]
         n = ball.inner_count
         four = max(
             min(G[x0, x1], G[x1, x2]) - G[x0, x2]
@@ -226,7 +250,7 @@ def test_bottleneck_defect_matches_all_simple_chains(data):
     G = D[p][:, None] + D[p][None, :] - D
 
     value, (x, y) = _bottleneck_defect(G)
-    assert value == _bruteforce_defect(G, maxlen=n - 1)[0]
+    assert value == chain_bruteforce(G, maxlen=n - 1)[0]
     chain = _bottleneck_chain(G, x, y, value)
     assert (chain[0], chain[-1]) == (x, y)
     assert min(int(G[u, v]) for u, v in zip(chain, chain[1:])) - int(G[x, y]) == value
@@ -316,8 +340,9 @@ EXHAUSTIVE_TUPLE_CASES = [
 @pytest.mark.parametrize("text,r_in,n", EXHAUSTIVE_TUPLE_CASES)
 def test_exhaustive_tuples_match_scan(make_pair, text, r_in, n):
     ball, dist = make_pair(text, r_in)
-    scan = polygon_delta(ball, dist, n, EXHAUSTIVE, method="scan")
-    tuples = polygon_delta(ball, dist, n, EXHAUSTIVE, method="tuples")
+    scan = polygon_delta(ball, dist, n, EXHAUSTIVE)
+    tuples = _polygon_tuples(ball, dist, n, EXHAUSTIVE)
+    assert (scan.extra["method"], tuples.extra["method"]) == ("scan", "tuples")
     assert tuples.bound == scan.bound == "exact"
     assert tuples.value_doubled == scan.value_doubled
     # the witness is the first worst tuple in lexicographic order
