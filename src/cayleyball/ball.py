@@ -416,9 +416,7 @@ class DistanceMatrix:
         self._hull_block: np.ndarray | None = None
         self._hull_pos: dict[int, int] = {}  # non-inner hull vertex -> block row
         self._interval_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        # filled lazily by invariants: the polygon scan and mesh's adversarial sides
-        self._adversarial_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._pscan = None
+        self._pscan = None  # the polygon scan, filled lazily by invariants
         inner_rows = self._clipped_rows(list(range(ball.inner_count)))
         self.inner = inner_rows[:, : ball.inner_count].copy()
         self._inner_rows = inner_rows
@@ -551,14 +549,17 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     endpoint outside the ball, a repeated edge line, two edges with one label
     out of one vertex, an edge without its reverse, a disconnected graph,
     vertex lines out of breadth-first order (a vertex closer to vertex 0
-    than the one before it), or (with ``spec``) two vertex words naming one
-    element.
+    than the one before it), a ``radius_in`` outside ``1.._MAX_R_IN``, a
+    vertex farther than ``radius_out`` from vertex 0, or (with ``spec``) two
+    vertex words naming one element.
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
     if len(header) != 6 or header[0] != "vertices" or header[2] != "radius_in" or header[4] != "radius_out":
         raise ValueError(f"bad ball header: {lines[0]!r}")
     n, r_in, r_out = int(header[1]), int(header[3]), int(header[5])
+    if not 1 <= r_in <= _MAX_R_IN:
+        raise ValueError(f"radius_in must lie in 1..{_MAX_R_IN}, got {r_in}")
 
     words = []
     for line in lines[1 : 1 + n]:
@@ -600,6 +601,8 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     if drop.size:
         v = int(drop[0])
         raise ValueError(f"vertex lines not in breadth-first order: vertex {v + 1} is closer to vertex 0 than vertex {v}")
+    if dist0[-1] > r_out:
+        raise ValueError(f"vertex {n - 1} is {int(dist0[-1])} from vertex 0, beyond radius_out {r_out}")
 
     letters = [
         GeneratorLetter(label=label, word=label, inverted=False,

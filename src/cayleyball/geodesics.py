@@ -7,9 +7,10 @@ interval is grown from its first end one layer at a time through the Cayley
 table, and its edges keep the table's column (edge-label) order.  Everything
 that walks geodesics reads that store:
 
-* the max-min avoidance recurrence, one layer at a time, with one probe per
-  query (``max_avoidance_many``) or every row of a probe block per pair
-  (``max_avoidance_block``, the polygon scan's ``WP``);
+* the max-min avoidance recurrence, one layer at a time, driven in chunks
+  by ``_avoidance_units`` with a row of probes per DP unit as its vector
+  axis (the polygon scan's ``WP`` in ``max_avoidance_block``, the sampled
+  polygon and the bigons);
 * path counts per entry, from which geodesics are unranked in
   label-lexicographic order (``enumerate_geodesics`` and the mesh's side
   choices), so the k-th geodesic of a pair is the same no matter which ball
@@ -202,13 +203,12 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
 # ---------------------------------------------------------------------------
 # max-min avoidance on the store
 
-# DP values of one chunk of the avoidance recurrence: (query, interval
-# vertex) entries for max_avoidance_many, (pair, interval vertex, probe)
-# triples for max_avoidance_block.  On a 2-vCPU VM, 2^14 to 2^18 ran the
-# sampled polygon:3 of Z2 * Z3 R9, Z x Z R4 and F(a,b) R3 within noise of
-# each other, and its allocation peak on Z2 * Z3 R9 read 3.2, 4.7 and 7.6
-# MiB at 2^14, 2^16 and 2^18.  The WP fill of Z2 * Z3 R10 (23,871 pairs,
-# 218 probes) took 1.47, 0.49, 0.38 and 0.31 s at 2^14, 2^16, 2^18 and 2^20.
+# DP values of one chunk of ``_avoidance_units``: the store entries of the
+# chunk's units times the width of the probe axis.  On a 2-vCPU VM the WP
+# fill of Z2 * Z3 R10 (23,871 pairs, 218 probes) took 1.47, 0.49, 0.38 and
+# 0.31 s at 2^14, 2^16, 2^18 and 2^20; the sampled polygon:3 of Z2 * Z3 R9
+# (5000 tuples) took 0.25, 0.21 and 0.21 s at 2^14, 2^16 and 2^18, with
+# allocation peaks of 2.1, 2.1 and 3.2 MiB.
 _AVOIDANCE_ENTRIES = 1 << 16
 
 
@@ -252,63 +252,47 @@ def _segments(starts, sizes):
     return np.arange(int(np.sum(sizes))) + np.repeat(starts - offsets, sizes)
 
 
-def _store_avoidance(dist, dags, pair_of, probes) -> np.ndarray:
-    """Max avoidance of every query ``(pair_of[i], probes[i])`` on a store.
+def _first_padded(starts, sizes):
+    """The index ranges ``starts[i]:starts[i] + sizes[i]`` as the rows of
+    one matrix, each padded to the longest by repeating its first index."""
+    col = np.arange(int(sizes.max(initial=1)))
+    return starts[:, None] + np.where(col < sizes[:, None], col, 0)
 
-    Queries are sorted by probe and cut into chunks of at most
-    ``_AVOIDANCE_ENTRIES`` DP entries, one per (query, interval vertex), and
-    at least one query per chunk; a chunk is one ``_maxmin_layers`` call.
-    Probe rows are cut after the store's largest vertex index.
+
+def _avoidance_units(dags, pair_of, width, values) -> np.ndarray:
+    """Max avoidance of every DP unit against its own row of ``width``
+    probes, as a ``(units, width)`` int16 array.
+
+    Unit i runs the recurrence of ``_maxmin_layers`` over the store entries
+    of pair ``pair_of[i]``; ``values(entry, owner)`` returns the
+    ``(len(entry), width)`` probe values of the given store entries, entry
+    j belonging to unit ``owner[j]``.  Units are cut into consecutive chunks
+    of at most ``_AVOIDANCE_ENTRIES`` DP values (entries times ``width``)
+    and at least one unit, one ``_maxmin_layers`` pass each.  A caller with
+    ragged probe rows pads them by repeating a unit's first probe, which
+    changes neither the maximum nor the smallest probe attaining it.
     """
-    out = np.empty(len(probes), dtype=np.int16)
-    if not len(probes):
-        return out
+    out = np.empty((len(pair_of), width), dtype=np.int16)
     dags = _packed(dags)
-    ptr = dags.ptr
-    cols = int(dags.verts.max()) + 1
-    sizes = np.diff(ptr)
-    qorder = np.argsort(probes, kind="stable")
-    ends = np.cumsum(sizes[pair_of[qorder]])
+    sizes = np.diff(dags.ptr)[pair_of]
+    ends = np.cumsum(sizes)
+    step = max(1, _AVOIDANCE_ENTRIES // max(1, width))
     lo = 0
-    while lo < len(qorder):
+    while lo < len(pair_of):
         start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _AVOIDANCE_ENTRIES, side="right")))
-        q = qorder[lo:hi]
-        kq = pair_of[q]
-        sz = sizes[kq]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + step, side="right")))
+        sz = sizes[lo:hi]
         base = np.cumsum(sz) - sz
-        entry = _segments(ptr[kq], sz)
-        pu, pinv = np.unique(probes[q], return_inverse=True)
-        rows = np.stack([dist.row(p)[:cols] for p in pu.tolist()])
-        f = _maxmin_layers(dags, entry, base, sz, rows[np.repeat(pinv, sz), dags.verts[entry]])
-        out[q] = f[base + sz - 1]
+        entry = _segments(dags.ptr[pair_of[lo:hi]], sz)
+        f = _maxmin_layers(dags, entry, base, sz, values(entry, np.repeat(np.arange(lo, hi), sz)))
+        out[lo:hi] = f[base + sz - 1]
         lo = hi
     return out
 
 
 def _check_inner(ball, us, vs):
     if len(us) and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= ball.inner_count):
-        raise ValueError("the batched avoidance forms need inner endpoints")
-
-
-def max_avoidance_many(ball, dist, us, vs, probes) -> np.ndarray:
-    """:func:`max_avoidance` of every query ``(us[i], vs[i], probes[i])``,
-    as an int16 array aligned with the inputs.
-
-    Both endpoints of every query must be inner vertices (ValueError
-    otherwise).  A probe may be any vertex; its row comes from ``dist.row``.
-    Each distinct unordered pair gets one store entry, oriented from its
-    smaller end, since a geodesic and its reverse have the same image; the
-    value axis is the query's one probe.
-    """
-    us, vs, probes = (np.asarray(x, dtype=np.int64) for x in (us, vs, probes))
-    if not (us.ndim == 1 and us.shape == vs.shape == probes.shape):
-        raise ValueError("us, vs and probes must be one-dimensional and of equal length")
-    _check_inner(ball, us, vs)
-    ni = ball.inner_count
-    pairs, pair_of = np.unique(np.minimum(us, vs) * ni + np.maximum(us, vs), return_inverse=True)
-    dags = _interval_dags(ball, dist, pairs // ni, pairs % ni)
-    return _store_avoidance(dist, dags, pair_of, probes)
+        raise ValueError("max_avoidance_block needs inner endpoints")
 
 
 def max_avoidance_block(ball, dist, us, vs, rows_block) -> np.ndarray:
@@ -317,32 +301,21 @@ def max_avoidance_block(ball, dist, us, vs, rows_block) -> np.ndarray:
     entry ``[k, j]`` is the max over geodesics from us[k] to vs[k] of the
     least ``rows_block[j, w]`` over their vertices.
 
-    This is the polygon scan's ``WP`` fill.  The probes are the vector axis
-    of one ``_maxmin_layers`` pass per chunk, over the store entries of
-    consecutive pairs; a chunk holds at most ``_AVOIDANCE_ENTRIES`` DP values
-    (entries times probes) and at least one pair.  Interval vertices of inner
-    pairs lie below ``mid_count``, so only those columns of the block are
-    read, once, transposed so that an entry's probe values are one row.
+    This is the polygon scan's ``WP`` fill: one ``_avoidance_units`` unit
+    per pair, every unit sharing the probes as its vector axis.  Interval
+    vertices of inner pairs lie below ``mid_count``, so only those columns
+    of the block are read, once, transposed so that an entry's probe values
+    are one row.
     """
     us, vs = (np.asarray(x, dtype=np.int64) for x in (us, vs))
     if not (us.ndim == 1 and us.shape == vs.shape):
         raise ValueError("us and vs must be one-dimensional and of equal length")
     _check_inner(ball, us, vs)
-    out = np.empty((len(us), len(rows_block)), dtype=np.int16)
-    if not len(us):
-        return out
-    dags = _packed(_interval_dags(ball, dist, us, vs))
+    dags = _interval_dags(ball, dist, us, vs)
     by_vertex = np.ascontiguousarray(rows_block[:, : ball.mid_count].T)
-    ptr, sizes = dags.ptr, np.diff(dags.ptr)
-    step = max(1, _AVOIDANCE_ENTRIES // max(1, len(rows_block)))
-    lo = 0
-    while lo < len(us):
-        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + step, side="right")) - 1)
-        entry = np.arange(ptr[lo], ptr[hi])
-        f = _maxmin_layers(dags, entry, ptr[lo:hi] - ptr[lo], sizes[lo:hi], by_vertex[dags.verts[entry]])
-        out[lo:hi] = f[ptr[lo + 1 : hi + 1] - ptr[lo] - 1]
-        lo = hi
-    return out
+    return _avoidance_units(
+        dags, np.arange(len(us)), len(rows_block), lambda entry, _: by_vertex[dags.verts[entry]]
+    )
 
 
 def _first(links):

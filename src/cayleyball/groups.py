@@ -591,14 +591,6 @@ class GroupSpec:
             return "1"
         return ".".join(name if exp == 1 else f"{name}^{exp}" for name, exp in merged)
 
-    def standard_letters(self):
-        """The declared generators as GeneratorLetter objects (not yet closed
-        under inversion; see cayleyball.ball.resolve_letters)."""
-        return [
-            GeneratorLetter(label=self.format_element(e), word=name, inverted=False, element=e)
-            for name, e in self.generators
-        ]
-
 
 # ---------------------------------------------------------------------------
 # parser

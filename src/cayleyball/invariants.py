@@ -29,12 +29,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .ball import DistanceMatrix
 from .geodesics import (
+    _avoidance_units,
+    _first_padded,
     _geodesic_rows,
     _interval_dags,
-    _maxmin_layers,
-    _packed,
     _segments,
-    _store_avoidance,
     enumerate_geodesics,  # noqa: F401 - not called here; the geodesics.enumerate probe binds it
     geodesic_through,
     interval,
@@ -453,9 +452,10 @@ def _polygon_tuple_batch(ball, dist, corners):
     A tuple's probes are the interval of its last side (c_n, c_0), and its
     value is the max over probes of the min over its other sides of the
     maximal avoidance.  Every side of the batch, the last ones included,
-    gets one entry of one store, oriented from its smaller end; the last
-    sides' entries are the probes, and one ``_store_avoidance`` pass
-    answers every (probe, side) query.
+    gets one entry of one store, oriented from its smaller end.  Each
+    (tuple, other side) is one unit of one ``_avoidance_units`` pass, with
+    the tuple's probes as its vector axis, read from the rows of the
+    batch's distinct probes cut after the store's largest vertex.
     """
     t, n = len(corners), corners.shape[1] - 1
     ni = ball.inner_count
@@ -464,16 +464,23 @@ def _polygon_tuple_batch(ball, dist, corners):
     pid = pid.reshape(t, n + 1)
     dags = _interval_dags(ball, dist, pairs // ni, pairs % ni)
     sizes = np.diff(dags.ptr)[pid[:, -1]]
-    k = np.repeat(np.arange(t), sizes)
-    probes = dags.verts[_segments(dags.ptr[pid[:, -1]], sizes)]
-    avoid = _store_avoidance(dist, dags, pid[k, :-1].ravel(), np.repeat(probes, n))
-    vals = avoid.reshape(-1, n).min(axis=1)
-    # per tuple, highest value first and then smallest probe; tuples keep their blocks
-    best = np.lexsort((probes, -vals, k))[np.cumsum(sizes) - sizes]
-    vals, probes = vals[best], probes[best]
-    hit = np.flatnonzero(vals == vals.max())
+    probes = dags.verts[_first_padded(dags.ptr[pid[:, -1]], sizes)]
+    used, local = np.unique(probes, return_inverse=True)
+    local = local.reshape(probes.shape)
+    cols = int(dags.verts.max()) + 1
+    rows = np.stack([dist.row(p)[:cols] for p in used.tolist()])
+
+    def values(entry, owner):
+        return rows[local[owner // n], dags.verts[entry][:, None]]
+
+    avoid = _avoidance_units(dags, pid[:, :-1].ravel(), probes.shape[1], values)
+    vals = avoid.reshape(t, n, -1).min(axis=1)
+    # per tuple, highest value first and then smallest probe
+    top = vals.max(axis=1)
+    probe = np.where(vals == top[:, None], probes, ball.n_vertices).min(axis=1)
+    hit = np.flatnonzero(top == top.max())
     j = hit[np.lexsort(corners[hit].T[::-1])[0]]
-    return int(vals[j]), tuple(corners[j].tolist()), int(probes[j])
+    return int(top[j]), tuple(corners[j].tolist()), int(probe[j])
 
 
 def _polygon_tuples(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
@@ -549,11 +556,15 @@ def _bigon_batch(ball, dist, pairs):
     used, local = np.unique(verts, return_inverse=True)
     D = np.stack([dist.row(w)[used] for w in used.tolist()])  # symmetric
     # async: a pair's own interval vertices are the probes, the vector axis
-    # of one recurrence; a shorter interval repeats its first probe
-    col = np.arange(sizes.max())
-    probe = local[base[:, None] + np.where(col < sizes[:, None], col, 0)]
-    f = _maxmin_layers(_packed(dags), e, base, sizes, D[local[:, None], probe[owner]])
-    avoid = f[base + sizes - 1]
+    # of its unit; a shorter interval repeats its first probe
+    probe = local[_first_padded(base, sizes)]
+    row_of = np.empty(len(dags.verts), dtype=np.int64)  # store entry -> row of D
+    row_of[e] = local
+
+    def values(entry, unit):
+        return D[row_of[entry][:, None], probe[unit]]
+
+    avoid = _avoidance_units(dags, keep, probe.shape[1], values)
     k = avoid.argmax(axis=1)
     # sync: every same-layer pair of entries
     layer = dags.layer[e]
@@ -785,11 +796,10 @@ def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:
 # ---------------------------------------------------------------------------
 # mesh
 
-def _adversarial_sides(ball, dist, pairs):
-    """Fill ``dist._adversarial_cache`` for the unordered pairs among
-    ``pairs`` that it lacks: each gets the masked path of its detour value
-    and probe, all resolved in one batched detour pass."""
-    cache = dist._adversarial_cache
+def _adversarial_sides(ball, dist, cache, pairs):
+    """Fill ``cache`` for the unordered pairs among ``pairs`` that it
+    lacks: each gets the masked path of its detour value and probe, all
+    resolved in one batched detour pass."""
     todo = sorted({(min(x, y), max(x, y)) for x, y in pairs} - cache.keys())
     values, probes = _pair_detours(ball, dist, todo)
     for (x, y), value, p in zip(todo, values.tolist(), probes.tolist()):
@@ -801,16 +811,16 @@ def _pad_rows(rows, width):
     return rows[:, np.minimum(np.arange(width), rows.shape[1] - 1)]
 
 
-def _with_adversarial(dist, x, y, rows, counts, size):
+def _with_adversarial(dist, cache, x, y, rows, counts, size):
     """The mesh's side choices with each pair's maximal-detour path (from
-    ``dist._adversarial_cache``) after the pair's geodesic rows, unless it
-    is one of them.  ``rows`` and ``counts`` are as ``_geodesic_rows``
-    returns them and ``size`` holds each row's path length; returns the
-    three updated."""
+    ``cache``, as ``_adversarial_sides`` fills it) after the pair's geodesic
+    rows, unless it is one of them.  ``rows`` and ``counts`` are as
+    ``_geodesic_rows`` returns them and ``size`` holds each row's path
+    length; returns the three updated."""
     starts = np.cumsum(counts) - counts
     extra, owner = [], []
     for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
-        adv = dist._adversarial_cache[min(a, b), max(a, b)]
+        adv = cache[min(a, b), max(a, b)]
         adv = adv if adv[0] == a else adv[::-1]
         own = rows[starts[i] : starts[i] + counts[i], : len(adv)]
         if len(adv) != dist.inner[a, b] + 1 or not (own == adv).all(axis=1).any():
@@ -895,6 +905,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
         raise ValueError(f"unknown mesh mode {mode!r}")
     n = ball.inner_count
     pair_id = np.full((n, n), -1, dtype=np.int64)
+    adversarial = {}  # unordered pair -> its maximal-detour path
     first, count, blocks, lengths = [], [], [], []
     rows_before = 0
     capped = False
@@ -909,8 +920,8 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
         capped = capped or bool(truncated.any())
         size = np.repeat(dist.inner[x, y] + 1, k)
         if mode == "adversarial":
-            _adversarial_sides(ball, dist, list(zip(x.tolist(), y.tolist())))
-            rows, k, size = _with_adversarial(dist, x, y, rows, k, size)
+            _adversarial_sides(ball, dist, adversarial, list(zip(x.tolist(), y.tolist())))
+            rows, k, size = _with_adversarial(dist, adversarial, x, y, rows, k, size)
         pair_id[x, y] = len(first) + np.arange(len(codes))
         first.extend((rows_before + np.cumsum(k) - k).tolist())
         count.extend(k.tolist())
@@ -1011,20 +1022,25 @@ def subgroup_quasiconvexity(ball, dist, subgroup_gens, detour_result=None) -> In
     """
     H, M = enumerate_subgroup(ball, subgroup_gens)
     H_arr = np.asarray(H, dtype=np.int64)
-    H_inner = [h for h in H if h < ball.inner_count]
-    best = _Extremum()
-    best.offer(0, (0, 0, 0), 0)
-    for h, h2 in itertools.combinations_with_replacement(H_inner, 2):
-        for p in interval(dist, h, h2).vertices:
-            row = dist.row(p)[H_arr]
-            k = int(row.argmin())
-            best.offer(int(row[k]), (h, h2, p), H[k])
+    H_inner = H_arr[H_arr < ball.inner_count]
+    i, j = np.triu_indices(len(H_inner))
+    h, h2 = H_inner[i], H_inner[j]
+    dags = _interval_dags(ball, dist, h, h2)
+    used, local = np.unique(dags.verts, return_inverse=True)
+    block = np.stack([dist.row(p)[H_arr] for p in used.tolist()])
+    nearest = block.argmin(axis=1)  # the first nearest element in H order
+    far = block[np.arange(len(used)), nearest][local]
+    # highest distance, then the smallest (h, h2, p); the identity is in H,
+    # so pair (0, 0) is first and a maximum of 0 keeps the witness (0, 0, 0)
+    pair = dags.pair
+    w = np.lexsort((dags.verts, h2[pair], h[pair], -far))[0]
+    value, k = int(far[w]), pair[w]
     witness = {
-        "h": ball.word(best.key[0]),
-        "h2": ball.word(best.key[1]),
-        "geodesic_point": ball.word(best.key[2]),
-        "nearest_subgroup_element": ball.word(best.data),
-        "distance": int(best.value),
+        "h": ball.word(int(h[k])),
+        "h2": ball.word(int(h2[k])),
+        "geodesic_point": ball.word(int(dags.verts[w])),
+        "nearest_subgroup_element": ball.word(H[nearest[local[w]]]),
+        "distance": value,
     }
     extra = {
         "M": int(M),
@@ -1035,9 +1051,9 @@ def subgroup_quasiconvexity(ball, dist, subgroup_gens, detour_result=None) -> In
     if detour_result is not None:
         eps_doubled = int(detour_result.value_doubled)
         extra["epsilon_doubled"] = eps_doubled
-        extra["q_le_epsilon_plus_M"] = bool(2 * best.value <= eps_doubled + 2 * M)
+        extra["q_le_epsilon_plus_M"] = bool(2 * value <= eps_doubled + 2 * M)
     return _result(
-        "subgroup_quasiconvexity", ball, 2 * best.value, "lower",
+        "subgroup_quasiconvexity", ball, 2 * value, "lower",
         SamplingPlan.exhaustive(), witness, extra,
     )
 

@@ -216,6 +216,10 @@ def test_import_without_spec(make_pair):
         loaded.index_of_word("a")
 
 
+# a Z x Z R1 export, whose vertices reach distance 3, under a radius_out 1 header
+_OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("radius_out 3", "radius_out 1", 1)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -227,10 +231,15 @@ def test_import_without_spec(make_pair):
         "vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 b\n0 1 a\n0 2 a\n1 0 a\n2 0 a\n",
         # the path 0 - 2 - 1: dist0 = [0, 2, 1] would drop vertex 2 from the inner ball
         "vertices 3 radius_in 1 radius_out 2\n0 1\n1 a^2\n2 a\n0 2 a\n2 0 a^-1\n2 1 a\n1 2 a^-1\n",
+        "vertices 2 radius_in -1 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n",
+        # build_ball refuses r_in > 8191: 4 * r_in must fit int16
+        "vertices 2 radius_in 9000 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n",
+        _OUT_OF_RADIUS,
     ],
     ids=[
         "empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge",
-        "two-edges-one-label", "not-breadth-first",
+        "two-edges-one-label", "not-breadth-first", "negative-radius-in", "radius-in-past-int16",
+        "vertex-beyond-radius-out",
     ],
 )
 def test_import_rejects_malformed_text(text):

@@ -10,11 +10,13 @@ from cayleyball import enumerate_geodesics, geodesics, interval, parse_group_spe
 from cayleyball.geodesics import (
     GeodesicPath,
     Polygon,
+    _avoidance_units,
+    _first_padded,
     _geodesic_rows,
+    _interval_dags,
     geodesic_through,
     max_avoidance,
     max_avoidance_block,
-    max_avoidance_many,
     most_avoiding_geodesic,
 )
 from oracles import count_geodesics_oracle, geodesics_dfs_oracle, max_avoidance_oracle
@@ -239,21 +241,39 @@ def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_max_avoidance_many_matches_scalar(make_pair, data):
-    # the batched DP against the oracle's scalar DP per query: random inner
-    # pairs, u == v among them, and probes anywhere in the 2R ball, on or
-    # off the interval, or beyond it; several queries share a pair or a probe
+def test_avoidance_units_match_oracle(make_pair, data):
+    # the chunked driver against the oracle's scalar DP per (unit, probe):
+    # random inner pairs, u == v among them, several units sharing a pair,
+    # and ragged probe rows anywhere in the ball, on or off the interval or
+    # beyond the 2R ball, padded by repeating a unit's first probe; chunks
+    # of one DP value hold one unit each, chunks of 2^16 hold many
     text, r_in = data.draw(st.sampled_from(SMALL_CASES))
     ball, dist = make_pair(text, r_in)
     inner = st.integers(0, ball.inner_count - 1)
     probe = st.one_of(st.integers(0, ball.mid_count - 1), st.integers(0, ball.n_vertices - 1))
-    queries = data.draw(st.lists(st.tuples(inner, inner, probe), min_size=1, max_size=40))
+    probe_rows = st.lists(probe, min_size=1, max_size=6)
+    units = data.draw(st.lists(st.tuples(inner, inner, probe_rows), min_size=1, max_size=30))
     if data.draw(st.booleans()):
-        queries += [(u, u, p) for u, _, p in queries]
-    us, vs, probes = zip(*queries)
-    got = max_avoidance_many(ball, dist, us, vs, probes)
-    assert got.dtype == np.int16
-    assert got.tolist() == [max_avoidance_oracle(ball, u, v, [p])[0] for u, v, p in queries]
+        units += [(u, u, ps) for u, _, ps in units]
+    us, vs, probes = zip(*units)
+    ni = ball.inner_count
+    codes = np.minimum(us, vs) * ni + np.maximum(us, vs)
+    pairs, pair_of = np.unique(codes, return_inverse=True)
+    dags = _interval_dags(ball, dist, pairs // ni, pairs % ni)
+    sizes = np.array([len(ps) for ps in probes])
+    used, local = np.unique(np.concatenate(probes), return_inverse=True)
+    padded = local.ravel()[_first_padded(np.cumsum(sizes) - sizes, sizes)]
+    rows = np.stack([dist.row(p) for p in used.tolist()])
+
+    def values(entry, owner):
+        return rows[padded[owner], dags.verts[entry][:, None]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geodesics, "_AVOIDANCE_ENTRIES", data.draw(st.sampled_from([1, 1 << 16])))
+        got = _avoidance_units(dags, pair_of, padded.shape[1], values)
+    assert got.dtype == np.int16 and got.shape == padded.shape
+    for (u, v, ps), row in zip(units, got.tolist()):
+        assert row == max_avoidance_oracle(ball, u, v, ps) + [row[0]] * (len(row) - len(ps))
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,13 +333,14 @@ def test_wp_block_matches_oracle(make_pair, data):
         assert block[k].tolist() == max_avoidance_oracle(ball, u, v, hull)
 
 
-def test_max_avoidance_many_edge_cases(make_pair):
+def test_max_avoidance_block_edge_cases(make_pair):
     ball, dist = make_pair("Z x Z", 2)
-    empty = max_avoidance_many(ball, dist, [], [], [])
-    assert empty.dtype == np.int16 and empty.shape == (0,)
+    rows = np.stack([dist.row(0), dist.row(1)])
+    empty = max_avoidance_block(ball, dist, [], [], rows)
+    assert empty.dtype == np.int16 and empty.shape == (0, 2)
     outer = ball.inner_count  # the first vertex outside the inner ball
     for us, vs in (([0, outer], [1, 0]), ([0, 1], [0, outer]), ([-1], [0])):
         with pytest.raises(ValueError):
-            max_avoidance_many(ball, dist, us, vs, [0] * len(us))
+            max_avoidance_block(ball, dist, us, vs, rows)
     with pytest.raises(ValueError):
-        max_avoidance_many(ball, dist, [0, 1], [1], [0, 0])
+        max_avoidance_block(ball, dist, [0, 1], [1], rows)

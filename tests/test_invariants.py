@@ -368,9 +368,10 @@ def test_sampled_polygon_report_independent_of_chunk(make_pair, monkeypatch, tex
     assert [polygon_delta(ball, dist, n, plan).to_dict() for n in (1, 2, 3)] == expected
 
 
-def test_sampled_polygon_matches_scalar_tuples(make_pair):
+def test_sampled_polygon_matches_scalar_tuples(make_pair, monkeypatch):
     # the batched path against one polygon_tuple_value per sampled tuple,
-    # with the same tie-breaks: highest value, then the smallest tuple
+    # with the same tie-breaks: highest value, then the smallest tuple;
+    # avoidance chunks of one DP value, one unit each, give the same report
     for text, r_in in (("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("S4", 2)):
         ball, dist = make_pair(text, r_in)
         for n in (1, 2, 3):
@@ -384,6 +385,9 @@ def test_sampled_polygon_matches_scalar_tuples(make_pair):
             assert res.value_doubled == 2 * value
             assert res.witness["corners"] == [ball.word(c) for c in corners]
             assert ball.word(polygon_tuple_value(ball, dist, corners)[1]) == res.witness["far_point"]
+            with monkeypatch.context() as mp:
+                mp.setattr(geodesics, "_AVOIDANCE_ENTRIES", 1)
+                assert polygon_delta(ball, dist, n, plan).to_dict() == res.to_dict()
 
 
 def test_grid_bigons_strictly_increase(make_pair):
@@ -536,7 +540,7 @@ def _bigon_witness_values(ball, dist, res_async, res_sync):
     "text,r_in",
     [("Z x Z", 2), ("Z6", 2), ("S4", 2), ("Z2 * Z3", 2), ("(Z2 * Z3) x Z", 2)],
 )
-def test_bigons_match_uncapped_enumeration(make_pair, text, r_in):
+def test_bigons_match_uncapped_enumeration(make_pair, monkeypatch, text, r_in):
     # the default plan keeps the 64-path cap, which bigons no longer use
     ball, dist = make_pair(text, r_in)
     res_async, res_sync = bigon_constants(ball, dist, EXHAUSTIVE)
@@ -545,6 +549,10 @@ def test_bigons_match_uncapped_enumeration(make_pair, text, r_in):
     assert res_async.bound == res_sync.bound == "exact"
     if values != (0, 0):
         assert _bigon_witness_values(ball, dist, res_async, res_sync) == values
+    # avoidance chunks of one DP value, one pair's unit each
+    monkeypatch.setattr(geodesics, "_AVOIDANCE_ENTRIES", 1)
+    chunked = bigon_constants(ball, dist, EXHAUSTIVE)
+    assert [r.to_dict() for r in chunked] == [res_async.to_dict(), res_sync.to_dict()]
 
 
 def test_bigons_grid_r4_exact(make_pair):
