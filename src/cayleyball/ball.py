@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 from .groups import ElementCodes, GeneratorLetter, GroupSpec, WordError
 
@@ -52,6 +52,10 @@ _DIJKSTRA_BYTES = 16 << 20
 # Distances are int16, and the Gromov kernels add two inner distances of at
 # most 2 * r_in each: 4 * r_in must stay at most 32767.
 _MAX_R_IN = 8191
+# Subtrees per reduceat in ``connected_without``: bounds its index array to
+# 4 MiB.  Each call also reduces from its last subtree's end to the end of the
+# ball, so fewer, larger calls waste less.
+_SUBTREE_RANGES = 1 << 18
 
 
 class BudgetExceededError(RuntimeError):
@@ -249,6 +253,87 @@ def _table_csr(nbr):
     np.cumsum(present.sum(axis=1), out=indptr[1:])
     data = np.ones(int(indptr[-1]), dtype=np.int8)
     return csr_matrix((data, nbr[present], indptr), shape=(len(nbr), len(nbr)))
+
+
+def connected_without(ball, removed, xs, ys):
+    """Whether ``xs[i]`` and ``ys[i]`` stay connected in the ball minus
+    vertex ``removed[i]``, as a bool array; false when either is removed.
+
+    One depth-first search answers every query (Tarjan's cut vertices).  Its
+    non-tree edges each join an ancestor to a descendant, so removing p cuts
+    off the subtree of a child c exactly when no table row in that subtree
+    reaches above p: ``low[c] >= pre[p]``, with ``pre`` the preorder number
+    and ``low[c]`` the least ``pre`` on the rows of c's subtree (always true
+    at the root).  The ball is connected and every edge has its reverse, so
+    every other vertex but p stays in one component: x and y are connected
+    when both lie in the same cut-off subtree, or both in the rest.
+
+    Past the search, vertices are named by preorder position, and a subtree
+    is a range of positions.  Its end is the position plus its size, which
+    a second search of the tree (children reversed: a postorder) and the
+    depths (pointer doubling) give, and its ``low`` is one
+    ``minimum.reduceat`` over the ranges.  Nothing loops per vertex or per
+    tree level, however deep the search goes.
+    """
+    n = ball.n_vertices
+    order, parent = depth_first_order(ball.csr(), 0, directed=True, return_predecessors=True)
+    pre = np.empty(n, dtype=np.int32)
+    pre[order] = np.arange(n, dtype=np.int32)
+    removed, xs, ys = pre[removed], pre[xs], pre[ys]
+    parent[0] = 0  # the root hangs from itself
+    up = pre[parent[order]]  # the parent's position
+    # each position's least position on its own table row; -1 entries read n
+    ext = np.append(pre, n)
+    row_low = pre.copy()
+    for col in ball.nbr.T:
+        np.minimum(row_low, ext[col], out=row_low)
+    row_low = np.append(row_low[order], n)
+    del order, parent, pre, ext
+    kids = np.argsort(up[1:], kind="stable").astype(np.int32) + 1  # grouped by parent
+    # The tree again under labels n - 1 - position: a search visits
+    # neighbours in ascending label, so children in descending position,
+    # and its visit order read backwards is the first search's postorder.
+    rows = (n - 1 - up[kids])[::-1]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    tree = csr_matrix((np.ones(n - 1, dtype=np.int8), (n - 1 - kids)[::-1], indptr), shape=(n, n))
+    del rows, indptr
+    visit = depth_first_order(tree, n - 1, directed=True, return_predecessors=False)
+    del tree
+    # A position is preceded in preorder by its ancestors and the subtrees
+    # finished before it, in postorder by those and its descendants: its
+    # subtree ends at postorder + depth + 1.
+    end = np.empty(n, dtype=np.int32)
+    end[n - 1 - visit] = np.arange(n, 0, -1, dtype=np.int32)
+    del visit
+    depth = np.ones(n, dtype=np.int32)
+    depth[0] = 0
+    anc = up.copy()
+    while anc.any():  # after k rounds, anc is 2^k levels up or the root
+        depth += depth[anc]
+        anc = anc[anc]
+    end += depth
+    del depth, anc
+    # the least row entry of each subtree: its range is every second slot
+    cut = np.empty(n, dtype=bool)
+    for lo in range(0, n, _SUBTREE_RANGES):
+        hi = min(lo + _SUBTREE_RANGES, n)
+        ranges = np.empty(2 * (hi - lo), dtype=np.intp)
+        ranges[0::2] = np.arange(lo, hi)
+        ranges[1::2] = end[lo:hi]
+        cut[lo:hi] = np.minimum.reduceat(row_low, ranges)[0::2] >= up[lo:hi]
+    del row_low
+    key = up[kids].astype(np.int64) * n + kids  # ascending
+
+    def side(v):
+        # the child of the removed vertex whose subtree holds v, if removing
+        # it cuts that subtree off, and -1 for the rest of the ball
+        i = np.searchsorted(key, removed.astype(np.int64) * n + v, side="right") - 1
+        c = kids[np.maximum(i, 0)]
+        held = (i >= 0) & (up[c] == removed) & (v < end[c]) & cut[c]
+        return np.where(held, c, -1)
+
+    return (xs != removed) & (ys != removed) & (side(xs) == side(ys))
 
 
 def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_000) -> BallGraph:

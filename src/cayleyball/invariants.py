@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .ball import DistanceMatrix
+from .ball import DistanceMatrix, connected_without
 from .geodesics import (
     _avoidance_units,
     _first_padded,
@@ -82,18 +82,39 @@ class SamplingPlan:
         """Ordered tuples with repetition from ``range(n)``."""
         if self.mode == "exhaustive":
             return itertools.product(range(n), repeat=arity)
-        rng = random.Random(self.seed)
-        return [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(self.count)]
+        return list(map(tuple, self._draws(n, arity).tolist()))
 
     def unordered_tuples(self, n, arity):
         """Sorted tuples; exhaustive mode enumerates distinct combinations."""
         if self.mode == "exhaustive":
             return itertools.combinations(range(n), arity)
+        return list(map(tuple, np.sort(self._draws(n, arity), axis=1).tolist()))
+
+    def _draws(self, n, arity):
+        """``count`` rows of ``arity`` values, the values that successive
+        ``random.Random(seed).randrange(n)`` calls return, drawn in bulk.
+
+        For ``n < 2**32``, ``randrange(n)`` takes one 32-bit word of the
+        generator per attempt, keeps its top ``n.bit_length()`` bits and
+        retries while they are ``>= n``; ``getrandbits(32 * m)`` is ``m``
+        such words, least significant first.  Each call seeds its own
+        generator, so words drawn beyond the last kept value change nothing.
+        """
+        if n < 1:
+            raise ValueError("empty range for randrange()")
+        bits = n.bit_length()
+        if bits > 32:
+            raise InternalCheckError(f"cannot sample from range({n}): more than 32 bits per draw")
         rng = random.Random(self.seed)
-        return [
-            tuple(sorted(rng.randrange(n) for _ in range(arity)))
-            for _ in range(self.count)
-        ]
+        need = self.count * arity
+        kept = [np.zeros(0, dtype=np.int64)]
+        while need > 0:
+            words = 2 * need + 16  # at least half of all attempts are kept
+            draws = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4") >> (32 - bits)
+            draws = draws[draws < n][:need]
+            kept.append(draws.astype(np.int64))
+            need -= len(draws)
+        return np.concatenate(kept).reshape(self.count, arity)
 
     def describe(self):
         out = {"mode": self.mode, "geodesic_cap": self.geodesic_cap}
@@ -660,40 +681,48 @@ def _detour_levels(ball, dist, probes, xs, ys):
     ``r`` grows, so levels are resolved in ascending ``r`` and a query drops
     out at the first ``r`` that splits its pair.
 
-    Per level, every probe with an unresolved query gets one copy of the
-    ball's CSR, and the copies are stacked block-diagonally, copy ``k``
-    offsetting vertex ids by ``k * n_vertices``, so one
-    ``connected_components`` call labels every copy at once.  An edge with
-    ``min(rp[s], rp[t]) < r`` is masked by pointing it back at its own row
-    (a self-loop): every copy keeps the cached CSR's ``indptr``, so nothing
-    is sorted or sliced.  A masked vertex is isolated in its copy, and a
-    query also needs both endpoints unmasked (which is what ends a query
-    with x == y).  The ball's graph is symmetric and an edge is masked with
-    its reverse, so the stack's strongly connected components are its
-    connected components; the strong search reads only ``indptr`` and
-    ``indices``, where an undirected one first transposes the whole stack.
-    Probes are stacked in chunks of at most ``_DETOUR_ENTRIES`` adjacency
-    entries (at least one probe per chunk), so each stacked graph stays
-    small enough for the cache.
+    Level 1 asks whether x and y stay connected in the ball minus p.
+    ``connected_without`` answers it for every query from one depth-first
+    search of the ball, through its cut vertices, and reads no distance
+    row; on a hyperbolic ball every query stops there.
+
+    The levels from 2 up are stacked.  Per level, every probe with an
+    unresolved query gets one copy of the ball's CSR, and the copies are
+    stacked block-diagonally, copy ``k`` offsetting vertex ids by
+    ``k * n_vertices``, so one ``connected_components`` call labels every
+    copy at once.  An edge with ``min(rp[s], rp[t]) < r`` is masked by
+    pointing it back at its own row (a self-loop): every copy keeps the
+    cached CSR's ``indptr``, so nothing is sorted or sliced.  A masked
+    vertex is isolated in its copy, and a query also needs both endpoints
+    unmasked (which is what ends a query with x == y).  The ball's graph is
+    symmetric and an edge is masked with its reverse, so the stack's
+    strongly connected components are its connected components; the strong
+    search reads only ``indptr`` and ``indices``, where an undirected one
+    first transposes the whole stack.  Probes are stacked in chunks of at
+    most ``_DETOUR_ENTRIES`` adjacency entries (at least one probe per
+    chunk), so each stacked graph stays small enough for the cache.
     """
     probes, xs, ys = (np.asarray(a, dtype=np.int32) for a in (probes, xs, ys))
     levels = np.zeros(len(probes), dtype=np.int32)
     if not len(probes):
         return levels
-    graph = ball.csr()
-    n, nnz = ball.n_vertices, graph.nnz
+    levels[connected_without(ball, probes, xs, ys)] = 1
     order = np.argsort(probes, kind="stable")
     sp, sx, sy = probes[order], xs[order], ys[order]
+    active = np.flatnonzero(levels[order])  # sorted positions of unresolved queries
+    if not active.size:
+        return levels
+    graph = ball.csr()
+    n, nnz = ball.n_vertices, graph.nnz
     per_chunk = max(1, _DETOUR_ENTRIES // max(nnz, 1))
-    copies = min(per_chunk, len(np.unique(sp)))
+    copies = min(per_chunk, len(np.unique(sp[active])))
     src = np.repeat(np.arange(n, dtype=np.int32), np.diff(graph.indptr))
     dst = graph.indices.astype(np.int32, copy=False)
     # the stack of `copies` copies; a chunk of m copies reads prefixes
     shift = np.arange(copies, dtype=np.int32)[:, None]
     indptr = np.append((graph.indptr[:-1] + shift * nnz).ravel(), copies * nnz).astype(np.int32, copy=False)
     data = np.broadcast_to(1.0, (copies * nnz,))  # edge weights are never read
-    active = np.arange(len(sp))  # sorted positions of unresolved queries
-    r = 1
+    r = 2
     while active.size:
         ap = sp[active]
         live = np.unique(ap)

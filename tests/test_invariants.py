@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from cayleyball import (
     DistanceMatrix,
@@ -28,7 +28,9 @@ from cayleyball import (
     rips_delta,
     subgroup_quasiconvexity,
 )
-from cayleyball import geodesics, invariants
+from cayleyball import InternalCheckError, geodesics, invariants
+from cayleyball import ball as ball_module
+from cayleyball.ball import connected_without
 from cayleyball.geodesics import GeodesicPath, Polygon, interval
 from cayleyball.invariants import (
     SamplingPlan,
@@ -75,6 +77,30 @@ def test_gromov_product_bounds(make_pair):
         x, y, p = (rng.randrange(ball.inner_count) for _ in range(3))
         g = doubled_gromov_product(dist, x, y, p)
         assert 0 <= g <= 2 * min(dist.d(p, x), dist.d(p, y))
+
+
+# ---------------------------------------------------------------------------
+# sampling plans
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 1000, 3343, 65536, 100000])
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_sampled_tuples_match_scalar_randrange(n, arity):
+    # the bulk draw keeps the stream of one randrange call per corner,
+    # powers of two and n = 1 included
+    for seed in (0, 7):
+        plan = SamplingPlan.random(300, seed)
+        rng = random.Random(seed)
+        want = [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(300)]
+        assert plan.ordered_tuples(n, arity) == want
+        assert plan.unordered_tuples(n, arity) == [tuple(sorted(t)) for t in want]
+
+
+def test_sampled_tuples_refuse_wide_ranges():
+    plan = SamplingPlan.random(3, 1)
+    assert len(plan.ordered_tuples(2**32 - 1, 2)) == 3
+    with pytest.raises(InternalCheckError):
+        plan.ordered_tuples(2**32, 2)
+    assert SamplingPlan.random(0, 1).unordered_tuples(5, 3) == []
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +654,58 @@ def test_detour_for_pair_matches_oracle_random(make_pair, data):
     assert not any(linked(q, value) for q in probes if q < p)
 
 
-@pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("Z10", 5)])
+@pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("Z10", 5), ("(Z2 * Z3) x Z", 2)])
 @pytest.mark.parametrize("entries", [1, 1 << 30], ids=["one-probe-per-chunk", "one-chunk"])
 def test_detour_report_independent_of_chunk(make_pair, monkeypatch, text, r_in, entries):
+    # each case has queries that pass level 1 and go on to the stacked levels
+    # (the level-1 pass then runs one subtree per reduceat, or all at once)
     ball, dist = make_pair(text, r_in)
     expected = detour_epsilon(ball, dist, EXHAUSTIVE).to_dict()
+    assert expected["value_doubled"] >= 4
+    p, x, y = np.random.default_rng(0).integers(0, ball.n_vertices, size=(3, 500))
+    linked = connected_without(ball, p, x, y)
     monkeypatch.setattr(invariants, "_DETOUR_ENTRIES", entries)
+    monkeypatch.setattr(ball_module, "_SUBTREE_RANGES", entries)
     assert detour_epsilon(ball, dist, EXHAUSTIVE).to_dict() == expected
+    assert (connected_without(ball, p, x, y) == linked).all()
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_detour_level_one_matches_networkx(make_pair, data):
+    # level 1 is reached iff neither endpoint is the probe and the probe does
+    # not cut x from y in the ball; queries range over the whole padded ball
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    ball, dist = make_pair(text, data.draw(st.integers(1, 2)))
+    vertex = st.integers(0, ball.n_vertices - 1)
+    p, x, y = data.draw(vertex), data.draw(vertex), data.draw(vertex)
+    # the DFS root, probes at an endpoint and a repeated endpoint
+    queries = [(p, x, y), (0, x, y), (x, x, y), (y, x, y), (p, x, x), (0, p, p)]
+    probes, xs, ys = (list(c) for c in zip(*queries))
+    got = connected_without(ball, np.array(probes), np.array(xs), np.array(ys))
+    graph = nx_graph(ball)
+    for (q, a, b), reached in zip(queries, got.tolist()):
+        rest = nx.restricted_view(graph, [q], [])
+        assert reached == (a != q and b != q and nx.has_path(rest, a, b)), (q, a, b)
+    levels = invariants._detour_levels(ball, dist, probes, xs, ys)
+    assert ((levels >= 1) == got).all()
+
+
+@pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3)])
+def test_detour_stops_at_level_one_without_component_passes(make_pair, monkeypatch, text, r_in):
+    # every query of a virtually free ball stops at level 1, which one
+    # depth-first search resolves: no component pass runs
+    ball, dist = make_pair(text, r_in)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "connected_components", counted)
+    assert detour_epsilon(ball, dist, EXHAUSTIVE).value_doubled == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("text,r_in", [("Z", 1), ("Z2 * Z3", 1), ("Z x Z", 1)])
