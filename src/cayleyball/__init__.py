@@ -20,21 +20,13 @@ from .ball import (
     read_ball,
     write_ball,
 )
-from .geodesics import (
-    GeodesicInterval,
-    GeodesicPath,
-    Polygon,
-    enumerate_geodesics,
-    interval,
-    polygon_thinness,
-)
+from .geodesics import enumerate_geodesics, interval
 from .invariants import (
     InvariantResult,
     SamplingPlan,
     bigon_constants,
     chain_defect,
     detour_epsilon,
-    doubled_gromov_product,
     four_point_delta,
     h2_center_distance,
     mesh_estimate,
@@ -48,12 +40,9 @@ __all__ = [
     "BudgetExceededError",
     "DistanceMatrix",
     "GeneratorLetter",
-    "GeodesicInterval",
-    "GeodesicPath",
     "GroupSpec",
     "InternalCheckError",
     "InvariantResult",
-    "Polygon",
     "SamplingPlan",
     "SpecParseError",
     "WordError",
@@ -62,7 +51,6 @@ __all__ = [
     "build_ball",
     "chain_defect",
     "detour_epsilon",
-    "doubled_gromov_product",
     "enumerate_geodesics",
     "four_point_delta",
     "h2_center_distance",
@@ -70,7 +58,6 @@ __all__ = [
     "mesh_estimate",
     "parse_group_spec",
     "polygon_delta",
-    "polygon_thinness",
     "read_ball",
     "rips_delta",
     "subgroup_quasiconvexity",

@@ -483,14 +483,13 @@ class DistanceMatrix:
     ``ensure_mid_rows`` bulk-computes them for every vertex of the geodesic
     hull (see ``hull``) ahead of an exhaustive scan.
 
-    Logically read-only, but the hull, the hull rows and the lazy row and
-    interval caches are filled on first use without locks.  Every probe on
-    an inner-pair geodesic lies in the hull, so after ``ensure_mid_rows``
-    reading those rows is read-only; the other rows (the mesh's adversarial
-    sides) and the interval cache still fill on demand, so concurrent
-    readers need a lock of their own.  Geodesic DAGs are not cached: each
-    caller builds the flattened store it needs (``geodesics._interval_dags``)
-    for a whole batch of pairs at once.
+    Logically read-only, but the hull, the hull rows and the lazy row cache
+    are filled on first use without locks.  Every probe on an inner-pair
+    geodesic lies in the hull, so after ``ensure_mid_rows`` reading those
+    rows is read-only; the other rows (the mesh's adversarial sides) still
+    fill on demand, so concurrent readers need a lock of their own.
+    Geodesic DAGs are not cached: each caller builds the flattened store it
+    needs (``geodesics._interval_dags``) for a whole batch of pairs at once.
     """
 
     def __init__(self, ball: BallGraph):
@@ -500,7 +499,6 @@ class DistanceMatrix:
         self._hull: np.ndarray | None = None
         self._hull_block: np.ndarray | None = None
         self._hull_pos: dict[int, int] = {}  # non-inner hull vertex -> block row
-        self._interval_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._pscan = None  # the polygon scan, filled lazily by invariants
         inner_rows = self._clipped_rows(list(range(ball.inner_count)))
         self.inner = inner_rows[:, : ball.inner_count].copy()
@@ -584,23 +582,6 @@ class DistanceMatrix:
         """Clipped distance between two ball vertices: exact up to
         ``2 * r_in``, ``clip`` beyond it."""
         return int(self.row(u)[int(v)])
-
-    def d_to_set(self, u, targets) -> int:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size == 0:
-            raise ValueError("distance to an empty set")
-        return int(self.row(u)[targets].min())
-
-    def one_sided_hausdorff(self, Y, Z) -> int:
-        """sup over Y of the clipped distance to Z (the directed half of Hausdorff)."""
-        Y = list(Y)
-        Z = np.asarray(sorted(set(int(z) for z in Z)), dtype=np.int64)
-        if not Y or Z.size == 0:
-            raise ValueError("Hausdorff distance of an empty set")
-        return max(int(self.row(y)[Z].min()) for y in Y)
-
-    def hausdorff(self, Y, Z) -> int:
-        return max(self.one_sided_hausdorff(Y, Z), self.one_sided_hausdorff(Z, Y))
 
 
 def all_pairs_distances(ball: BallGraph) -> DistanceMatrix:

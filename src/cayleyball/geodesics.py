@@ -1,11 +1,12 @@
-"""Geodesic intervals, the flattened geodesic-DAG store, and polygon thinness.
+"""Geodesic intervals and the flattened geodesic-DAG store.
 
 The geodesics between two vertices form a layered DAG inside the metric
 interval ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Every such DAG lives in one
 flattened store, built for many pairs at once by ``_interval_dags``: each
 interval is grown from its first end one layer at a time through the Cayley
 table, and its edges keep the table's column (edge-label) order.  Everything
-that walks geodesics reads that store:
+that walks geodesics reads that store, and every geodesic leaves this module
+as a plain tuple of vertex indices:
 
 * the max-min avoidance recurrence, one layer at a time, driven in chunks
   by ``_avoidance_units`` with a row of probes per DP unit as its vector
@@ -17,83 +18,16 @@ that walks geodesics reads that store:
   the pair is embedded in;
 * the one-pair walks of the witnesses (``geodesic_through``,
   ``most_avoiding_geodesic``).
-
-Thinness of a polygon is measured against the union of ALL sides other than
-the distinguished last one (the variant under which the thinness/chain/mesh
-equivalences actually run), not just the two sides adjacent to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .ball import DistanceMatrix
 from .groups import InternalCheckError
-
-
-@dataclass(frozen=True)
-class GeodesicPath:
-    """A shortest vertex path; consecutive vertices are adjacent in the ball."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self):
-        return len(self.vertices) - 1
-
-    @property
-    def start(self):
-        return self.vertices[0]
-
-    @property
-    def end(self):
-        return self.vertices[-1]
-
-    def reversed(self):
-        return GeodesicPath(tuple(reversed(self.vertices)))
-
-
-@dataclass(frozen=True)
-class GeodesicInterval:
-    """All vertices lying on at least one geodesic between u and v."""
-
-    u: int
-    v: int
-    dist_uv: int
-    vertices: tuple[int, ...]  # ascending vertex index
-
-    def __contains__(self, w):
-        return w in set(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-@dataclass
-class Polygon:
-    """A closed chain of geodesics; the last side is the distinguished one."""
-
-    sides: list[GeodesicPath]
-
-    def __post_init__(self):
-        if len(self.sides) < 2:
-            raise ValueError("a polygon needs at least two sides")
-        for a, b in zip(self.sides, self.sides[1:] + self.sides[:1]):
-            if a.end != b.start:
-                raise ValueError("polygon sides are not endpoint-chained")
-
-    @property
-    def last_side(self):
-        return self.sides[-1]
-
-    def union_of_other_sides(self):
-        out = set()
-        for side in self.sides[:-1]:
-            out.update(side.vertices)
-        return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +118,14 @@ def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     return IntervalDags(ptr, np.concatenate(W)[order], np.concatenate(T)[order], local(S), local(P))
 
 
-def interval(dist: DistanceMatrix, u: int, v: int) -> GeodesicInterval:
-    """Exact geodesic interval of one pair, read from its store entry.
+def interval(dist: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
+    """Exact geodesic interval of one pair, as an ascending vertex tuple read
+    from its store entry.
 
     Raises ValueError when ``d(u, v) >= dist.clip``, where clipped rows stop
-    being exact (every inner pair is below it).  The vertex tuple is cached
-    per unordered pair, so a repeated call allocates no new tuple.
+    being exact (every inner pair is below it).
     """
-    u, v = int(u), int(v)
-    key = (u, v) if u <= v else (v, u)
-    cached = dist._interval_cache.get(key)
-    if cached is None:
-        verts = _interval_dags(dist.ball, dist, [key[0]], [key[1]]).verts
-        cached = dist._interval_cache[key] = tuple(np.sort(verts).tolist())
-    return GeodesicInterval(u=u, v=v, dist_uv=dist.d(u, v), vertices=cached)
+    return tuple(np.sort(_interval_dags(dist.ball, dist, [int(u)], [int(v)]).verts).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +262,7 @@ def max_avoidance(ball, dist, u, v, p) -> int:
     return int(_avoidance_prefixes(dist, _interval_dags(ball, dist, [u], [v]), p)[-1])
 
 
-def most_avoiding_geodesic(ball, dist, u, v, p) -> GeodesicPath:
+def most_avoiding_geodesic(ball, dist, u, v, p) -> tuple[int, ...]:
     """A geodesic from u to v achieving :func:`max_avoidance` for p: walk
     back from v, each step to the first predecessor in label order that
     keeps the best prefix value."""
@@ -348,7 +276,7 @@ def most_avoiding_geodesic(ball, dist, u, v, p) -> GeodesicPath:
         if j is None:  # pragma: no cover - the DP guarantees a predecessor exists
             raise InternalCheckError("avoidance backtrack failed")
         trail.append(j)
-    return GeodesicPath(tuple(dags.verts[trail[::-1]].tolist()))
+    return tuple(dags.verts[trail[::-1]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +338,14 @@ def _geodesic_rows(ball, dist, us, vs, cap):
 def enumerate_geodesics(ball, dist, u, v, cap=None):
     """All geodesics from u to v in label-lexicographic order.
 
-    Returns ``(paths, truncated)``; with ``cap`` set, at most ``cap`` paths
-    are returned and ``truncated`` reports whether more exist.  The one-pair
-    call of ``_geodesic_rows``.
+    Returns ``(paths, truncated)``, the paths as vertex tuples; with ``cap``
+    set, at most ``cap`` paths are returned and ``truncated`` reports
+    whether more exist.  The one-pair call of ``_geodesic_rows``.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for no cap)")
     rows, _, truncated = _geodesic_rows(ball, dist, [u], [v], cap)
-    return [GeodesicPath(tuple(r)) for r in rows.tolist()], bool(truncated[0])
+    return [tuple(r) for r in rows.tolist()], bool(truncated[0])
 
 
 def geodesic_through(ball, dist, u, v, via):
@@ -432,11 +360,5 @@ def geodesic_through(ball, dist, u, v, via):
         forward.append(j)
     while (j := _first(pred[backward[-1]])) is not None:
         backward.append(j)
-    return GeodesicPath(tuple(dags.verts[backward[:0:-1] + forward].tolist()))
+    return tuple(dags.verts[backward[:0:-1] + forward].tolist())
 
-
-def polygon_thinness(dist: DistanceMatrix, poly: Polygon) -> int:
-    """Least vertex-level thinness of one polygon: the farthest a last-side
-    vertex gets from the union of all other sides."""
-    Z = np.asarray(poly.union_of_other_sides(), dtype=np.int64)
-    return max(dist.d_to_set(p, Z) for p in poly.last_side.vertices)

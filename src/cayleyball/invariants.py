@@ -36,8 +36,8 @@ from .geodesics import (
     _segments,
     enumerate_geodesics,  # noqa: F401 - not called here; the geodesics.enumerate probe binds it
     geodesic_through,
-    interval,
-    max_avoidance,
+    interval,  # noqa: F401 - not called here; the geodesics.interval probe binds it
+    max_avoidance,  # noqa: F401 - not called here; the geodesics.avoidance probe binds it
     max_avoidance_block,
     most_avoiding_geodesic,
 )
@@ -67,6 +67,8 @@ class SamplingPlan:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.mode == "random" and (self.count is None or self.seed is None):
             raise ValueError("random plans need a count and a seed")
+        if self.mode == "random" and self.count < 1:
+            raise ValueError("random plans need at least one sample")
         if self.geodesic_cap is not None and self.geodesic_cap < 1:
             raise ValueError("geodesic cap must be at least 1 or None")
 
@@ -208,12 +210,6 @@ def _words(ball, indices):
 # ---------------------------------------------------------------------------
 # Gromov products and the four-point condition
 
-def doubled_gromov_product(dist: DistanceMatrix, x, y, p) -> int:
-    """2 * (x|y)_p = d(p,x) + d(p,y) - d(x,y), an exact integer."""
-    D = dist.inner
-    return int(D[p, x]) + int(D[p, y]) - int(D[x, y])
-
-
 def _gromov_matrix(dist, p):
     """Doubled Gromov products at basepoint p over inner pairs, as int16:
     no sum ``d(p, x) + d(p, y)`` exceeds ``4 * r_in``, which ``build_ball``'s
@@ -343,7 +339,10 @@ def chain_defect(dist: DistanceMatrix) -> InvariantResult:
 
 
 # ---------------------------------------------------------------------------
-# polygon thinness constants
+# polygon thinness constants: the thinness of a polygon is measured against
+# the union of ALL sides other than the distinguished last one (the variant
+# under which the thinness/chain/mesh equivalences actually run), not just
+# the two sides adjacent to it.
 
 class _PolygonScan:
     """Exhaustive worst-case polygon thinness over every inner corner tuple.
@@ -427,21 +426,6 @@ def _polygon_scan(ball, dist) -> _PolygonScan:
     return dist._pscan
 
 
-def polygon_tuple_value(ball, dist, corners):
-    """Exact worst thinness over all geodesic realizations of one corner
-    tuple, and the smallest probe attaining it: the scalar form of
-    ``_polygon_tuple_batch``."""
-    a, b = corners[-1], corners[0]
-    best = _Extremum()
-    for p in interval(dist, a, b).vertices:
-        val = min(
-            max_avoidance(ball, dist, u, v, p)
-            for u, v in zip(corners, corners[1:])
-        )
-        best.offer(val, (p,))
-    return best.value, best.key[0]
-
-
 def _polygon_tuple_witness(ball, dist, corners, p, value):
     sides = [
         most_avoiding_geodesic(ball, dist, u, v, p)
@@ -451,8 +435,8 @@ def _polygon_tuple_witness(ball, dist, corners, p, value):
     return {
         "corners": _words(ball, corners),
         "far_point": ball.word(p),
-        "sides": [_words(ball, s.vertices) for s in sides],
-        "last_side": _words(ball, last.vertices),
+        "sides": [_words(ball, s) for s in sides],
+        "last_side": _words(ball, last),
         "thinness": int(value),
     }
 
@@ -650,8 +634,8 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
         out = {"start": ball.word(x), "end": ball.word(y), "distance": int(ext.value)}
         if ext.data is not None:
             geodesic, coterminal = sides(x, y, *ext.data)
-            out["geodesic"] = _words(ball, geodesic.vertices)
-            out["coterminal"] = _words(ball, coterminal.vertices)
+            out["geodesic"] = _words(ball, geodesic)
+            out["coterminal"] = _words(ball, coterminal)
         return out
 
     witness_async = bigon_witness(best_async, async_sides)
@@ -785,16 +769,6 @@ def _pair_detours(ball, dist, pairs):
     # per pair, highest level first and then smallest probe; pairs keep their blocks
     best = np.lexsort((probes, -levels, pair_of))[np.cumsum(sizes) - sizes]
     return levels[best], probes[best]
-
-
-def detour_for_pair(ball, dist, x, y):
-    """Worst distance from a geodesic vertex of (x, y) to the image of an
-    adversarial coterminal path inside the padded ball.
-
-    Returns ``(value, probe_vertex)``.
-    """
-    values, probes = _pair_detours(ball, dist, [(int(x), int(y))])
-    return int(values[0]), int(probes[0])
 
 
 def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:

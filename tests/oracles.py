@@ -142,9 +142,11 @@ def bfs_distances(ball, source):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4096)
 def _interval_layers(ball, u, v):
     """The interval of (u, v) in (distance from u, vertex) order, with each
-    vertex's neighbours one layer up and down inside it, in column order."""
+    vertex's neighbours one layer up and down inside it, in column order.
+    Memoised: callers only read the result."""
     du, dv = bfs_distances(ball, u), bfs_distances(ball, v)
     duv = du[v]
     inside = [w for w in range(ball.n_vertices) if du[w] >= 0 and du[w] + dv[w] == duv]
@@ -154,6 +156,11 @@ def _interval_layers(ball, u, v):
     succ = {w: [z for z in nbr[w] if z in members and du[z] == du[w] + 1] for w in inside}
     pred = {w: [z for z in nbr[w] if z in members and du[z] == du[w] - 1] for w in inside}
     return inside, succ, pred
+
+
+def interval_oracle(ball, u, v):
+    """The interval of (u, v) as an ascending vertex tuple."""
+    return tuple(sorted(_interval_layers(ball, u, v)[0]))
 
 
 def geodesics_dfs_oracle(ball, u, v, cap=None):
@@ -198,6 +205,39 @@ def max_avoidance_oracle(ball, u, v, probes):
             f[w] = min(min(dp[w], clip), best)
         out.append(f[v])
     return out
+
+
+def polygon_tuple_oracle(ball, corners):
+    """Worst thinness over every geodesic realization of one corner tuple,
+    and the smallest probe attaining it: the probes are the interval of the
+    last side (corners[-1], corners[0]), and the value is the max over
+    probes of the min over the other sides of ``max_avoidance_oracle``."""
+    probes = interval_oracle(ball, corners[-1], corners[0])
+    sides = [max_avoidance_oracle(ball, u, v, probes) for u, v in zip(corners, corners[1:])]
+    values = [min(col) for col in zip(*sides)]
+    value = max(values)
+    return value, probes[values.index(value)]
+
+
+def polygon_thinness_oracle(ball, sides):
+    """Thinness of one polygon given as explicit vertex paths, the last side
+    distinguished: the farthest a vertex of the last side gets from the
+    union of all other sides, by breadth-first distances.  Raises
+    ValueError unless there are at least two sides, each ending where the
+    next one (cyclically) starts."""
+    sides = list(sides)
+    if len(sides) < 2:
+        raise ValueError("a polygon needs at least two sides")
+    if any(a[-1] != b[0] for a, b in zip(sides, sides[1:] + sides[:1])):
+        raise ValueError("polygon sides are not endpoint-chained")
+    others = {w for side in sides[:-1] for w in side}
+    return max(min(bfs_distances(ball, p)[w] for w in others) for p in sides[-1])
+
+
+def doubled_gromov_oracle(ball, x, y, p):
+    """2 * (x|y)_p = d(p, x) + d(p, y) - d(x, y), by breadth-first distances."""
+    dp = bfs_distances(ball, p)
+    return dp[x] + dp[y] - bfs_distances(ball, x)[y]
 
 
 def quasiconvexity_oracle(ball, subgroup_gens):

@@ -54,6 +54,7 @@ def test_bad_invariant_exit_code(capsys):
         ["--invariants", "chain:bruteforce:3"],
         ["--invariants", "four_point", "--radii", "3..2"],
         ["--invariants", "four_point", "--out", "missing-directory/report.json"],
+        ["--invariants", "four_point", "--samples", "0"],
     ],
 )
 def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
@@ -298,3 +299,12 @@ def test_optimized_interpreter_reports_the_same():
     plain, optimized = report(), report("-O")
     assert json.loads(plain)["runs"][0]["results"]
     assert _strip_timing(optimized) == _strip_timing(plain)
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch goes stale when the API it uses is renamed or deleted
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S)
+    exec(sketch.group(1), {})
+    # polygon_delta n = 1 and chain_defect on Z x Z R3
+    assert capsys.readouterr().out == "3.0\n3.0\n"

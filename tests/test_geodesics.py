@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyball import enumerate_geodesics, geodesics, interval, parse_group_spec, polygon_thinness
+from cayleyball import enumerate_geodesics, geodesics, interval, parse_group_spec
 from cayleyball.geodesics import (
-    GeodesicPath,
-    Polygon,
     _avoidance_units,
     _first_padded,
     _geodesic_rows,
@@ -19,26 +17,31 @@ from cayleyball.geodesics import (
     max_avoidance_block,
     most_avoiding_geodesic,
 )
-from oracles import count_geodesics_oracle, geodesics_dfs_oracle, max_avoidance_oracle
+from oracles import (
+    bfs_distances,
+    count_geodesics_oracle,
+    geodesics_dfs_oracle,
+    interval_oracle,
+    max_avoidance_oracle,
+    polygon_thinness_oracle,
+)
 
 
 def test_interval_point(make_pair):
     ball, dist = make_pair("F(a,b)", 2)
-    iv = interval(dist, 3, 3)
-    assert iv.vertices == (3,)
+    assert interval(dist, 3, 3) == (3,)
 
 
 def test_interval_tree(make_pair):
     ball, dist = make_pair("F(a,b)", 2)
     one, ab = ball.index_of_word("1"), ball.index_of_word("a.b")
-    iv = interval(dist, one, ab)
-    assert sorted(ball.word(w) for w in iv.vertices) == ["1", "a", "a.b"]
+    assert sorted(ball.word(w) for w in interval(dist, one, ab)) == ["1", "a", "a.b"]
 
 
 def test_interval_grid(make_pair):
     ball, dist = make_pair("Z x Z", 1)
     iv = interval(dist, ball.index[(0, 0)], ball.index[(1, 1)])
-    assert {ball.elements[w] for w in iv.vertices} == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert {ball.elements[w] for w in iv} == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
 def test_interval_rejects_pair_beyond_clip(make_pair):
@@ -51,16 +54,6 @@ def test_interval_rejects_pair_beyond_clip(make_pair):
     assert dist.d(u, w) == dist.clip  # exactly 2R + 1 apart
     with pytest.raises(ValueError):
         interval(dist, w, u)
-
-
-def test_interval_reuses_cached_vertices(make_pair):
-    ball, dist = make_pair("Z x Z", 2)
-    u, v = ball.index_of_word("t1^-1"), ball.index_of_word("t1.t2")
-    iv = interval(dist, u, v)
-    assert iv.vertices is interval(dist, v, u).vertices
-    assert iv.vertices is interval(dist, u, v).vertices
-    assert all(type(w) is int for w in iv.vertices)
-    assert len(iv) == 6 and iv.dist_uv == 3
 
 
 def test_tree_geodesics_unique(make_pair):
@@ -97,14 +90,15 @@ def test_geodesics_lie_in_interval(make_pair):
     rng = random.Random(5)
     for _ in range(40):
         u, v = rng.randrange(ball.inner_count), rng.randrange(ball.inner_count)
-        iv = set(interval(dist, u, v).vertices)
+        iv = interval_oracle(ball, u, v)
+        assert interval(dist, u, v) == iv
         paths, _ = enumerate_geodesics(ball, dist, u, v)
         union = set()
         for path in paths:
-            assert path.length == dist.d(u, v)
-            assert set(path.vertices) <= iv
-            union |= set(path.vertices)
-        assert union == iv  # every interval vertex is on some geodesic
+            assert len(path) - 1 == dist.d(u, v)
+            assert set(path) <= set(iv)
+            union |= set(path)
+        assert union == set(iv)  # every interval vertex is on some geodesic
 
 
 def test_enumeration_order_is_ball_independent(make_pair):
@@ -114,16 +108,18 @@ def test_enumeration_order_is_ball_independent(make_pair):
     for target in ((2, 1), (1, 1), (2, 2)):
         ps, _ = enumerate_geodesics(small, sd, small.index[(0, 0)], small.index[target])
         pb, _ = enumerate_geodesics(big, bd, big.index[(0, 0)], big.index[target])
-        words_small = [[small.elements[w] for w in p.vertices] for p in ps]
-        words_big = [[big.elements[w] for w in p.vertices] for p in pb]
+        words_small = [[small.elements[w] for w in p] for p in ps]
+        words_big = [[big.elements[w] for w in p] for p in pb]
         assert words_small == words_big
 
+
+# pins of the thinness oracle, with which the polygon tests measure literal
+# polygons
 
 def test_degenerate_bigon_thinness(make_pair):
     ball, dist = make_pair("Z x Z", 2)
     paths, _ = enumerate_geodesics(ball, dist, ball.index[(0, 0)], ball.index[(1, 1)])
-    poly = Polygon([paths[0], paths[0].reversed()])
-    assert polygon_thinness(dist, poly) == 0
+    assert polygon_thinness_oracle(ball, [paths[0], paths[0][::-1]]) == 0
 
 
 def test_grid_extreme_bigon_thinness(make_pair):
@@ -133,8 +129,7 @@ def test_grid_extreme_bigon_thinness(make_pair):
     lo, hi = ball.index[(-1, -1)], ball.index[(1, 1)]
     via_x = [ball.index[p] for p in [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1)]]
     via_y = [ball.index[p] for p in [(-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1)]]
-    poly = Polygon([GeodesicPath(tuple(via_x)), GeodesicPath(tuple(reversed(via_y)))])
-    value = polygon_thinness(dist, poly)
+    value = polygon_thinness_oracle(ball, [via_x, via_y[::-1]])
     oracle = max(
         min(abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1)])
         for p in [(-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1)]
@@ -151,7 +146,7 @@ def test_tree_polygons_are_zero_thin(make_pair):
         for u, v in zip(corners, corners[1:] + corners[:1]):
             paths, _ = enumerate_geodesics(ball, dist, u, v)
             sides.append(paths[0])
-        assert polygon_thinness(dist, Polygon(sides)) == 0
+        assert polygon_thinness_oracle(ball, sides) == 0
 
 
 def test_thinness_monotone_in_sides(make_pair):
@@ -164,28 +159,28 @@ def test_thinness_monotone_in_sides(make_pair):
         for u, v in zip(corners, corners[1:] + corners[:1]):
             paths, _ = enumerate_geodesics(ball, dist, u, v)
             sides.append(paths[0])
-        full = polygon_thinness(dist, Polygon(sides))
-        partial = max(
-            dist.d_to_set(p, list(sides[0].vertices)) for p in sides[-1].vertices
-        )
+        full = polygon_thinness_oracle(ball, sides)
+        partial = max(min(bfs_distances(ball, p)[w] for w in sides[0]) for p in sides[-1])
         assert full <= partial
 
 
-def test_polygon_validation():
+def test_polygon_validation(make_pair):
+    ball, _ = make_pair("Z x Z", 1)
     with pytest.raises(ValueError):
-        Polygon([GeodesicPath((0, 1))])
+        polygon_thinness_oracle(ball, [(0, 1)])
     with pytest.raises(ValueError):
-        Polygon([GeodesicPath((0, 1)), GeodesicPath((0, 1))])
+        polygon_thinness_oracle(ball, [(0, 1), (0, 1)])
 
 
 def test_geodesic_through(make_pair):
     ball, dist = make_pair("Z x Z", 2)
     u, v = ball.index[(0, 0)], ball.index[(2, 2)]
-    for via in interval(dist, u, v).vertices:
+    for via in interval(dist, u, v):
         path = geodesic_through(ball, dist, u, v, via)
-        assert path.start == u and path.end == v
-        assert path.length == dist.d(u, v)
-        assert via in path.vertices
+        assert path[0] == u and path[-1] == v
+        assert len(path) - 1 == dist.d(u, v)
+        assert all(dist.d(a, b) == 1 for a, b in zip(path, path[1:]))
+        assert via in path
 
 
 def test_max_avoidance_matches_enumeration(make_pair):
@@ -195,13 +190,11 @@ def test_max_avoidance_matches_enumeration(make_pair):
         for _ in range(25):
             u, v = rng.randrange(ball.inner_count), rng.randrange(ball.inner_count)
             p = rng.randrange(ball.mid_count)
-            paths, _ = enumerate_geodesics(ball, dist, u, v)
-            literal = max(
-                min(dist.d(p, w) for w in path.vertices) for path in paths
-            )
+            paths, _ = geodesics_dfs_oracle(ball, u, v)
+            literal = max(min(dist.d(p, w) for w in path) for path in paths)
             assert max_avoidance(ball, dist, u, v, p) == literal
             best = most_avoiding_geodesic(ball, dist, u, v, p)
-            assert min(dist.d(p, w) for w in best.vertices) == literal
+            assert min(dist.d(p, w) for w in best) == literal
 
 
 SMALL_CASES = [
@@ -220,7 +213,7 @@ def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
     ball, dist = make_pair(text, r_in)
     u = data.draw(st.integers(0, ball.inner_count - 1))
     v = data.draw(st.integers(0, ball.inner_count - 1))
-    probes = interval(dist, u, v).vertices
+    probes = interval_oracle(ball, u, v)
     p = data.draw(st.sampled_from(probes))
     paths, truncated = geodesics_dfs_oracle(ball, u, v)
     assert not truncated
@@ -229,9 +222,9 @@ def test_bottleneck_dp_matches_uncapped_enumeration(make_pair, data):
     assert max_avoidance(ball, dist, u, v, p) == literal
 
     best = most_avoiding_geodesic(ball, dist, u, v, p)
-    assert best.start == u and best.end == v and best.length == dist.d(u, v)
-    assert all(dist.d(a, b) == 1 for a, b in zip(best.vertices, best.vertices[1:]))
-    assert min(dist.d(p, w) for w in best.vertices) == literal
+    assert best[0] == u and best[-1] == v and len(best) - 1 == dist.d(u, v)
+    assert all(dist.d(a, b) == 1 for a, b in zip(best, best[1:]))
+    assert min(dist.d(p, w) for w in best) == literal
 
     rows = np.stack([dist.row(q) for q in probes])
     block = max_avoidance_block(ball, dist, [u], [v], rows)
@@ -292,7 +285,7 @@ def test_store_paths_match_dfs_oracle(make_pair, data):
     expected = [geodesics_dfs_oracle(ball, x, y, cap=cap) for x, y in pairs]
     for (x, y), (paths, truncated) in zip(pairs, expected):
         got, got_truncated = enumerate_geodesics(ball, dist, x, y, cap=cap)
-        assert [g.vertices for g in got] == paths and got_truncated == truncated
+        assert got == paths and got_truncated == truncated
     xs, ys = (np.array(c) for c in zip(*pairs))
     rows, counts, truncated = _geodesic_rows(ball, dist, xs, ys, cap)
     assert counts.tolist() == [len(paths) for paths, _ in expected]

@@ -17,39 +17,42 @@ from cayleyball import (
     cli,
     chain_defect,
     detour_epsilon,
-    doubled_gromov_product,
     enumerate_geodesics,
     four_point_delta,
     h2_center_distance,
     mesh_estimate,
     parse_group_spec,
     polygon_delta,
-    polygon_thinness,
     rips_delta,
     subgroup_quasiconvexity,
 )
 from cayleyball import InternalCheckError, geodesics, invariants
 from cayleyball import ball as ball_module
 from cayleyball.ball import connected_without
-from cayleyball.geodesics import GeodesicPath, Polygon, interval
 from cayleyball.invariants import (
     SamplingPlan,
     _bottleneck_chain,
     _bottleneck_defect,
     _gromov_matrix,
+    _pair_detours,
+    _polygon_tuple_batch,
     _polygon_tuples,
-    detour_for_pair,
     masked_path,
-    polygon_tuple_value,
 )
 from oracles import (
+    bfs_distances,
     chain_bruteforce,
     detour_pair_oracle,
+    doubled_gromov_oracle,
     four_point_tensor,
+    geodesics_dfs_oracle,
     grid_bigon_oracle,
     grid_sync_oracle,
+    interval_oracle,
     mesh_bruteforce,
     nx_graph,
+    polygon_thinness_oracle,
+    polygon_tuple_oracle,
     quasiconvexity_oracle,
 )
 
@@ -65,9 +68,10 @@ def test_gromov_product_examples(make_pair):
     one = ball.index_of_word("1")
     a, b = ball.index_of_word("a"), ball.index_of_word("b")
     ab, ab_inv = ball.index_of_word("a.b"), ball.index_of_word("a.b^-1")
-    assert doubled_gromov_product(dist, a, b, one) == 0
-    assert doubled_gromov_product(dist, ab, ab_inv, one) == 2
-    assert doubled_gromov_product(dist, a, a, one) == 2 * dist.d(one, a)
+    G = _gromov_matrix(dist, one)
+    assert G[a, b] == 0 == doubled_gromov_oracle(ball, a, b, one)
+    assert G[ab, ab_inv] == 2 == doubled_gromov_oracle(ball, ab, ab_inv, one)
+    assert G[a, a] == 2 * dist.d(one, a) == doubled_gromov_oracle(ball, a, a, one)
 
 
 def test_gromov_product_bounds(make_pair):
@@ -75,7 +79,8 @@ def test_gromov_product_bounds(make_pair):
     rng = random.Random(3)
     for _ in range(500):
         x, y, p = (rng.randrange(ball.inner_count) for _ in range(3))
-        g = doubled_gromov_product(dist, x, y, p)
+        g = int(_gromov_matrix(dist, p)[x, y])
+        assert g == doubled_gromov_oracle(ball, x, y, p)
         assert 0 <= g <= 2 * min(dist.d(p, x), dist.d(p, y))
 
 
@@ -100,7 +105,6 @@ def test_sampled_tuples_refuse_wide_ranges():
     assert len(plan.ordered_tuples(2**32 - 1, 2)) == 3
     with pytest.raises(InternalCheckError):
         plan.ordered_tuples(2**32, 2)
-    assert SamplingPlan.random(0, 1).unordered_tuples(5, 3) == []
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +139,16 @@ def test_four_point_sampled_below_exhaustive(make_pair):
 
 @pytest.mark.parametrize("text,r_in", [("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("S4", 2)])
 def test_sampled_four_point_matches_scalar_loop(make_pair, text, r_in):
-    # one doubled_gromov_product per term and quadruple, keeping the highest
+    # one doubled Gromov product per term and quadruple, keeping the highest
     # defect and then the smallest (p, x1, x0, x2)
     ball, dist = make_pair(text, r_in)
     plan = SamplingPlan.random(500, 4)
     defect, key = max(
         (
             min(
-                doubled_gromov_product(dist, x0, x1, p),
-                doubled_gromov_product(dist, x1, x2, p),
-            ) - doubled_gromov_product(dist, x0, x2, p),
+                doubled_gromov_oracle(ball, x0, x1, p),
+                doubled_gromov_oracle(ball, x1, x2, p),
+            ) - doubled_gromov_oracle(ball, x0, x2, p),
             tuple(-c for c in (p, x1, x0, x2)),
         )
         for x0, x1, x2, p in plan.ordered_tuples(ball.inner_count, 4)
@@ -163,17 +167,17 @@ def test_four_point_witness_reevaluates(make_pair):
         ball.index_of_word(w[k]) for k in ("x0", "x1", "x2", "basepoint")
     )
     recomputed = min(
-        doubled_gromov_product(dist, x0, x1, p),
-        doubled_gromov_product(dist, x1, x2, p),
-    ) - doubled_gromov_product(dist, x0, x2, p)
+        doubled_gromov_oracle(ball, x0, x1, p),
+        doubled_gromov_oracle(ball, x1, x2, p),
+    ) - doubled_gromov_oracle(ball, x0, x2, p)
     assert recomputed == res.value_doubled
     # the witness is the lexicographically first (p, x1, x0, x2) attaining the max
     n = ball.inner_count
     values = {
         (q, y1, y0, y2): min(
-            doubled_gromov_product(dist, y0, y1, q),
-            doubled_gromov_product(dist, y1, y2, q),
-        ) - doubled_gromov_product(dist, y0, y2, q)
+            doubled_gromov_oracle(ball, y0, y1, q),
+            doubled_gromov_oracle(ball, y1, y2, q),
+        ) - doubled_gromov_oracle(ball, y0, y2, q)
         for q, y1, y0, y2 in itertools.product(range(n), repeat=4)
     }
     best = max(values.values())
@@ -309,31 +313,32 @@ def test_tree_suite_exhaustive_r3(make_pair):
 def test_degenerate_triple_in_tree(make_pair):
     ball, dist = make_pair("F(a,b)", 2)
     x, y = ball.index_of_word("a"), ball.index_of_word("b.b")
-    value, _ = polygon_tuple_value(ball, dist, (x, x, y))
-    assert value == 0
+    value, _, _ = _polygon_tuple_batch(ball, dist, np.array([(x, x, y)]))
+    assert value == polygon_tuple_oracle(ball, (x, x, y))[0] == 0
 
 
 def test_polygon_scan_matches_literal_enumeration(make_pair):
     # dual route: the bottleneck scan against direct enumeration of all
-    # geodesic choices for every corner tuple
+    # geodesic choices for every corner tuple; per tuple, the tuple batch and
+    # the oracle's DP give the literal value too
     for text, r_in in (("Z x Z", 1), ("Z4", 1), ("Z2 * Z3", 2)):
         ball, dist = make_pair(text, r_in)
         for n in (1, 2):
             scanned = polygon_delta(ball, dist, n, UNCAPPED).value_doubled
             literal = 0
             for corners in itertools.product(range(ball.inner_count), repeat=n + 1):
-                side_paths = []
-                for u, v in zip(corners, corners[1:] + corners[:1]):
-                    paths, _ = enumerate_geodesics(ball, dist, u, v)
-                    side_paths.append(paths)
-                tuple_literal = max(
-                    polygon_thinness(dist, Polygon(list(combo)))
-                    for combo in itertools.product(*side_paths)
-                )
-                tuple_val, _ = polygon_tuple_value(ball, dist, corners)
-                assert tuple_val == tuple_literal, corners
+                tuple_literal = _literal_tuple_thinness(ball, corners)
+                assert polygon_tuple_oracle(ball, corners)[0] == tuple_literal, corners
+                assert _polygon_tuple_batch(ball, dist, np.array([corners]))[0] == tuple_literal, corners
                 literal = max(literal, tuple_literal)
             assert scanned == 2 * literal
+
+
+def _literal_tuple_thinness(ball, corners):
+    """Worst thinness of one corner tuple over every choice of geodesic
+    sides, listed by the depth-first oracle."""
+    sides = [geodesics_dfs_oracle(ball, u, v)[0] for u, v in zip(corners, corners[1:] + corners[:1])]
+    return max(polygon_thinness_oracle(ball, combo) for combo in itertools.product(*sides))
 
 
 def test_polygon_tuple_value_matches_literal(make_pair):
@@ -341,16 +346,10 @@ def test_polygon_tuple_value_matches_literal(make_pair):
     rng = random.Random(17)
     for _ in range(25):
         corners = tuple(rng.randrange(ball.inner_count) for _ in range(3))
-        side_paths = []
-        for u, v in zip(corners, corners[1:] + corners[:1]):
-            paths, _ = enumerate_geodesics(ball, dist, u, v)
-            side_paths.append(paths)
-        literal = max(
-            polygon_thinness(dist, Polygon(list(combo)))
-            for combo in itertools.product(*side_paths)
-        )
-        value, _ = polygon_tuple_value(ball, dist, corners)
+        literal = _literal_tuple_thinness(ball, corners)
+        value, _, probe = _polygon_tuple_batch(ball, dist, np.array([corners]))
         assert value == literal
+        assert polygon_tuple_oracle(ball, corners) == (literal, probe)
 
 
 # every corner tuple over every geodesic choice: the scan is the oracle
@@ -373,13 +372,13 @@ def test_exhaustive_tuples_match_scan(make_pair, text, r_in, n):
     assert tuples.value_doubled == scan.value_doubled
     # the witness is the first worst tuple in lexicographic order
     corners = tuple(ball.index_of_word(w) for w in tuples.witness["corners"])
-    value, probe = polygon_tuple_value(ball, dist, corners)
+    value, probe = polygon_tuple_oracle(ball, corners)
     assert 2 * value == tuples.value_doubled
     assert ball.word(probe) == tuples.witness["far_point"]
     for other in itertools.product(range(ball.inner_count), repeat=n + 1):
         if other == corners:
             break
-        assert 2 * polygon_tuple_value(ball, dist, other)[0] < tuples.value_doubled
+        assert 2 * polygon_tuple_oracle(ball, other)[0] < tuples.value_doubled
 
 
 @pytest.mark.parametrize("text,r_in", [("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("Z2 * Z3", 4)])
@@ -395,7 +394,7 @@ def test_sampled_polygon_report_independent_of_chunk(make_pair, monkeypatch, tex
 
 
 def test_sampled_polygon_matches_scalar_tuples(make_pair, monkeypatch):
-    # the batched path against one polygon_tuple_value per sampled tuple,
+    # the batched path against one polygon_tuple_oracle per sampled tuple,
     # with the same tie-breaks: highest value, then the smallest tuple;
     # avoidance chunks of one DP value, one unit each, give the same report
     for text, r_in in (("Z x Z", 3), ("(Z2 * Z3) x Z", 2), ("S4", 2)):
@@ -404,13 +403,13 @@ def test_sampled_polygon_matches_scalar_tuples(make_pair, monkeypatch):
             plan = SamplingPlan.random(60, 8 + n)
             res = polygon_delta(ball, dist, n, plan)
             best = max(
-                (polygon_tuple_value(ball, dist, corners)[0], tuple(-c for c in corners), corners)
+                (polygon_tuple_oracle(ball, corners)[0], tuple(-c for c in corners), corners)
                 for corners in plan.ordered_tuples(ball.inner_count, n + 1)
             )
             value, _, corners = max(best, (0, (0,) * (n + 1), (0,) * (n + 1)))
             assert res.value_doubled == 2 * value
             assert res.witness["corners"] == [ball.word(c) for c in corners]
-            assert ball.word(polygon_tuple_value(ball, dist, corners)[1]) == res.witness["far_point"]
+            assert ball.word(polygon_tuple_oracle(ball, corners)[1]) == res.witness["far_point"]
             with monkeypatch.context() as mp:
                 mp.setattr(geodesics, "_AVOIDANCE_ENTRIES", 1)
                 assert polygon_delta(ball, dist, n, plan).to_dict() == res.to_dict()
@@ -485,11 +484,8 @@ def test_polygon_witness_reevaluates(make_pair):
         ball, dist = make_pair("Z x Z", 2)
         res = polygon_delta(ball, dist, 2, plan)
         w = res.witness
-        sides = [
-            GeodesicPath(tuple(ball.index_of_word(t) for t in side))
-            for side in w["sides"] + [w["last_side"]]
-        ]
-        assert polygon_thinness(dist, Polygon(sides)) == res.value_doubled // 2
+        sides = [[ball.index_of_word(t) for t in side] for side in w["sides"] + [w["last_side"]]]
+        assert polygon_thinness_oracle(ball, sides) == res.value_doubled // 2
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +523,20 @@ def test_fellow_traveler_bound(make_pair):
         for x, y in itertools.combinations(range(ball.inner_count), 2):
             paths, _ = enumerate_geodesics(ball, dist, x, y)
             for pi, pj in itertools.permutations(paths, 2):
-                async_val = max(
-                    min(dist.d(w, w2) for w2 in pj.vertices) for w in pi.vertices
-                )
-                sync_val = max(dist.d(w, w2) for w, w2 in zip(pi.vertices, pj.vertices))
+                async_val = max(min(dist.d(w, w2) for w2 in pj) for w in pi)
+                sync_val = max(dist.d(w, w2) for w, w2 in zip(pi, pj))
                 assert sync_val <= 2 * async_val
 
 
-def _bigon_enumeration_oracle(ball, dist):
-    """Literal (async, sync) over every ordered pair of uncapped geodesics."""
+def _bigon_enumeration_oracle(ball):
+    """Literal (async, sync) over every ordered pair of geodesics, listed by
+    the depth-first oracle and measured by breadth-first distances."""
     best_async = best_sync = 0
     for x, y in itertools.combinations(range(ball.inner_count), 2):
-        paths, truncated = enumerate_geodesics(ball, dist, x, y, cap=None)
-        assert not truncated
+        paths, _ = geodesics_dfs_oracle(ball, x, y)
         for pi, pj in itertools.permutations(paths, 2):
-            best_async = max(
-                best_async,
-                max(min(dist.d(w, w2) for w2 in pj.vertices) for w in pi.vertices),
-            )
-            best_sync = max(
-                best_sync, max(dist.d(w, w2) for w, w2 in zip(pi.vertices, pj.vertices))
-            )
+            best_async = max(best_async, max(min(bfs_distances(ball, w)[w2] for w2 in pj) for w in pi))
+            best_sync = max(best_sync, max(bfs_distances(ball, w)[w2] for w, w2 in zip(pi, pj)))
     return 2 * best_async, 2 * best_sync
 
 
@@ -571,7 +560,7 @@ def test_bigons_match_uncapped_enumeration(make_pair, monkeypatch, text, r_in):
     ball, dist = make_pair(text, r_in)
     res_async, res_sync = bigon_constants(ball, dist, EXHAUSTIVE)
     values = (res_async.value_doubled, res_sync.value_doubled)
-    assert values == _bigon_enumeration_oracle(ball, dist)
+    assert values == _bigon_enumeration_oracle(ball)
     assert res_async.bound == res_sync.bound == "exact"
     if values != (0, 0):
         assert _bigon_witness_values(ball, dist, res_async, res_sync) == values
@@ -591,6 +580,19 @@ def test_bigons_grid_r4_exact(make_pair):
     assert _bigon_witness_values(ball, dist, res_async, res_sync) == (8, 16)
 
 
+@settings(max_examples=40)
+@given(data=st.data())
+def test_bigon_async_equals_polygon_one(make_pair, data):
+    # one number by two routes under an exhaustive plan: the polygon scan's
+    # WP over hull probes, and the bigon store DP over each pair's own
+    # interval vertices, on two-atom specs at R1 or R2
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    ball, dist = make_pair(text, data.draw(st.integers(1, 2)))
+    res_async, _ = bigon_constants(ball, dist, EXHAUSTIVE)
+    assert res_async.value_doubled == polygon_delta(ball, dist, 1, EXHAUSTIVE).value_doubled
+
+
 def test_bigon_witness_reevaluates(make_pair):
     ball, dist = make_pair("Z x Z", 2)
     res_async, _ = bigon_constants(ball, dist, UNCAPPED)
@@ -605,9 +607,9 @@ def test_bigon_witness_reevaluates(make_pair):
 
 def test_detour_tree_zero_all_pairs(make_pair):
     ball, dist = make_pair("F(a,b)", 1)
-    for x, y in itertools.combinations(range(ball.inner_count), 2):
-        value, _ = detour_for_pair(ball, dist, x, y)
-        assert value == detour_pair_oracle(ball, x, y) == 0
+    pairs = list(itertools.combinations(range(ball.inner_count), 2))
+    values, _ = _pair_detours(ball, dist, pairs)
+    assert values.tolist() == [detour_pair_oracle(ball, x, y) for x, y in pairs] == [0] * len(pairs)
 
 
 @pytest.mark.parametrize(
@@ -617,17 +619,17 @@ def test_detour_tree_zero_all_pairs(make_pair):
 def test_detour_cyclic_antipodal(make_pair, text, r_in, word, expected):
     ball, dist = make_pair(text, r_in)
     x, y = ball.index_of_word("1"), ball.index_of_word(word)
-    value, _ = detour_for_pair(ball, dist, x, y)
-    assert value == expected
+    values, _ = _pair_detours(ball, dist, [(x, y)])
+    assert values.tolist() == [expected]
     assert detour_pair_oracle(ball, x, y) == expected
 
 
 def test_detour_matches_oracle_on_small_balls(make_pair):
     for text, r_in in (("Z6", 3), ("Z2 * Z3", 1), ("Z x Z", 1)):
         ball, dist = make_pair(text, r_in)
-        for x, y in itertools.combinations(range(ball.inner_count), 2):
-            value, _ = detour_for_pair(ball, dist, x, y)
-            assert value == detour_pair_oracle(ball, x, y)
+        pairs = list(itertools.combinations(range(ball.inner_count), 2))
+        values, _ = _pair_detours(ball, dist, pairs)
+        assert values.tolist() == [detour_pair_oracle(ball, x, y) for x, y in pairs]
 
 
 @settings(max_examples=60)
@@ -639,7 +641,8 @@ def test_detour_for_pair_matches_oracle_random(make_pair, data):
     text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
     ball, dist = make_pair(text, 1)
     x, y = data.draw(st.lists(st.integers(0, ball.inner_count - 1), min_size=2, max_size=2, unique=True))
-    value, p = detour_for_pair(ball, dist, x, y)
+    values, probes = _pair_detours(ball, dist, [(x, y)])
+    value, p = int(values[0]), int(probes[0])
     assert value == detour_pair_oracle(ball, x, y)
     # the probe is the smallest one attaining the value: x and y stay linked
     # outside its open (value)-ball, and outside no smaller probe's
@@ -649,7 +652,7 @@ def test_detour_for_pair_matches_oracle_random(make_pair, data):
         sub = graph.subgraph(np.flatnonzero(dist.row(q) >= r).tolist())
         return x in sub and y in sub and nx.has_path(sub, x, y)
 
-    probes = interval(dist, x, y).vertices
+    probes = interval_oracle(ball, x, y)
     assert p in probes and linked(p, value)
     assert not any(linked(q, value) for q in probes if q < p)
 
@@ -736,8 +739,9 @@ def test_detour_probe_at_endpoint_contributes_zero(make_pair):
 def test_detour_of_a_point_is_zero(make_pair):
     # the only probe is the point itself, at distance 0 from every path
     ball, dist = make_pair("Z x Z", 1)
-    for x in range(ball.inner_count):
-        assert detour_for_pair(ball, dist, x, x) == (0, x)
+    points = list(range(ball.inner_count))
+    values, probes = _pair_detours(ball, dist, [(x, x) for x in points])
+    assert values.tolist() == [0] * len(points) and probes.tolist() == points
 
 
 def test_detour_witness_reevaluates(make_pair):
@@ -959,6 +963,11 @@ def test_plan_validation():
         SamplingPlan(mode="random", count=10)
     with pytest.raises(ValueError):
         SamplingPlan(mode="exhaustive", geodesic_cap=0)
+    # an empty or negative sample would make four_point_delta index an empty
+    # array and the other invariants report a vacuous lower bound 0
+    for count in (0, -3):
+        with pytest.raises(ValueError):
+            SamplingPlan.random(count, 1)
 
 
 # ---------------------------------------------------------------------------
