@@ -32,9 +32,9 @@ values is the clipped maximum or minimum.
 
 Those probe points form the geodesic hull: the vertices on some geodesic
 between two inner vertices, all within ``2 * r_in`` of the identity.
-``DistanceMatrix.hull`` reads it exactly from the inner rows, and the
-exhaustive scans take their rows in one block over the hull alone rather
-than over the whole ``2 * r_in`` ball.
+``DistanceMatrix.hull`` reads it exactly from the inner rows, and every
+row lives in one block, the hull's first, so the exhaustive scans read them
+as one view and a row off the hull is computed only on request.
 """
 
 from __future__ import annotations
@@ -472,22 +472,20 @@ def _row_classes(words):
 
 
 class DistanceMatrix:
-    """Clipped ball distances: a dense inner-ball matrix plus per-source rows.
+    """Clipped ball distances, every row in one int16 ``block``.
 
-    Every row holds ``min(d_ball(u, w), clip)`` with ``clip = 2 * r_in + 1``:
+    A row holds ``min(d_ball(u, w), clip)`` with ``clip = 2 * r_in + 1``:
     exact up to ``2 * r_in`` and ``clip`` beyond it (the certificate in the
-    module docstring).  ``inner`` is the symmetric integer matrix over
-    inner-ball pairs, all at most ``2 * r_in`` apart, so it holds the exact
-    word-metric distances of the full group.  ``row(u)`` gives the clipped
-    distances from any vertex to the whole ball; rows are cached, and
-    ``ensure_mid_rows`` bulk-computes them for every vertex of the geodesic
-    hull (see ``hull``) ahead of an exhaustive scan.
+    module docstring).  Every row comes from ``_clipped_rows``, and a slot
+    per vertex gives its row in the block, or -1.  The block fills in one
+    order: the inner rows at construction; on the first request for any
+    other row, the rest of the hull in hull order (``ensure_mid_rows`` is a
+    view of them); then each request's missing rows.  Read through ``rows``
+    or ``row``, since a request may replace ``block``.  ``inner`` is a
+    contiguous copy of the inner columns of the inner rows.
 
-    Logically read-only, but the hull, the hull rows and the lazy row cache
-    are filled on first use without locks.  Every probe on an inner-pair
-    geodesic lies in the hull, so after ``ensure_mid_rows`` reading those
-    rows is read-only; the other rows (the mesh's adversarial sides) still
-    fill on demand, so concurrent readers need a lock of their own.
+    Logically read-only, but the hull and the block fill on first use
+    without locks, so concurrent readers need a lock of their own.
     Geodesic DAGs are not cached: each caller builds the flattened store it
     needs (``geodesics._interval_dags``) for a whole batch of pairs at once.
     """
@@ -495,14 +493,13 @@ class DistanceMatrix:
     def __init__(self, ball: BallGraph):
         self.ball = ball
         self.clip = 2 * ball.r_in + 1
-        self._rows: dict[int, np.ndarray] = {}
         self._hull: np.ndarray | None = None
-        self._hull_block: np.ndarray | None = None
-        self._hull_pos: dict[int, int] = {}  # non-inner hull vertex -> block row
         self._pscan = None  # the polygon scan, filled lazily by invariants
-        inner_rows = self._clipped_rows(list(range(ball.inner_count)))
-        self.inner = inner_rows[:, : ball.inner_count].copy()
-        self._inner_rows = inner_rows
+        ni = ball.inner_count
+        self.block = self._clipped_rows(np.arange(ni))
+        self.inner = self.block[:, :ni].copy()
+        self._slot = np.full(ball.n_vertices, -1, dtype=np.int32)
+        self._slot[:ni] = np.arange(ni)
 
     def _clipped_rows(self, sources):
         """int16 rows ``min(d_ball(s, w), clip)``, one per source, by an
@@ -520,6 +517,19 @@ class DistanceMatrix:
             out[start : start + len(batch)] = block
         return out
 
+    def _slots(self, vertices):
+        """Block rows of ``vertices``, after appending the rows they lack
+        (and the rest of the hull before them) in one ``_clipped_rows`` call."""
+        at = self._slot[vertices]
+        if at.min(initial=0) < 0:
+            hull = self.hull()
+            missing = np.setdiff1d(np.asarray(vertices)[at < 0], hull)
+            missing = np.concatenate([hull[len(self.block) :], missing])
+            self.block = np.concatenate([self.block, self._clipped_rows(missing)])
+            self._slot[missing] = np.arange(len(self.block) - len(missing), len(self.block))
+            at = self._slot[vertices]
+        return at
+
     def hull(self) -> np.ndarray:
         """The geodesic hull: ascending indices of the vertices on some
         geodesic between two inner vertices, computed on first request.
@@ -534,7 +544,7 @@ class DistanceMatrix:
         """
         if self._hull is None:
             ni, mid = self.ball.inner_count, self.ball.mid_count
-            rows = self._inner_rows[:, ni:mid]
+            rows = self.block[:ni, ni:mid]
             on = np.zeros(mid - ni, dtype=bool)
             for a in range(ni):  # pairs (a, b) with b >= a
                 on |= (rows[a:] + rows[a] == self.inner[a:, a, None]).any(axis=0)
@@ -542,41 +552,28 @@ class DistanceMatrix:
         return self._hull
 
     def ensure_mid_rows(self):
-        """The ``len(hull()) x n_vertices`` int16 block of hull rows, in hull
-        order, computed on first call.
+        """The hull rows in hull order, as a view of the block's first rows.
+        The name predates the hull and stays because the layer probe in
+        ``perfbench/tracing.py`` binds it by name; its ``ball.mid_rows_s``
+        and ``ball.mid_block_bytes`` measure this block."""
+        hull = self.hull()
+        self._slots(hull)
+        return self.block[: len(hull)]
 
-        The name predates the hull (the block once held every vertex within
-        ``2 * r_in``) and stays because the benchmark's layer probe in
-        ``perfbench/tracing.py`` binds ``DistanceMatrix.ensure_mid_rows`` by
-        name; its ``ball.mid_rows_s`` and ``ball.mid_block_bytes`` now
-        measure this block.  The inner rows become a view of its first
-        ``inner_count`` rows instead of a second copy.
-        """
-        if self._hull_block is None:
-            hull = self.hull()
-            ni = self.ball.inner_count
-            block = np.empty((len(hull), self.ball.n_vertices), dtype=np.int16)
-            block[:ni] = self._inner_rows
-            self._inner_rows = block[:ni]
-            block[ni:] = self._clipped_rows(hull[ni:].tolist())
-            self._hull_block = block
-            self._hull_pos = {int(w): k for k, w in enumerate(hull[ni:], ni)}
-        return self._hull_block
+    def rows(self, vertices, cols=None) -> np.ndarray:
+        """Clipped rows of a 1-D array of vertices, as a new int16 array,
+        or only columns ``cols``: a 1-D ``cols`` is read from every row, a
+        2-D one row by row (``d(vertices[i], cols[i, j])``)."""
+        at = self._slots(vertices)
+        return self.block[at] if cols is None else self.block[at[:, None], cols]
 
     def row(self, u) -> np.ndarray:
-        """Clipped distances from ``u`` to every ball vertex: exact up to
-        ``2 * r_in``, ``clip`` beyond it."""
-        u = int(u)
-        if u < self.ball.inner_count:
-            return self._inner_rows[u]
-        k = self._hull_pos.get(u)
-        if k is not None:
-            return self._hull_block[k]
-        cached = self._rows.get(u)
-        if cached is None:
-            cached = self._clipped_rows([u])[0]
-            self._rows[u] = cached
-        return cached
+        """Clipped distances from ``u`` to every ball vertex, as a view of
+        its block row: exact up to ``2 * r_in``, ``clip`` beyond it."""
+        k = self._slot[u]
+        if k < 0:  # fill first: the fill replaces the block
+            k = self._slots([u])[0]
+        return self.block[k]
 
     def d(self, u, v) -> int:
         """Clipped distance between two ball vertices: exact up to

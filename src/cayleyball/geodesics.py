@@ -62,19 +62,13 @@ def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     leads to from e when it lies one layer up (down) in the same interval,
     and -1 otherwise, so both keep edge-label order.
 
-    Distances to b[k] are read from the inner rows when every b[k] is inner
-    and from ``dist.row`` otherwise.  Raises ValueError when some
+    Distances to b[k] come from ``dist.rows``.  Raises ValueError when some
     ``d(a[k], b[k]) >= dist.clip``, where clipped rows stop being exact.
     """
     a = np.asarray(a, dtype=np.int64).ravel()
     b = np.asarray(b, dtype=np.int64).ravel()
     n, letters = ball.n_vertices, ball.nbr.shape[1]
-    if len(b) and 0 <= b.min() and b.max() < ball.inner_count:
-        rows, bi = dist._inner_rows, b
-    else:
-        ub, bi = np.unique(b, return_inverse=True)
-        rows = np.stack([dist.row(x) for x in ub.tolist()]) if len(ub) else np.empty((0, n), np.int16)
-    duv = rows[bi, a].astype(np.int64)
+    duv = dist.rows(b, a[:, None])[:, 0].astype(np.int64)
     if (duv >= dist.clip).any():
         raise ValueError(f"a pair is at least {dist.clip} apart: beyond the clipped distance rows")
     # grow layer by layer; links index the concatenated layer blocks
@@ -83,7 +77,7 @@ def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     blocks = []
     while True:
         z = ball.nbr[w]
-        on = (z >= 0) & (rows[bi[k][:, None], z] == (duv[k] - t - 1)[:, None])
+        on = (z >= 0) & (dist.rows(b[k], z) == (duv[k] - t - 1)[:, None])
         nxt, inv = np.unique((k[:, None] * n + z)[on], return_inverse=True)
         succ = np.full(z.shape, -1, dtype=np.int32)
         succ[on] = inv + off + len(k)

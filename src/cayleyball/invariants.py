@@ -80,17 +80,23 @@ class SamplingPlan:
     def random(cls, count, seed, geodesic_cap=64):
         return cls(mode="random", count=count, seed=seed, geodesic_cap=geodesic_cap)
 
-    def ordered_tuples(self, n, arity):
-        """Ordered tuples with repetition from ``range(n)``."""
-        if self.mode == "exhaustive":
-            return itertools.product(range(n), repeat=arity)
-        return list(map(tuple, self._draws(n, arity).tolist()))
-
-    def unordered_tuples(self, n, arity):
-        """Sorted tuples; exhaustive mode enumerates distinct combinations."""
-        if self.mode == "exhaustive":
-            return itertools.combinations(range(n), arity)
-        return list(map(tuple, np.sort(self._draws(n, arity), axis=1).tolist()))
+    def tuples(self, n, arity, unordered=False, size=None):
+        """The plan's ``arity``-tuples over ``range(n)``, in plan order, as
+        non-empty int64 arrays of at most ``size`` rows (one when None),
+        each row sorted when ``unordered``.  A random plan slices its
+        draws; an exhaustive one reads ``itertools.product`` (distinct
+        ``combinations`` when unordered) one array at a time."""
+        step = size or self.count
+        if self.mode == "random":
+            draws = self._draws(n, arity)
+            if unordered:
+                draws.sort(axis=1)
+            yield from (draws[lo : lo + step] for lo in range(0, self.count, step))
+            return
+        tuples = itertools.combinations(range(n), arity) if unordered else itertools.product(range(n), repeat=arity)
+        chain = itertools.chain.from_iterable
+        while (flat := np.fromiter(chain(itertools.islice(tuples, step)), dtype=np.int64)).size:
+            yield flat.reshape(-1, arity)
 
     def _draws(self, n, arity):
         """``count`` rows of ``arity`` values, the values that successive
@@ -179,17 +185,6 @@ class _Extremum:
             self.data = data
 
 
-def _tuple_batches(tuples, arity, size):
-    """``tuples`` in order, as non-empty ``(t, arity)`` int64 arrays of at
-    most ``size`` rows; an exhaustive plan's iterator is never materialized."""
-    tuples = iter(tuples)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, size)), dtype=np.int64)
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, arity)
-
-
 def _result(name, ball, value, bound, plan, witness, extra=None):
     return InvariantResult(
         name=name,
@@ -251,7 +246,7 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
                 x0, x2 = int(x0[hit[0]]), int(x2[hit[0]])
                 break
     else:
-        x0, x1, x2, p = np.array(plan.ordered_tuples(n, 4), dtype=np.int64).reshape(-1, 4).T
+        x0, x1, x2, p = next(plan.tuples(n, 4)).T
         D = dist.inner
         d0, d1, d2 = D[p, x0], D[p, x1], D[p, x2]
         # doubled Gromov products (x0|x1)_p, (x1|x2)_p and (x0|x2)_p
@@ -377,7 +372,6 @@ class _PolygonScan:
         WP[:, vs, us] = vals
         self.WP = WP
         self.last = list(WP)
-        self.D = dist.inner.astype(np.int16)
 
     def ensure(self, n_max):
         if n_max <= self.n_max:
@@ -392,7 +386,7 @@ class _PolygonScan:
         for k, p in enumerate(self.hull.tolist()):
             W = self.WP[k]
             dap = rows[k, :ni]
-            mask = (dap[:, None].astype(np.int16) + dap[None, :]) == self.D
+            mask = (dap[:, None] + dap[None, :]) == self.dist.inner
             B = self.last[k]
             for n in sizes:
                 if n > 1:
@@ -472,8 +466,7 @@ def _polygon_tuple_batch(ball, dist, corners):
     probes = dags.verts[_first_padded(dags.ptr[pid[:, -1]], sizes)]
     used, local = np.unique(probes, return_inverse=True)
     local = local.reshape(probes.shape)
-    cols = int(dags.verts.max()) + 1
-    rows = np.stack([dist.row(p)[:cols] for p in used.tolist()])
+    rows = dist.rows(used, np.arange(int(dags.verts.max()) + 1))
 
     def values(entry, owner):
         return rows[local[owner // n], dags.verts[entry][:, None]]
@@ -495,8 +488,7 @@ def _polygon_tuples(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
     every corner tuple and agrees with the scan, its oracle in the tests."""
     best = _Extremum()
     best.offer(0, tuple([0] * (n + 1)), 0)
-    tuples = plan.ordered_tuples(ball.inner_count, n + 1)
-    for corners in _tuple_batches(tuples, n + 1, _POLYGON_TUPLES):
+    for corners in plan.tuples(ball.inner_count, n + 1, size=_POLYGON_TUPLES):
         best.offer(*_polygon_tuple_batch(ball, dist, corners))
     witness = _polygon_tuple_witness(ball, dist, list(best.key), best.data, best.value)
     bound = "exact" if plan.mode == "exhaustive" else "lower"
@@ -559,7 +551,7 @@ def _bigon_batch(ball, dist, pairs):
     verts = dags.verts[e]
     owner = np.repeat(np.arange(len(keep)), sizes)
     used, local = np.unique(verts, return_inverse=True)
-    D = np.stack([dist.row(w)[used] for w in used.tolist()])  # symmetric
+    D = dist.rows(used, used)  # symmetric
     # async: a pair's own interval vertices are the probes, the vector axis
     # of its unit; a shorter interval repeats its first probe
     probe = local[_first_padded(base, sizes)]
@@ -608,7 +600,7 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
     best_sync = _Extremum()
     best_async.offer(0, (0, 0), None)
     best_sync.offer(0, (0, 0), None)
-    for batch in _tuple_batches(plan.unordered_tuples(n, 2), 2, _BIGON_PAIRS):
+    for batch in plan.tuples(n, 2, unordered=True, size=_BIGON_PAIRS):
         pairs, a_val, a_w, s_val, s_a, s_b = _bigon_batch(ball, dist, batch)
         bad = np.flatnonzero(s_val > 2 * a_val)
         if len(bad):
@@ -714,7 +706,7 @@ def _detour_levels(ball, dist, probes, xs, ys):
         for lo in range(0, len(live), per_chunk):
             chunk = live[lo : lo + per_chunk]
             m = len(chunk)
-            allowed = np.stack([dist.row(p) for p in chunk.tolist()]) >= r
+            allowed = dist.rows(chunk) >= r
             kept = allowed.take(src, axis=1)
             kept &= allowed.take(dst, axis=1)
             heads = np.where(kept, dst, src)
@@ -776,7 +768,8 @@ def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:
     paths in the full group may leave any finite ball.  The witness is the
     lexicographically smallest (x, y, probe) attaining the maximum."""
     n = ball.inner_count
-    pairs = np.array([t for t in plan.unordered_tuples(n, 2) if t[0] != t[1]], dtype=np.int64).reshape(-1, 2)
+    pairs = next(plan.tuples(n, 2, unordered=True), np.empty((0, 2), dtype=np.int64))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     values, probes = _pair_detours(ball, dist, pairs)
     value = int(values.max(initial=0))
     x = y = p = 0
@@ -849,7 +842,7 @@ _MESH_TRIANGLES = 1 << 12
 def _mesh_triangles(plan, n):
     """The plan's non-degenerate corner triples, in plan order, as
     non-empty batches of ``(t, 3)`` arrays."""
-    for tri in _tuple_batches(plan.unordered_tuples(n, 3), 3, _MESH_TRIANGLES):
+    for tri in plan.tuples(n, 3, unordered=True, size=_MESH_TRIANGLES):
         tri = tri[(tri[:, 0] != tri[:, 1]) & (tri[:, 1] != tri[:, 2]) & (tri[:, 0] != tri[:, 2])]
         if len(tri):
             yield tri
@@ -940,7 +933,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
         used = np.unique(padded)
         # flat indices into the |U|x|U| block; int32 halves the index tensors
         P = np.searchsorted(used, padded).astype(np.int32 if len(used) ** 2 < 2**31 else np.int64)
-        D = np.stack([dist.row(w)[used] for w in used.tolist()])
+        D = dist.rows(used, used)
         first, count = np.asarray(first), np.asarray(count)
         chunk = max(1, _MESH_CHUNK // width**2)
         for tri in _mesh_triangles(plan, n):
@@ -1030,7 +1023,7 @@ def subgroup_quasiconvexity(ball, dist, subgroup_gens, detour_result=None) -> In
     h, h2 = H_inner[i], H_inner[j]
     dags = _interval_dags(ball, dist, h, h2)
     used, local = np.unique(dags.verts, return_inverse=True)
-    block = np.stack([dist.row(p)[H_arr] for p in used.tolist()])
+    block = dist.rows(used, H_arr)
     nearest = block.argmin(axis=1)  # the first nearest element in H order
     far = block[np.arange(len(used)), nearest][local]
     # highest distance, then the smallest (h, h2, p); the identity is in H,

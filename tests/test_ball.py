@@ -25,6 +25,7 @@ from cayleyball.groups import GroupSpec
 from oracles import (
     all_pairs_oracle,
     ball_bfs_oracle,
+    bfs_distances,
     grid_bigon_oracle,
     monotone_lattice_paths,
     nx_graph,
@@ -289,14 +290,60 @@ def test_rows_match_clipped_bfs(make_pair, data):
 
 @pytest.mark.parametrize("text,r_in", ROW_CASES)
 def test_mid_block_rows_match_lazy_rows(make_pair, text, r_in):
-    # the bulk hull rows, in hull order, against rows computed one at a time
+    # the hull block built in bulk on a fresh store, against a fresh store
+    # asked for one row at a time: the ball's last vertex (off the hull)
+    # first, then the hull backwards; every row is min(BFS distance, 2R + 1)
     ball, _ = make_pair(text, r_in)
     lazy = DistanceMatrix(ball)
-    hull = lazy.hull()
-    rows = [lazy.row(u).copy() for u in hull]
+    hull = lazy.hull().tolist()
+    order = [ball.n_vertices - 1] + hull[::-1]
+    rows = {u: lazy.row(u).copy() for u in order}
+    for u in order:
+        assert rows[u].tolist() == [min(d, lazy.clip) for d in bfs_distances(ball, u)]
     block = DistanceMatrix(ball).ensure_mid_rows()
     assert block.shape == (len(hull), ball.n_vertices) and block.dtype == np.int16
-    assert (block == np.stack(rows)).all()
+    assert (block == np.stack([rows[u] for u in hull])).all()
+    assert (lazy.ensure_mid_rows() == block).all()
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_rows_match_clipped_bfs_in_any_request_order(make_pair, data):
+    # a fresh store asked for inner, hull and off-hull vertices in any
+    # order, through rows (whole, on shared columns or on per-row columns)
+    # and row: every row is min(BFS distance, 2R + 1), and afterwards the
+    # hull block is the hull rows in hull order
+    text, r_in = data.draw(st.sampled_from(ROW_CASES))
+    ball, _ = make_pair(text, r_in)
+    dist = DistanceMatrix(ball)
+    hull = dist.hull().tolist()
+    off = sorted(set(range(ball.n_vertices)) - set(hull))
+    vertex = st.one_of(
+        [st.integers(0, ball.inner_count - 1), st.sampled_from(hull)] + ([st.sampled_from(off)] if off else [])
+    )
+    column = st.integers(0, ball.n_vertices - 1)
+
+    def clipped(u):
+        return [min(d, dist.clip) for d in bfs_distances(ball, u)]
+
+    for _ in range(data.draw(st.integers(1, 5))):
+        vs = data.draw(st.lists(vertex, min_size=1, max_size=4))
+        how = data.draw(st.sampled_from(["rows", "shared", "own", "row"]))
+        if how == "rows":
+            assert dist.rows(vs).tolist() == [clipped(u) for u in vs]
+        elif how == "shared":
+            cols = data.draw(st.lists(column, min_size=1, max_size=5))
+            assert dist.rows(vs, cols).tolist() == [[clipped(u)[w] for w in cols] for u in vs]
+        elif how == "own":
+            cols = [data.draw(st.lists(column, min_size=3, max_size=3)) for _ in vs]
+            got = dist.rows(vs, np.array(cols))
+            assert got.tolist() == [[clipped(u)[w] for w in c] for u, c in zip(vs, cols)]
+        else:
+            for u in vs:
+                assert dist.row(u).tolist() == clipped(u)
+    block = dist.ensure_mid_rows()
+    assert block.dtype == np.int16
+    assert block.tolist() == [clipped(u) for u in hull]
 
 
 def _draw_generators(data, text):

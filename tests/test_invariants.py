@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scipy.sparse.csgraph import connected_components, shortest_path
@@ -84,6 +84,24 @@ def test_gromov_product_bounds(make_pair):
         assert 0 <= g <= 2 * min(dist.d(p, x), dist.d(p, y))
 
 
+def _draw_two_atom_pair(make_pair, data, max_inner=None, extra_generator=False):
+    # (ball, dist) of a spec "A x B" or "A * B" over small atoms at R1 or
+    # R2; with extra_generator, on the standard generators or those plus
+    # one product of two of them; balls with more than max_inner inner
+    # vertices are skipped
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    r_in = data.draw(st.integers(1, 2))
+    generators = None
+    names = list(parse_group_spec(text).generator_names) if extra_generator else []
+    if len(names) >= 2 and data.draw(st.booleans()):
+        first, second = data.draw(st.permutations(names))[:2]
+        generators = names + [f"{first}.{second}"]
+    ball, dist = make_pair(text, r_in, generators=generators)
+    assume(max_inner is None or ball.inner_count <= max_inner)
+    return ball, dist
+
+
 # ---------------------------------------------------------------------------
 # sampling plans
 
@@ -91,20 +109,38 @@ def test_gromov_product_bounds(make_pair):
 @pytest.mark.parametrize("arity", [2, 3, 4])
 def test_sampled_tuples_match_scalar_randrange(n, arity):
     # the bulk draw keeps the stream of one randrange call per corner,
-    # powers of two and n = 1 included
+    # powers of two and n = 1 included; batches slice it in order
     for seed in (0, 7):
         plan = SamplingPlan.random(300, seed)
         rng = random.Random(seed)
-        want = [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(300)]
-        assert plan.ordered_tuples(n, arity) == want
-        assert plan.unordered_tuples(n, arity) == [tuple(sorted(t)) for t in want]
+        want = [[rng.randrange(n) for _ in range(arity)] for _ in range(300)]
+        (ordered,) = plan.tuples(n, arity)
+        assert ordered.dtype == np.int64 and ordered.tolist() == want
+        batches = list(plan.tuples(n, arity, unordered=True, size=128))
+        assert [len(b) for b in batches] == [128, 128, 44]
+        assert np.concatenate(batches).tolist() == [sorted(t) for t in want]
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_exhaustive_tuples_read_itertools(size):
+    # products and combinations in itertools order, in batches of at most
+    # `size` rows, none of them empty
+    plan = SamplingPlan.exhaustive()
+    for unordered, source in (
+        (False, itertools.product(range(5), repeat=3)),
+        (True, itertools.combinations(range(5), 3)),
+    ):
+        batches = list(plan.tuples(5, 3, unordered=unordered, size=size))
+        assert all(b.dtype == np.int64 and 0 < len(b) <= (size or len(b)) for b in batches)
+        assert np.concatenate(batches).tolist() == [list(t) for t in source]
+    assert list(plan.tuples(2, 3, unordered=True)) == []
 
 
 def test_sampled_tuples_refuse_wide_ranges():
     plan = SamplingPlan.random(3, 1)
-    assert len(plan.ordered_tuples(2**32 - 1, 2)) == 3
+    assert next(plan.tuples(2**32 - 1, 2)).shape == (3, 2)
     with pytest.raises(InternalCheckError):
-        plan.ordered_tuples(2**32, 2)
+        next(plan.tuples(2**32, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +187,7 @@ def test_sampled_four_point_matches_scalar_loop(make_pair, text, r_in):
             ) - doubled_gromov_oracle(ball, x0, x2, p),
             tuple(-c for c in (p, x1, x0, x2)),
         )
-        for x0, x1, x2, p in plan.ordered_tuples(ball.inner_count, 4)
+        for x0, x1, x2, p in next(plan.tuples(ball.inner_count, 4)).tolist()
     )
     res = four_point_delta(dist, plan)
     assert res.value_doubled == max(0, defect)
@@ -341,6 +377,20 @@ def _literal_tuple_thinness(ball, corners):
     return max(polygon_thinness_oracle(ball, combo) for combo in itertools.product(*sides))
 
 
+@settings(max_examples=20)
+@given(data=st.data())
+def test_polygon_scan_matches_literal_enumeration_random_specs(make_pair, data):
+    # the scan against the literal worst tuple over every choice of
+    # geodesic sides, n = 1 and 2, on random two-atom specs
+    ball, dist = _draw_two_atom_pair(make_pair, data, max_inner=10, extra_generator=True)
+    for n in (1, 2):
+        literal = max(
+            _literal_tuple_thinness(ball, corners)
+            for corners in itertools.product(range(ball.inner_count), repeat=n + 1)
+        )
+        assert polygon_delta(ball, dist, n, UNCAPPED).value_doubled == 2 * literal
+
+
 def test_polygon_tuple_value_matches_literal(make_pair):
     ball, dist = make_pair("Z x Z", 2)
     rng = random.Random(17)
@@ -404,7 +454,7 @@ def test_sampled_polygon_matches_scalar_tuples(make_pair, monkeypatch):
             res = polygon_delta(ball, dist, n, plan)
             best = max(
                 (polygon_tuple_oracle(ball, corners)[0], tuple(-c for c in corners), corners)
-                for corners in plan.ordered_tuples(ball.inner_count, n + 1)
+                for corners in map(tuple, next(plan.tuples(ball.inner_count, n + 1)).tolist())
             )
             value, _, corners = max(best, (0, (0,) * (n + 1), (0,) * (n + 1)))
             assert res.value_doubled == 2 * value
@@ -570,6 +620,16 @@ def test_bigons_match_uncapped_enumeration(make_pair, monkeypatch, text, r_in):
     assert [r.to_dict() for r in chunked] == [res_async.to_dict(), res_sync.to_dict()]
 
 
+@settings(max_examples=25)
+@given(data=st.data())
+def test_bigons_match_uncapped_enumeration_random_specs(make_pair, data):
+    # exhaustive async and sync against every ordered pair of geodesics,
+    # on random two-atom specs
+    ball, dist = _draw_two_atom_pair(make_pair, data, max_inner=16, extra_generator=True)
+    res_async, res_sync = bigon_constants(ball, dist, EXHAUSTIVE)
+    assert (res_async.value_doubled, res_sync.value_doubled) == _bigon_enumeration_oracle(ball)
+
+
 def test_bigons_grid_r4_exact(make_pair):
     # pairs at distance 8 have 70 geodesics, past the default cap of 64
     ball, dist = make_pair("Z x Z", 4)
@@ -586,9 +646,7 @@ def test_bigon_async_equals_polygon_one(make_pair, data):
     # one number by two routes under an exhaustive plan: the polygon scan's
     # WP over hull probes, and the bigon store DP over each pair's own
     # interval vertices, on two-atom specs at R1 or R2
-    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
-    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
-    ball, dist = make_pair(text, data.draw(st.integers(1, 2)))
+    ball, dist = _draw_two_atom_pair(make_pair, data)
     res_async, _ = bigon_constants(ball, dist, EXHAUSTIVE)
     assert res_async.value_doubled == polygon_delta(ball, dist, 1, EXHAUSTIVE).value_doubled
 
@@ -821,6 +879,19 @@ def test_mesh_matches_bruteforce(make_pair, group, r_in):
     assert res.extra["capped"] is False
 
 
+@settings(max_examples=10)
+@given(data=st.data())
+def test_mesh_matches_bruteforce_random_specs(make_pair, data):
+    # the uncapped exhaustive mesh against literal enumeration on random
+    # two-atom specs; adversarial side choices add to the geodesic ones,
+    # so they can only raise it
+    ball, dist = _draw_two_atom_pair(make_pair, data, max_inner=20, extra_generator=True)
+    geodesic = mesh_estimate(ball, dist, UNCAPPED)
+    assert geodesic.value_doubled == 2 * mesh_bruteforce(ball)
+    adversarial = mesh_estimate(ball, dist, UNCAPPED, mode="adversarial")
+    assert adversarial.value_doubled >= geodesic.value_doubled
+
+
 @pytest.mark.parametrize(
     "group,r_in,plan",
     [("Z2", 1, EXHAUSTIVE), ("Z3", 1, SamplingPlan.random(5, 1))],
@@ -828,7 +899,7 @@ def test_mesh_matches_bruteforce(make_pair, group, r_in):
 )
 def test_mesh_without_triangles(make_pair, group, r_in, plan):
     ball, dist = make_pair(group, r_in)
-    assert all(len(set(t)) < 3 for t in plan.unordered_tuples(ball.inner_count, 3))
+    assert all(len(set(t)) < 3 for batch in plan.tuples(ball.inner_count, 3, unordered=True) for t in batch.tolist())
     res = mesh_estimate(ball, dist, plan)
     assert res.value_doubled == 0
     assert res.witness == {"corners": ["1", "1", "1"], "mesh": 0}
