@@ -519,7 +519,11 @@ class DistanceMatrix:
 
     def _slots(self, vertices):
         """Block rows of ``vertices``, after appending the rows they lack
-        (and the rest of the hull before them) in one ``_clipped_rows`` call."""
+        (and the rest of the hull before them) in one ``_clipped_rows`` call.
+        A vertex outside ``range(n_vertices)`` raises ``IndexError``."""
+        least = np.min(vertices, initial=0)
+        if least < 0:
+            raise IndexError(f"negative vertex index {least}")
         at = self._slot[vertices]
         if at.min(initial=0) < 0:
             hull = self.hull()
@@ -570,6 +574,8 @@ class DistanceMatrix:
     def row(self, u) -> np.ndarray:
         """Clipped distances from ``u`` to every ball vertex, as a view of
         its block row: exact up to ``2 * r_in``, ``clip`` beyond it."""
+        if u < 0:
+            raise IndexError(f"negative vertex index {u}")
         k = self._slot[u]
         if k < 0:  # fill first: the fill replaces the block
             k = self._slots([u])[0]

@@ -871,6 +871,31 @@ def _mesh_rows(paths, D, q):
     return best.reshape(len(q), -1).min(axis=1)
 
 
+def _mesh_bound(paths, D, q, lengths):
+    """Upper bound on ``_mesh_rows`` for each row: the least diameter of the
+    8 tripod point triples, one point per side at the floor or ceiling of
+    its Gromov-product position ((b|c)_a from a on side a->b, and so on),
+    clipped to the side's own length ``lengths[q] - 1``."""
+    n, q = len(D), q.T
+    L = lengths[q] - 1
+    g = L.sum(axis=0) - 2 * L[[1, 2, 0]]  # twice each position
+    flat, at = paths.ravel(), q * paths.shape[1]
+    a, b, c = np.stack([flat[at + np.clip(h, 0, L)] for h in (g // 2, (g + 1) // 2)], axis=1)
+    D = D.ravel()
+    T = np.maximum(D[(a * n)[:, None] + b][:, :, None], D[(b * n)[:, None] + c])
+    T = np.maximum(T, D[(a * n)[:, None] + c][:, None])
+    return T.reshape(8, -1).min(axis=0)
+
+
+def _key_before(keys, key):
+    """Which rows of ``keys`` sort lexicographically before the tuple ``key``."""
+    before, same = np.zeros(len(keys), dtype=bool), np.ones(len(keys), dtype=bool)
+    for col, v in zip(keys.T, key):
+        before |= same & (col < v)
+        same &= col == v
+    return before
+
+
 def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantResult:
     """Worst per-triangle mesh over sampled corner triples.
 
@@ -891,7 +916,13 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     memory stays bounded however many rows there are; within a chunk, rows
     are grouped by their longest side and each group's tensors are only
     that wide (an adversarial side can be twice as long as a geodesic,
-    and the cost grows with the cube of the width).  The winner is the
+    and the cost grows with the cube of the width).  Only rows that can
+    still win run that cube: a row's tripod certificate ``_mesh_bound``, the
+    least diameter over the floor and ceiling of its three Gromov-product
+    points, bounds its mesh from above in O(1) gathers, and a row stays
+    live only if that bound beats the running maximum, or equals it with a
+    smaller key.  One rule for every plan; the value and witness are those
+    of evaluating every row.  The winner is the
     lexicographically smallest ``(a, b, c, i0, i1, i2)`` attaining the
     maximum, and its points are the first row-major argmin over its sides;
     when the maximum is 0 the witness keeps corners ``(0, 0, 0)`` and no
@@ -948,6 +979,13 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
                 local, k1, k2 = r - starts[t], k[t, 1], k[t, 2]
                 choice = np.column_stack([local // (k1 * k2), local // k2 % k1, local % k2])
                 q = first[pid[t]] + choice
+                keys = np.column_stack([tri[t], choice])
+                # only a row whose tripod bound can still beat the best runs the cube
+                U = _mesh_bound(P, D, q, lengths)
+                live = (U > best.value) | ((U == best.value) & _key_before(keys, best.key))
+                if not live.any():
+                    continue
+                q, keys = q[live], keys[live]
                 wq = lengths[q].max(axis=1)
                 values = np.empty(len(q), dtype=D.dtype)
                 for w in np.unique(wq).tolist():
@@ -957,9 +995,8 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
                 if top == 0 or top < best.value:
                     continue
                 hit = np.flatnonzero(values == top)
-                keys = np.column_stack([tri[t[hit]], choice[hit]])
-                w = np.lexsort(keys.T[::-1])[0]
-                best.offer(top, tuple(keys[w].tolist()), q[hit[w]].tolist())
+                w = hit[np.lexsort(keys[hit].T[::-1])[0]]
+                best.offer(top, tuple(keys[w].tolist()), q[w].tolist())
     witness = {"corners": _words(ball, best.key[:3]), "mesh": int(best.value)}
     if best.data is not None:
         sides = [padded[i, : lengths[i]].tolist() for i in best.data]

@@ -408,6 +408,18 @@ def test_hull_rows_serve_row(make_pair, data):
     assert dist.row(u).tolist() == [min(bfs[w], dist.clip) for w in range(ball.n_vertices)]
 
 
+@pytest.mark.parametrize(
+    "read",
+    [lambda dist: dist.row(-1), lambda dist: dist.rows([-2]), lambda dist: dist.d(-1, 0)],
+    ids=["row", "rows", "d"],
+)
+def test_negative_vertex_raises(make_pair, read):
+    # a negative index would wrap round to a real vertex's row
+    ball, dist = make_pair("Z x Z", 2)
+    with pytest.raises(IndexError):
+        read(dist)
+
+
 @pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3), ("(Z2 * Z3) x Z", 1)])
 def test_word_matches_format_element(text, r_in):
     ball = build_ball(parse_group_spec(text), r_in)

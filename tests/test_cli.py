@@ -185,8 +185,14 @@ def test_default_report_matches_golden(group, r_in, golden):
                  samples=300, seed=5, geodesic_cap=4),
             "report_zxz_r3_mesh_sampled_cap4.json",
         ),
+        # the default set on a non-standard generating set: the mesh, chain
+        # and polygon values are nonzero, where on the standard set they are 0
+        (
+            dict(group="Z2 * Z3", radii=[3], generators=["t1", "t2", "t1.t2"]),
+            "report_z2z3_t1t2_r3.json",
+        ),
     ],
-    ids=["adversarial", "sampled-cap4"],
+    ids=["adversarial", "sampled-cap4", "t1t2-default"],
 )
 def test_mesh_report_matches_golden(config, golden):
     text = emit_report(run_analysis(AnalysisConfig(**config)), "json")

@@ -906,15 +906,15 @@ def test_mesh_without_triangles(make_pair, group, r_in, plan):
     assert res.extra == {"mode": "geodesic", "capped": False}
 
 
-@pytest.mark.parametrize(
-    "group,r_in,mode,plan",
-    [
-        ("Z x Z", 2, "geodesic", UNCAPPED),
-        ("Z x Z", 2, "adversarial", SamplingPlan(mode="exhaustive", geodesic_cap=2)),
-        ("Z x Z", 3, "geodesic", SamplingPlan.random(300, 5, geodesic_cap=4)),
-        ("(Z2 * Z3) x Z", 1, "geodesic", UNCAPPED),
-    ],
-)
+MESH_CASES = [
+    ("Z x Z", 2, "geodesic", UNCAPPED),
+    ("Z x Z", 2, "adversarial", SamplingPlan(mode="exhaustive", geodesic_cap=2)),
+    ("Z x Z", 3, "geodesic", SamplingPlan.random(300, 5, geodesic_cap=4)),
+    ("(Z2 * Z3) x Z", 1, "geodesic", UNCAPPED),
+]
+
+
+@pytest.mark.parametrize("group,r_in,mode,plan", MESH_CASES)
 def test_mesh_chunking_changes_no_result(make_pair, monkeypatch, group, r_in, mode, plan):
     # one row per chunk and seven corner triples per batch: triangles split
     # across chunks and batches, ties meet across chunks
@@ -923,6 +923,108 @@ def test_mesh_chunking_changes_no_result(make_pair, monkeypatch, group, r_in, mo
     monkeypatch.setattr(invariants, "_MESH_CHUNK", 1)
     monkeypatch.setattr(invariants, "_MESH_TRIANGLES", 7)
     assert mesh_estimate(ball, dist, plan, mode=mode).to_dict() == expected
+
+
+def _no_bound(paths, D, q, lengths):
+    # a tripod bound above every value: every row runs the cube
+    return np.full(len(q), D.max() + 1)
+
+
+@pytest.mark.parametrize(
+    "group,r_in,mode,plan,generators,chunk",
+    [case + (None, None) for case in MESH_CASES]
+    + [
+        # one row per chunk: a later chunk holds a row of the best value
+        # with a smaller key, which only the tie case of the skip keeps live
+        ("Z x Z", 2, "geodesic", SamplingPlan.random(100, 1, geodesic_cap=2), None, 1),
+        ("Z x Z", 3, "adversarial", SamplingPlan(mode="exhaustive", geodesic_cap=2), None, None),
+        ("Z2 * Z3", 2, "geodesic", EXHAUSTIVE, ["t1", "t2", "t1.t2"], None),
+    ],
+    ids=[f"chunking-{i}" for i in range(len(MESH_CASES))] + ["random-ties", "adversarial-cap2", "t1t2"],
+)
+def test_mesh_certificate_changes_no_result(make_pair, monkeypatch, group, r_in, mode, plan, generators, chunk):
+    # the tripod bound only skips rows that cannot win, so running the
+    # cube on every row reports the same value, witness and flags
+    ball, dist = make_pair(group, r_in, generators=generators)
+    if chunk is not None:
+        monkeypatch.setattr(invariants, "_MESH_CHUNK", chunk)
+    expected = mesh_estimate(ball, dist, plan, mode=mode).to_dict()
+    monkeypatch.setattr(invariants, "_mesh_bound", _no_bound)
+    assert mesh_estimate(ball, dist, plan, mode=mode).to_dict() == expected
+
+
+def _record_bounds(monkeypatch):
+    # every call of the tripod bound, as (U, paths, D, q, lengths)
+    calls, bound = [], invariants._mesh_bound
+
+    def recording(paths, D, q, lengths):
+        U = bound(paths, D, q, lengths)
+        calls.append((U, paths, D, q, lengths))
+        return U
+
+    monkeypatch.setattr(invariants, "_mesh_bound", recording)
+    return calls
+
+
+def _literal_tripod_bound(paths, D, row, lengths):
+    # one row's bound from its sides as lists: the floor and ceiling of
+    # (b|c)_a on a->b, (a|c)_b on b->c and (a|b)_c on c->a, clamped to the side
+    sides = [paths[i, : lengths[i]].tolist() for i in row]
+    la, lb, lc = (len(s) - 1 for s in sides)
+    centres = [(la + lc - lb) / 2, (la + lb - lc) / 2, (lb + lc - la) / 2]
+    points = [{s[min(max(f(x), 0), len(s) - 1)] for f in (math.floor, math.ceil)} for s, x in zip(sides, centres)]
+    return min(max(D[u, v], D[v, w], D[u, w]) for u, v, w in itertools.product(*points))
+
+
+@settings(max_examples=10)
+@given(data=st.data(), mode=st.sampled_from(["geodesic", "adversarial"]))
+def test_mesh_bound_is_sound_random_specs(make_pair, data, mode):
+    # U is the diameter of one choice of points, so it is never below the
+    # row's mesh; adversarial sides put Gromov-product positions off the side
+    ball, dist = _draw_two_atom_pair(make_pair, data, max_inner=20, extra_generator=True)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_bounds(mp)
+        mesh_estimate(ball, dist, UNCAPPED, mode=mode)
+    assume(calls)
+    for U, paths, D, q, lengths in calls:
+        assert (U >= invariants._mesh_rows(paths, D, q)).all()
+        for r in range(0, len(q), max(1, len(q) // 40)):
+            assert U[r] == _literal_tripod_bound(paths, D, q[r], lengths)
+
+
+def test_mesh_bound_zero_on_tree(make_pair, monkeypatch):
+    # in a tree the three tripod points of a triangle coincide
+    ball, dist = make_pair("F(a,b)", 2)
+    calls = _record_bounds(monkeypatch)
+    mesh_estimate(ball, dist, UNCAPPED)
+    assert calls and not any(U.any() for U, *_ in calls)
+
+
+def _cube_rows(monkeypatch, ball, dist, plan):
+    # (rows listed, rows run through the cube) by one mesh_estimate
+    calls, cube, rows = _record_bounds(monkeypatch), [0], invariants._mesh_rows
+
+    def counting_rows(paths, D, q):
+        cube[0] += len(q)
+        return rows(paths, D, q)
+
+    monkeypatch.setattr(invariants, "_mesh_rows", counting_rows)
+    mesh_estimate(ball, dist, plan)
+    return sum(len(U) for U, *_ in calls), cube[0]
+
+
+def test_mesh_cube_rows_tree(make_pair, monkeypatch):
+    # every bound on a tree is 0, so no row can beat the initial 0
+    ball, dist = make_pair("F(a,b)", 3)
+    listed, cube = _cube_rows(monkeypatch, ball, dist, EXHAUSTIVE)
+    assert listed == 23426 and cube == 0
+
+
+def test_mesh_cube_rows_virtually_free(make_pair, monkeypatch):
+    # Z2 * Z3 R6 lists 19,600 rows; the bound leaves 520 of them to the cube
+    ball, dist = make_pair("Z2 * Z3", 6)
+    listed, cube = _cube_rows(monkeypatch, ball, dist, EXHAUSTIVE)
+    assert listed == 19600 and 0 < cube <= listed // 20
 
 
 # ---------------------------------------------------------------------------
