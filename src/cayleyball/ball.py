@@ -47,8 +47,6 @@ from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 from .groups import ElementCodes, GeneratorLetter, GroupSpec, WordError
 
-# Byte budget of the float64 block one Dijkstra search returns.
-_DIJKSTRA_BYTES = 16 << 20
 # Distances are int16, and the Gromov kernels add two inner distances of at
 # most 2 * r_in each: 4 * r_in must stay at most 32767.
 _MAX_R_IN = 8191
@@ -338,18 +336,13 @@ def connected_without(ball, removed, xs, ys):
 
 def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_000) -> BallGraph:
     """Breadth-first enumeration of the Cayley ball of radius ``3 * r_in``,
-    one sphere at a time over array codes of the elements.
+    one sphere at a time over array codes of the elements, as the module
+    docstring describes.
 
     ``generators`` optionally replaces the standard generating set by words
-    over it (changing the graph while fixing the group).  Each sphere's code
-    block is multiplied by every letter in label order, which lists the
-    products in (vertex, letter) row-major order.  A product ``u * l`` of a
-    vertex at distance ``d`` lies at distance ``d - 1``, ``d`` or ``d + 1``,
-    so it is matched exactly (full code rows) against those two spheres and
-    the other products; the products found in neither are the next sphere,
-    numbered by first occurrence.  That is the order a scalar breadth-first
-    search gives.  Only three spheres of codes are alive at a time and no
-    element is kept: ``BallGraph.elements`` is derived on demand.  Raises
+    over it (changing the graph while fixing the group).  Only three
+    spheres of codes are alive at a time and no element is kept:
+    ``BallGraph.elements`` is derived on demand.  Raises
     BudgetExceededError when more than ``budget`` vertices appear.
     """
     if r_in < 1:
@@ -476,8 +469,9 @@ class DistanceMatrix:
 
     A row holds ``min(d_ball(u, w), clip)`` with ``clip = 2 * r_in + 1``:
     exact up to ``2 * r_in`` and ``clip`` beyond it (the certificate in the
-    module docstring).  Every row comes from ``_clipped_rows``, and a slot
-    per vertex gives its row in the block, or -1.  The block fills in one
+    module docstring).  Every row comes from ``_clipped_rows``, one
+    breadth-first sweep over the Cayley table per request, and a slot per
+    vertex gives its row in the block, or -1.  The block fills in one
     order: the inner rows at construction; on the first request for any
     other row, the rest of the hull in hull order (``ensure_mid_rows`` is a
     view of them); then each request's missing rows.  Read through ``rows``
@@ -502,29 +496,36 @@ class DistanceMatrix:
         self._slot[:ni] = np.arange(ni)
 
     def _clipped_rows(self, sources):
-        """int16 rows ``min(d_ball(s, w), clip)``, one per source, by an
-        unweighted Dijkstra search that stops at distance ``clip``; each
-        search covers as many sources as fit its float64 output in
-        ``_DIJKSTRA_BYTES``."""
-        graph = self.ball.csr()
-        n = self.ball.n_vertices
-        out = np.empty((len(sources), n), dtype=np.int16)
-        chunk = max(1, _DIJKSTRA_BYTES // (8 * n))
-        for start in range(0, len(sources), chunk):
-            batch = sources[start : start + chunk]
-            block = dijkstra(graph, unweighted=True, indices=batch, limit=self.clip)
-            np.minimum(block, self.clip, out=block)  # unreached (inf) reads clip
-            out[start : start + len(batch)] = block
+        """int16 rows ``min(d_ball(s, w), clip)``, one per source, by one
+        breadth-first sweep for all sources.  The frontier holds flat
+        indices ``i * n + v`` into the rows, which start at ``clip``; level
+        ``t`` reads its table rows one letter at a time and writes ``t`` to
+        the products still at ``clip``, the next frontier.  A letter maps
+        vertices one to one, so a column holds no index twice, and marking
+        before the next column is read puts each index in one level."""
+        n, clip = self.ball.n_vertices, self.clip
+        out = np.full((len(sources), n), clip, dtype=np.int16)
+        flat = out.reshape(-1)
+        front = np.arange(len(sources), dtype=np.int64) * n + sources
+        flat[front] = 0
+        for t in range(1, clip):
+            v = front % n
+            base, parts = front - v, []
+            for col in self.ball.nbr.T:
+                w = col[v]
+                keep = w >= 0
+                fresh = base[keep] + w[keep]
+                fresh = fresh[flat[fresh] == clip]
+                flat[fresh] = t
+                parts.append(fresh)
+            front = np.concatenate(parts)
         return out
 
     def _slots(self, vertices):
         """Block rows of ``vertices``, after appending the rows they lack
         (and the rest of the hull before them) in one ``_clipped_rows`` call.
         A vertex outside ``range(n_vertices)`` raises ``IndexError``."""
-        least = np.min(vertices, initial=0)
-        if least < 0:
-            raise IndexError(f"negative vertex index {least}")
-        at = self._slot[vertices]
+        at = self._slot[_vertices(vertices)]
         if at.min(initial=0) < 0:
             hull = self.hull()
             missing = np.setdiff1d(np.asarray(vertices)[at < 0], hull)
@@ -569,14 +570,12 @@ class DistanceMatrix:
         or only columns ``cols``: a 1-D ``cols`` is read from every row, a
         2-D one row by row (``d(vertices[i], cols[i, j])``)."""
         at = self._slots(vertices)
-        return self.block[at] if cols is None else self.block[at[:, None], cols]
+        return self.block[at] if cols is None else self.block[at[:, None], _vertices(cols)]
 
     def row(self, u) -> np.ndarray:
         """Clipped distances from ``u`` to every ball vertex, as a view of
         its block row: exact up to ``2 * r_in``, ``clip`` beyond it."""
-        if u < 0:
-            raise IndexError(f"negative vertex index {u}")
-        k = self._slot[u]
+        k = self._slot[_vertices(u)]
         if k < 0:  # fill first: the fill replaces the block
             k = self._slots([u])[0]
         return self.block[k]
@@ -584,7 +583,15 @@ class DistanceMatrix:
     def d(self, u, v) -> int:
         """Clipped distance between two ball vertices: exact up to
         ``2 * r_in``, ``clip`` beyond it."""
-        return int(self.row(u)[int(v)])
+        return int(self.row(u)[_vertices(v)])
+
+
+def _vertices(idx):
+    """``idx``, checked to hold no negative vertex (numpy would wrap it)."""
+    least = np.min(idx, initial=0)
+    if least < 0:
+        raise IndexError(f"negative vertex index {least}")
+    return idx
 
 
 def all_pairs_distances(ball: BallGraph) -> DistanceMatrix:

@@ -77,7 +77,7 @@ def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     blocks = []
     while True:
         z = ball.nbr[w]
-        on = (z >= 0) & (dist.rows(b[k], z) == (duv[k] - t - 1)[:, None])
+        on = (z >= 0) & (dist.rows(b[k], np.maximum(z, 0)) == (duv[k] - t - 1)[:, None])
         nxt, inv = np.unique((k[:, None] * n + z)[on], return_inverse=True)
         succ = np.full(z.shape, -1, dtype=np.int32)
         succ[on] = inv + off + len(k)

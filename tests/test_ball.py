@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -410,14 +411,56 @@ def test_hull_rows_serve_row(make_pair, data):
 
 @pytest.mark.parametrize(
     "read",
-    [lambda dist: dist.row(-1), lambda dist: dist.rows([-2]), lambda dist: dist.d(-1, 0)],
-    ids=["row", "rows", "d"],
+    [
+        lambda dist: dist.row(-1),
+        lambda dist: dist.rows([-2]),
+        lambda dist: dist.d(-1, 0),
+        lambda dist: dist.d(0, -1),
+        lambda dist: dist.rows([0], [-1]),
+        lambda dist: dist.rows([0, 1], np.array([[0, 1], [2, -1]])),
+    ],
+    ids=["row", "rows", "d", "d-column", "rows-columns", "rows-own-columns"],
 )
 def test_negative_vertex_raises(make_pair, read):
-    # a negative index would wrap round to a real vertex's row
+    # a negative index would wrap round to a real vertex's row or column
     ball, dist = make_pair("Z x Z", 2)
     with pytest.raises(IndexError):
         read(dist)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_clipped_rows_match_bfs(make_pair, data):
+    # one sweep for a source list in any order, repeats allowed, mixing
+    # inner, hull and off-hull vertices: every row is min(BFS, 2R + 1)
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    r_in = data.draw(st.integers(1, 2))
+    generators = data.draw(st.sampled_from([_draw_generators, _draw_words]))(data, text)
+    ball, dist = make_pair(text, r_in, generators=generators)
+    hull = dist.hull().tolist()
+    off = sorted(set(range(ball.n_vertices)) - set(hull))
+    vertex = st.one_of(
+        [st.integers(0, ball.inner_count - 1), st.sampled_from(hull)] + ([st.sampled_from(off)] if off else [])
+    )
+    sources = data.draw(st.lists(vertex, max_size=8))
+    rows = dist._clipped_rows(np.array(sources, dtype=np.int64))
+    assert rows.dtype == np.int16 and rows.shape == (len(sources), ball.n_vertices)
+    for s, row in zip(sources, rows.tolist()):
+        assert row == [min(d, dist.clip) for d in bfs_distances(ball, s)]
+
+
+def test_distance_rows_allocate_little_beyond_the_block():
+    # the sweep's frontier is small next to the int16 block it fills
+    ball = build_ball(parse_group_spec("F(a,b)"), 3)
+    ball.csr()
+    tracemalloc.start()
+    try:
+        dist = DistanceMatrix(ball)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dist.block.nbytes
 
 
 @pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3), ("(Z2 * Z3) x Z", 1)])
