@@ -478,10 +478,9 @@ class DistanceMatrix:
     or ``row``, since a request may replace ``block``.  ``inner`` is a
     contiguous copy of the inner columns of the inner rows.
 
-    Logically read-only, but the hull and the block fill on first use
-    without locks, so concurrent readers need a lock of their own.
-    Geodesic DAGs are not cached: each caller builds the flattened store it
-    needs (``geodesics._interval_dags``) for a whole batch of pairs at once.
+    ``_dags`` is the geodesic-DAG store, built by ``geodesics.inner_dags``.
+    Logically read-only, but the hull, the block and the store fill on
+    first use without locks, so concurrent readers need a lock of their own.
     """
 
     def __init__(self, ball: BallGraph):
@@ -489,6 +488,7 @@ class DistanceMatrix:
         self.clip = 2 * ball.r_in + 1
         self._hull: np.ndarray | None = None
         self._pscan = None  # the polygon scan, filled lazily by invariants
+        self._dags = None  # the geodesic-DAG store, filled lazily by geodesics
         ni = ball.inner_count
         self.block = self._clipped_rows(np.arange(ni))
         self.inner = self.block[:, :ni].copy()

@@ -1,23 +1,13 @@
-"""Geodesic intervals and the flattened geodesic-DAG store.
+"""Geodesic intervals and the geodesic-DAG store.
 
 The geodesics between two vertices form a layered DAG inside the metric
-interval ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Every such DAG lives in one
-flattened store, built for many pairs at once by ``_interval_dags``: each
-interval is grown from its first end one layer at a time through the Cayley
-table, and its edges keep the table's column (edge-label) order.  Everything
-that walks geodesics reads that store, and every geodesic leaves this module
-as a plain tuple of vertex indices:
-
-* the max-min avoidance recurrence, one layer at a time, driven in chunks
-  by ``_avoidance_units`` with a row of probes per DP unit as its vector
-  axis (the polygon scan's ``WP`` in ``max_avoidance_block``, the sampled
-  polygon and the bigons);
-* path counts per entry, from which geodesics are unranked in
-  label-lexicographic order (``enumerate_geodesics`` and the mesh's side
-  choices), so the k-th geodesic of a pair is the same no matter which ball
-  the pair is embedded in;
-* the one-pair walks of the witnesses (``geodesic_through``,
-  ``most_avoiding_geodesic``).
+interval ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Each ``DistanceMatrix`` owns
+one flattened store of the DAGs of every inner pair a <= b
+(``inner_dags``), read by pair id, a pair asked for from its larger end
+walked back from its last entry.  On it run the max-min avoidance
+recurrence (``_avoidance_units``), label-lexicographic unranking of
+geodesics from path counts, so the k-th geodesic of a pair does not
+depend on the ball around it, and the witnesses' one-pair walks.
 """
 
 from __future__ import annotations
@@ -39,114 +29,155 @@ class IntervalDags(NamedTuple):
     ptr: np.ndarray  # pair k owns entries ptr[k]:ptr[k + 1]
     verts: np.ndarray  # vertex of each entry
     layer: np.ndarray  # its distance from the pair's first end
-    succ: np.ndarray  # (entries, letters) pair-local successors, -1 for none
-    pred: np.ndarray  # (entries, letters) pair-local predecessors, -1 for none
-
-    @property
-    def pair(self):
-        """The pair owning each entry."""
-        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+    succ: np.ndarray  # (entries, letters) pair-local links, -1 for none
+    pred: np.ndarray
 
 
 def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     """Geodesic DAGs from a[k] to b[k], flattened into one store.
 
-    Pair k owns entries ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex
-    index), so its first entry is a[k] and its last b[k]; ``layer[e]`` is
-    the distance from a[k].  The interval is grown from a[k] one layer at a
-    time through ``ball.nbr``: layer t + 1 holds the neighbours z of layer t
-    with ``d(z, b[k]) == d(a[k], b[k]) - t - 1``, which are exactly the
-    interval vertices at distance t + 1 from a[k], so only interval vertices
-    and their neighbours are ever touched.  ``succ[e, c]`` (``pred[e, c]``)
-    is the pair-local index of the entry that column c of the Cayley table
-    leads to from e when it lies one layer up (down) in the same interval,
-    and -1 otherwise, so both keep edge-label order.
-
-    Distances to b[k] come from ``dist.rows``.  Raises ValueError when some
-    ``d(a[k], b[k]) >= dist.clip``, where clipped rows stop being exact.
+    Pair k owns entries ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex), so
+    its first entry is a[k] and its last b[k]; ``layer`` is the distance
+    from a[k].  Layer t + 1 holds the neighbours z of layer t (through
+    ``ball.nbr``) with ``d(z, b[k]) == d(a[k], b[k]) - t - 1``.  ``succ[e,
+    c]`` (``pred[e, c]``) is the pair-local entry that column c leads to
+    from e one layer up (down), or -1, in edge-label order; each link is
+    found once, as ``succ[e, c] == j`` and ``pred[j, inv[c]] == e`` for the
+    inverse letter ``inv[c]``.  Links and layers take the smallest dtype
+    that holds them.  Raises ValueError if ``d(a[k], b[k]) >= dist.clip``.
     """
     a = np.asarray(a, dtype=np.int64).ravel()
     b = np.asarray(b, dtype=np.int64).ravel()
-    n, letters = ball.n_vertices, ball.nbr.shape[1]
+    n = ball.n_vertices
     duv = dist.rows(b, a[:, None])[:, 0].astype(np.int64)
     if (duv >= dist.clip).any():
         raise ValueError(f"a pair is at least {dist.clip} apart: beyond the clipped distance rows")
-    # grow layer by layer; links index the concatenated layer blocks
-    k, w, off, t = np.arange(len(a)), a, 0, 0
-    pred = np.full((len(a), letters), -1, dtype=np.int32)
-    blocks = []
-    while True:
+    # a layer is sorted by (pair, vertex); a link (e, c, j) keeps e's index
+    # in its layer and j's place in its pair
+    pair, loc, letter = _compact(len(a)), _compact(n), _compact(ball.nbr.shape[1])
+    k, w, at, fill, layers = np.arange(len(a)), a, np.zeros(len(a), loc), np.ones(len(a), np.int64), []
+    while len(k):
         z = ball.nbr[w]
-        on = (z >= 0) & (dist.rows(b[k], np.maximum(z, 0)) == (duv[k] - t - 1)[:, None])
-        nxt, inv = np.unique((k[:, None] * n + z)[on], return_inverse=True)
-        succ = np.full(z.shape, -1, dtype=np.int32)
-        succ[on] = inv + off + len(k)
-        blocks.append((k, w, np.full(len(k), t), succ, pred))
-        if not len(nxt):
-            break
-        code = k * n + w  # ascending: a layer block is sorted by (pair, vertex)
-        k, w = nxt // n, nxt % n
-        y = ball.nbr[w]
-        ycode = k[:, None] * n + y
-        pos = np.minimum(np.searchsorted(code, ycode), len(code) - 1)
-        pred = np.where((y >= 0) & (code[pos] == ycode), pos + off, -1).astype(np.int32)
-        off += len(code)
-        t += 1
-    K, W, T, S, P = zip(*blocks)
-    K = np.concatenate(K)
-    # pair-major order; a stable sort keeps (layer, vertex) within each pair
-    order = np.argsort(K, kind="stable")
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order))
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(K, minlength=len(a)))])
-    base = ptr[K[order]].astype(np.int32)[:, None]
+        on = (z >= 0) & (dist.rows(b[k], np.maximum(z, 0)) == (duv - len(layers) - 1)[k, None])
+        e, c = np.nonzero(on)
+        nxt, j = np.unique(k[e] * n + z[e, c], return_inverse=True)
+        nk = nxt // n
+        count = np.bincount(nk, minlength=len(a))
+        nat = (fill[nk] + np.arange(len(nk)) - (np.cumsum(count) - count)[nk]).astype(loc)
+        fill += count
+        layers.append((k.astype(pair), w.astype(loc), at, e.astype(np.int32), c.astype(letter), nat[j]))
+        k, w, at = nk, nxt % n, nat
+    ptr = np.concatenate([[0], np.cumsum(fill, dtype=np.int64)])
+    verts = np.empty(ptr[-1], dtype=np.int32)
+    layer = np.empty(ptr[-1], dtype=_compact(len(layers)))
+    succ, pred = (np.full((ptr[-1], ball.nbr.shape[1]), -1, dtype=_compact(fill.max(initial=0))) for _ in "sp")
+    inv = _inverse_letters(ball.nbr)
+    for t in range(len(layers)):  # each layer's records dropped once placed
+        k, w, at, e, c, j = layers[t]
+        layers[t] = None
+        pos = ptr[k] + at
+        verts[pos], layer[pos] = w, t
+        succ[pos[e], c] = j
+        pred[pos[e] - at[e] + j, inv[c]] = at[e]
+    return IntervalDags(ptr, verts, layer, succ, pred)
 
-    def local(links):  # concatenated-block indices to pair-local ones, in order
-        links = np.concatenate(links)[order]
-        none = links < 0
-        links = rank[links]
-        links -= base
-        links[none] = -1
-        return links
 
-    return IntervalDags(ptr, np.concatenate(W)[order], np.concatenate(T)[order], local(S), local(P))
+def _compact(bound):
+    """The smallest signed int dtype holding ``bound``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+def _inverse_letters(nbr):
+    """Column of each letter's inverse: ``nbr[nbr[0, c], inv[c]] == 0``."""
+    hit = nbr[nbr[0]] == 0
+    if (nbr[0] < 0).any() or (hit.sum(axis=1) != 1).any():
+        raise InternalCheckError("no inverses")
+    return hit.argmax(axis=1)
+
+
+# The store grows in at most this many chunks of at least ``_STORE_PAIRS``
+# pairs: a chunk works in about three times its share of the store, so the
+# build peaks at 1.7x the store on Z2 * Z3 R6.  Small chunks leave small
+# buffers in numpy's allocation cache: eight raised peak RSS of Z2 * Z3
+# R4..6 by 0.3 MiB.
+_STORE_CHUNKS = 4
+_STORE_PAIRS = 1 << 7
+
+
+def inner_dags(dist: DistanceMatrix) -> IntervalDags:
+    """The store of every inner pair a <= b in ``np.triu_indices`` order,
+    built on first request in runs of rows a and joined one field at a
+    time."""
+    if dist._dags is None:
+        ball, ni = dist.ball, dist.ball.inner_count
+        rows = np.arange(ni)
+        step = max(_STORE_PAIRS, -(-ni * (ni + 1) // 2 // _STORE_CHUNKS))
+        cuts = np.searchsorted(np.cumsum(ni - rows), np.arange(step, ni * (ni + 1) // 2, step), side="right")
+        parts = [
+            _interval_dags(ball, dist, np.repeat(r, ni - r), _segments(r, ni - r))
+            for r in np.split(rows, np.unique(cuts[cuts > 0]))
+        ]
+        shift = np.cumsum([0] + [p.ptr[-1] for p in parts])
+        columns = list(zip(*parts))
+        columns[0] = [[0]] + [ptr[1:] + at for ptr, at in zip(columns[0], shift)]
+        del parts
+        dist._dags = IntervalDags(*(np.concatenate(columns.pop(0)) for _ in range(5)))
+    return dist._dags
+
+
+def _pair_ids(ni, u, v):
+    """Store ids of the pairs {u[i], v[i]} among ``ni`` inner vertices."""
+    a, b = np.minimum(u, v), np.maximum(u, v)
+    return a * (2 * ni - a + 1) // 2 + b - a
+
+
+def _one_pair(ball, dist, u, v) -> IntervalDags:
+    """The DAG from u to v as a one-pair store: the store's entry, reversed
+    when u > v, or grown alone when u or v is not inner."""
+    ni = ball.inner_count
+    if not (0 <= u < ni and 0 <= v < ni):
+        return _interval_dags(ball, dist, [u], [v])
+    dags = inner_dags(dist)
+    lo, hi = dags.ptr[_pair_ids(ni, u, v) + np.arange(2)]
+    _, verts, layer, succ, pred = (x[lo:hi] for x in dags)
+    if u > v:
+        flip = lambda links: np.where(links >= 0, hi - lo - 1 - links, -1)[::-1]
+        verts, layer, succ, pred = verts[::-1], layer[-1] - layer[::-1], flip(pred), flip(succ)
+    return IntervalDags(np.array([0, hi - lo]), verts, layer, succ, pred)
 
 
 def interval(dist: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
-    """Exact geodesic interval of one pair, as an ascending vertex tuple read
-    from its store entry.
-
-    Raises ValueError when ``d(u, v) >= dist.clip``, where clipped rows stop
-    being exact (every inner pair is below it).
-    """
-    return tuple(np.sort(_interval_dags(dist.ball, dist, [int(u)], [int(v)]).verts).tolist())
+    """Exact geodesic interval of one pair, as an ascending vertex tuple.
+    Raises ValueError when ``d(u, v) >= dist.clip`` (no inner pair is)."""
+    return tuple(np.sort(_one_pair(dist.ball, dist, int(u), int(v)).verts).tolist())
 
 
 # ---------------------------------------------------------------------------
 # max-min avoidance on the store
 
-# DP values of one chunk of ``_avoidance_units``: the store entries of the
-# chunk's units times the width of the probe axis.  On a 2-vCPU VM the WP
-# fill of Z2 * Z3 R10 (23,871 pairs, 218 probes) took 1.47, 0.49, 0.38 and
-# 0.31 s at 2^14, 2^16, 2^18 and 2^20; the sampled polygon:3 of Z2 * Z3 R9
-# (5000 tuples) took 0.25, 0.21 and 0.21 s at 2^14, 2^16 and 2^18, with
-# allocation peaks of 2.1, 2.1 and 3.2 MiB.
+# DP values (entries times probes) of one ``_avoidance_units`` chunk.  On a
+# 2-vCPU VM, store built, the WP fill of Z2 * Z3 R10 (23,871 pairs, 218
+# probes) took 0.92, 0.33, 0.17 and 0.18 s at 2^14, 2^16, 2^18 and 2^20;
+# the sampled polygon:3 of Z2 * Z3 R9 0.105, 0.078 and 0.062 s at 2^14,
+# 2^16 and 2^18, allocating 0.7, 1.6 and 3.5 MiB.
 _AVOIDANCE_ENTRIES = 1 << 16
 
 
 def _maxmin_layers(dags, entry, base, sizes, val):
     """The max-min avoidance recurrence over DP units laid end to end.
 
-    Unit i copies the store entries of one pair: ``entry[base[i]:base[i] +
-    sizes[i]]``.  ``val`` holds one value (or one row of values, the vector
-    axis) per DP entry.  Layer 0, the pair's first end, reads its own value;
-    an entry of layer t reads ``min(val, max over its predecessors)``, a
-    missing predecessor pointing at a sentinel that holds -1.  That is one
-    numpy pass per layer, at most ``2 * r_in + 1``.  Returns the best
-    prefix value of every DP entry; a unit's value is its last entry's.
+    Unit i copies the store entries ``entry[base[i]:base[i] + sizes[i]]``
+    of one pair; ``val`` holds one value (or row) per DP entry.  Layer 0
+    reads its own value, layer t ``min(val, max over its predecessors)``,
+    packed to the largest in-degree and padded with a sentinel holding -1.
+    Returns the best prefix value of every DP entry; a unit's value is its
+    last entry's.
     """
     local = dags.pred[entry]
-    slots = np.where(local >= 0, local + np.repeat(base, sizes)[:, None], len(entry))
+    on = local >= 0
+    e, c = np.nonzero(on)
+    slots = np.full((len(entry), max(1, int(on.sum(axis=1).max(initial=0)))), len(entry))
+    slots[e, np.cumsum(on, axis=1)[e, c] - 1] = local[e, c] + np.repeat(base, sizes)[e]
     f = np.empty((len(entry) + 1,) + val.shape[1:], dtype=np.int16)
     f[-1] = -1
     f[base] = val[base]
@@ -159,19 +190,16 @@ def _maxmin_layers(dags, entry, base, sizes, val):
     return f[:-1]
 
 
-def _packed(dags):
-    """The store with each entry's predecessors moved to the front and the
-    columns cut to the largest in-degree: the recurrence reads them in any
-    order, and where geodesics are unique it gathers one column instead of
-    one per letter."""
-    width = max(1, int((dags.pred >= 0).sum(axis=1).max(initial=0)))
-    return dags._replace(pred=-np.sort(-dags.pred, axis=1)[:, :width])
-
-
 def _segments(starts, sizes):
     """The concatenated index ranges ``starts[i]:starts[i] + sizes[i]``."""
     offsets = np.cumsum(sizes) - sizes
     return np.arange(int(np.sum(sizes))) + np.repeat(starts - offsets, sizes)
+
+
+def _entries(dags, pid):
+    """The store entries of pairs ``pid``, end to end, and their counts."""
+    sizes = np.diff(dags.ptr)[pid]
+    return _segments(dags.ptr[pid], sizes), sizes
 
 
 def _first_padded(starts, sizes):
@@ -185,17 +213,14 @@ def _avoidance_units(dags, pair_of, width, values) -> np.ndarray:
     """Max avoidance of every DP unit against its own row of ``width``
     probes, as a ``(units, width)`` int16 array.
 
-    Unit i runs the recurrence of ``_maxmin_layers`` over the store entries
-    of pair ``pair_of[i]``; ``values(entry, owner)`` returns the
-    ``(len(entry), width)`` probe values of the given store entries, entry
-    j belonging to unit ``owner[j]``.  Units are cut into consecutive chunks
-    of at most ``_AVOIDANCE_ENTRIES`` DP values (entries times ``width``)
-    and at least one unit, one ``_maxmin_layers`` pass each.  A caller with
-    ragged probe rows pads them by repeating a unit's first probe, which
-    changes neither the maximum nor the smallest probe attaining it.
+    Unit i runs ``_maxmin_layers`` over the store entries of pair
+    ``pair_of[i]``; ``values(entry, owner)`` gives the ``(len(entry),
+    width)`` probe values of store entries, entry j of unit ``owner[j]``.
+    Units run in chunks of at most ``_AVOIDANCE_ENTRIES`` DP values (and at
+    least one unit).  Ragged probe rows repeat a unit's first probe, which
+    changes neither the maximum nor its first probe.
     """
     out = np.empty((len(pair_of), width), dtype=np.int16)
-    dags = _packed(dags)
     sizes = np.diff(dags.ptr)[pair_of]
     ends = np.cumsum(sizes)
     step = max(1, _AVOIDANCE_ENTRIES // max(1, width))
@@ -212,31 +237,26 @@ def _avoidance_units(dags, pair_of, width, values) -> np.ndarray:
     return out
 
 
-def _check_inner(ball, us, vs):
-    if len(us) and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= ball.inner_count):
-        raise ValueError("max_avoidance_block needs inner endpoints")
-
-
 def max_avoidance_block(ball, dist, us, vs, rows_block) -> np.ndarray:
     """:func:`max_avoidance` of every inner pair ``(us[k], vs[k])`` against
     every probe row of ``rows_block``, as a ``(pairs, probes)`` int16 array:
     entry ``[k, j]`` is the max over geodesics from us[k] to vs[k] of the
     least ``rows_block[j, w]`` over their vertices.
 
-    This is the polygon scan's ``WP`` fill: one ``_avoidance_units`` unit
-    per pair, every unit sharing the probes as its vector axis.  Interval
-    vertices of inner pairs lie below ``mid_count``, so only those columns
-    of the block are read, once, transposed so that an entry's probe values
-    are one row.
+    The polygon scan's ``WP`` fill: one ``_avoidance_units`` unit per
+    pair, all sharing the probes as their vector axis.  Interval vertices
+    lie below ``mid_count``, so only those columns are read, transposed so
+    that an entry's probe values are one row.
     """
     us, vs = (np.asarray(x, dtype=np.int64) for x in (us, vs))
     if not (us.ndim == 1 and us.shape == vs.shape):
         raise ValueError("us and vs must be one-dimensional and of equal length")
-    _check_inner(ball, us, vs)
-    dags = _interval_dags(ball, dist, us, vs)
+    if len(us) and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= ball.inner_count):
+        raise ValueError("max_avoidance_block needs inner endpoints")
+    dags = inner_dags(dist)
     by_vertex = np.ascontiguousarray(rows_block[:, : ball.mid_count].T)
     return _avoidance_units(
-        dags, np.arange(len(us)), len(rows_block), lambda entry, _: by_vertex[dags.verts[entry]]
+        dags, _pair_ids(ball.inner_count, us, vs), len(rows_block), lambda entry, _: by_vertex[dags.verts[entry]]
     )
 
 
@@ -253,14 +273,14 @@ def _avoidance_prefixes(dist, dags, p):
 
 def max_avoidance(ball, dist, u, v, p) -> int:
     """max over geodesics from u to v of d(p, image of the geodesic)."""
-    return int(_avoidance_prefixes(dist, _interval_dags(ball, dist, [u], [v]), p)[-1])
+    return int(_avoidance_prefixes(dist, _one_pair(ball, dist, u, v), p)[-1])
 
 
 def most_avoiding_geodesic(ball, dist, u, v, p) -> tuple[int, ...]:
     """A geodesic from u to v achieving :func:`max_avoidance` for p: walk
     back from v, each step to the first predecessor in label order that
     keeps the best prefix value."""
-    dags = _interval_dags(ball, dist, [u], [v])
+    dags = _one_pair(ball, dist, u, v)
     f = _avoidance_prefixes(dist, dags, p).tolist()
     pred = dags.pred.tolist()
     trail = [len(f) - 1]
@@ -276,55 +296,63 @@ def most_avoiding_geodesic(ball, dist, u, v, p) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # geodesics as paths: counting and unranking on the store
 
-def _path_counts(dags, limit):
-    """Geodesics from each entry to its pair's last entry, saturating at
-    ``limit``, with one trailing 0 for the sentinel.  Layers are resolved
-    from the top down; every entry but the last of its pair has a successor,
-    and the last one counts its own one-vertex path."""
-    n_entries = len(dags.verts)
-    glob = np.where(dags.succ >= 0, dags.succ + dags.ptr[dags.pair][:, None], n_entries)
-    count = np.zeros(n_entries + 1, dtype=np.int64)
-    by = np.argsort(dags.layer, kind="stable")
-    cuts = np.concatenate([[0], np.cumsum(np.bincount(dags.layer))])
-    for t in range(len(cuts) - 2, -1, -1):
-        idx = by[cuts[t] : cuts[t + 1]]
-        count[idx] = np.clip(count[glob[idx]].sum(axis=1), 1, limit)
-    return count, glob
-
-
 def _geodesic_rows(ball, dist, us, vs, cap):
     """Geodesics from us[k] to vs[k], in label-lexicographic order per pair.
 
-    Returns ``(rows, counts, truncated)``: ``rows`` is an int64 matrix of
+    Returns ``(rows, counts, truncated)``: ``rows`` is an int32 matrix of
     vertex paths, pair after pair, padded by repeating the last vertex to
     the longest pair's length; pair k owns ``counts[k]`` of them, the first
     ``cap`` of its geodesics (all of them when ``cap`` is None), and
-    ``truncated[k]`` says whether it has more.  Paths are unranked from
-    per-entry path counts that saturate at ``cap + 1``: at each step the
-    r-th path takes the first column whose running count exceeds r.
+    ``truncated[k]`` says whether it has more.
+
+    Inner pairs are read from the store, from the first entry over ``succ``
+    when ``us[k] <= vs[k]``, else from the last over ``pred``: the columns
+    of a DAG grown from ``us[k]``.  Each requested entry gets its count of
+    paths to the far end, saturating at ``cap + 1``, and the r-th path
+    steps to the first column whose running count exceeds r.
     """
-    dags = _interval_dags(ball, dist, us, vs)
-    letters = dags.succ.shape[1]
+    us, vs = (np.asarray(x, dtype=np.int64).ravel() for x in (us, vs))
+    ni = ball.inner_count
+    if len(us) and min(us.min(), vs.min()) >= 0 and max(us.max(), vs.max()) < ni:
+        dags, pid, back = inner_dags(dist), _pair_ids(ni, us, vs), us > vs
+    else:
+        dags, pid, back = _interval_dags(ball, dist, us, vs), np.arange(len(us)), np.zeros(len(us), bool)
+    entry, sizes = _entries(dags, pid)
+    base = np.cumsum(sizes) - sizes
+    verts, layer, glob = dags.verts[entry], dags.layer[entry], dags.succ[entry]
+    back_e = np.repeat(back, sizes)
+    glob[back_e] = dags.pred[entry[back_e]]
+    del entry
+    togo = np.where(back_e, layer, np.repeat(layer[base + sizes - 1], sizes) - layer)  # steps to the far end
+    glob = np.where(glob >= 0, glob + np.repeat(base.astype(np.int32), sizes)[:, None], len(verts))
+    far = base + np.where(back, 0, sizes - 1)
+    glob[far, 0] = far  # a finished path stays put
+    letters = glob.shape[1]
     limit = np.iinfo(np.int64).max // letters if cap is None else cap + 1
-    count, glob = _path_counts(dags, limit)
-    total = count[dags.ptr[:-1]]
+    count = np.zeros(len(verts) + 1, dtype=np.int32 if limit * letters < 2**31 else np.int64)
+    by = np.argsort(togo, kind="stable")
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(togo))])
+    del togo, layer, back_e
+    for t in range(len(cuts) - 1):
+        idx = by[cuts[t] : cuts[t + 1]]
+        count[idx] = np.clip(count[glob[idx]].sum(axis=1), 1, limit)
+    del by
+    e = base + np.where(back, sizes - 1, 0)
+    total = count[e]
     counts = total if cap is None else np.minimum(total, cap)
     pair = np.repeat(np.arange(len(counts)), counts)
     rank = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
-    e = dags.ptr[pair]
-    width = int(dags.layer.max(initial=0)) + 1
-    rows = np.empty((len(pair), width), dtype=np.int64)
-    rows[:, 0] = dags.verts[e]
+    e = e[pair]
+    rows = np.empty((len(pair), len(cuts) - 1), dtype=verts.dtype)
+    rows[:, 0] = verts[e]
     at = np.arange(len(pair))
-    for s in range(1, width):
+    for s in range(1, rows.shape[1]):
         nxt = glob[e]
-        running = np.cumsum(count[nxt], axis=1)
-        col = (running <= rank[:, None]).sum(axis=1)
-        go = col < letters  # a finished path has no successor and stays put
-        col = np.minimum(col, letters - 1)
-        rank = rank - np.where(go & (col > 0), running[at, col - 1], 0)
-        e = np.where(go, nxt[at, col], e)
-        rows[:, s] = dags.verts[e]
+        run = np.cumsum(count[nxt], axis=1)
+        col = (run <= rank[:, None]).sum(axis=1)
+        rank -= np.where(col > 0, run[at, col - 1], 0)
+        e = nxt[at, col]
+        rows[:, s] = verts[e]
     truncated = np.zeros(len(total), dtype=bool) if cap is None else total > cap
     return rows, counts, truncated
 
@@ -345,14 +373,16 @@ def enumerate_geodesics(ball, dist, u, v, cap=None):
 def geodesic_through(ball, dist, u, v, via):
     """Some geodesic from u to v passing through an interval vertex ``via``:
     from ``via``, the first successor in label order up to v and the first
-    predecessor down to u."""
-    dags = _interval_dags(ball, dist, [u], [v])
-    i = int(np.flatnonzero(dags.verts == int(via))[0])
+    predecessor down to u.  Raises ValueError when ``via`` is not on the
+    interval."""
+    dags = _one_pair(ball, dist, u, v)
+    hit = np.flatnonzero(dags.verts == int(via))
+    if not len(hit):
+        raise ValueError(f"vertex {via} is not on a geodesic from {u} to {v}")
     succ, pred = dags.succ.tolist(), dags.pred.tolist()
-    forward, backward = [i], [i]
+    forward, backward = [int(hit[0])], [int(hit[0])]
     while (j := _first(succ[forward[-1]])) is not None:
         forward.append(j)
     while (j := _first(pred[backward[-1]])) is not None:
         backward.append(j)
     return tuple(dags.verts[backward[:0:-1] + forward].tolist())
-

@@ -30,12 +30,14 @@ from scipy.sparse.csgraph import connected_components
 from .ball import DistanceMatrix, connected_without
 from .geodesics import (
     _avoidance_units,
+    _entries,
     _first_padded,
     _geodesic_rows,
-    _interval_dags,
+    _pair_ids,
     _segments,
     enumerate_geodesics,  # noqa: F401 - not called here; the geodesics.enumerate probe binds it
     geodesic_through,
+    inner_dags,
     interval,  # noqa: F401 - not called here; the geodesics.interval probe binds it
     max_avoidance,  # noqa: F401 - not called here; the geodesics.avoidance probe binds it
     max_avoidance_block,
@@ -436,11 +438,10 @@ def _polygon_tuple_witness(ball, dist, corners, p, value):
 
 
 # Corner tuples read from a sampling plan and evaluated at a time by the
-# tuple method.  On a 2-vCPU VM, 2^8 to 2^10 ran the sampled polygon:3 of
-# Z2 * Z3 R9, Z x Z R4 and F(a,b) R3 about equally fast; the batch's own
-# allocation peak grows with it (5.7, 8.1 and 24.5 MiB at 2^8, 2^10 and
-# 2^12 on Z2 * Z3 R9).
-_POLYGON_TUPLES = 1 << 8
+# tuple method.  On a 2-vCPU VM the sampled polygon:3 of Z2 * Z3 R9 (5000
+# tuples, store built) took 0.090, 0.080, 0.062 and 0.062 s at 2^6, 2^8,
+# 2^10 and 2^12, with allocation peaks of 1.1, 1.6, 2.1 and 3.9 MiB.
+_POLYGON_TUPLES = 1 << 10
 
 
 def _polygon_tuple_batch(ball, dist, corners):
@@ -450,26 +451,24 @@ def _polygon_tuple_batch(ball, dist, corners):
 
     A tuple's probes are the interval of its last side (c_n, c_0), and its
     value is the max over probes of the min over its other sides of the
-    maximal avoidance.  Every side of the batch, the last ones included,
-    gets one entry of one store, oriented from its smaller end.  Each
-    (tuple, other side) is one unit of one ``_avoidance_units`` pass, with
-    the tuple's probes as its vector axis, read from the rows of the
-    batch's distinct probes cut after the store's largest vertex.
+    maximal avoidance.  Each (tuple, other side) is one unit of one
+    ``_avoidance_units`` pass with the tuple's probes as its vector axis,
+    read from the rows of the batch's probes cut after the sides' largest
+    vertex.
     """
     t, n = len(corners), corners.shape[1] - 1
-    ni = ball.inner_count
-    nxt = np.roll(corners, -1, axis=1)  # side i runs from corner i to corner i + 1
-    pairs, pid = np.unique(np.minimum(corners, nxt) * ni + np.maximum(corners, nxt), return_inverse=True)
-    pid = pid.reshape(t, n + 1)
-    dags = _interval_dags(ball, dist, pairs // ni, pairs % ni)
+    dags = inner_dags(dist)
+    pid = _pair_ids(ball.inner_count, corners, np.roll(corners, -1, axis=1))  # side i: corner i to i + 1
     sizes = np.diff(dags.ptr)[pid[:, -1]]
     probes = dags.verts[_first_padded(dags.ptr[pid[:, -1]], sizes)]
     used, local = np.unique(probes, return_inverse=True)
     local = local.reshape(probes.shape)
-    rows = dist.rows(used, np.arange(int(dags.verts.max()) + 1))
+    top = int(dags.verts[_entries(dags, np.unique(pid[:, :-1]))[0]].max())
+    rows = dist.rows(used, np.arange(top + 1)).ravel()
+    at = local * (top + 1)  # each probe's row offset in ``rows``
 
     def values(entry, owner):
-        return rows[local[owner // n], dags.verts[entry][:, None]]
+        return rows[at[owner // n] + dags.verts[entry][:, None]]
 
     avoid = _avoidance_units(dags, pid[:, :-1].ravel(), probes.shape[1], values)
     vals = avoid.reshape(t, n, -1).min(axis=1)
@@ -483,9 +482,8 @@ def _polygon_tuple_batch(ball, dist, corners):
 
 def _polygon_tuples(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
     """Worst thinness over the plan's corner tuples, each exact over all
-    geodesic choices, in batches of ``_POLYGON_TUPLES`` that each take one
-    pass over one geodesic-DAG store.  Under an exhaustive plan it covers
-    every corner tuple and agrees with the scan, its oracle in the tests."""
+    geodesic choices, in batches of ``_POLYGON_TUPLES``.  Under an
+    exhaustive plan it agrees with the scan, its oracle in the tests."""
     best = _Extremum()
     best.offer(0, tuple([0] * (n + 1)), 0)
     for corners in plan.tuples(ball.inner_count, n + 1, size=_POLYGON_TUPLES):
@@ -527,10 +525,9 @@ def rips_delta(ball, dist, plan: SamplingPlan) -> InvariantResult:
 # ---------------------------------------------------------------------------
 # bigons: asynchronous and synchronous fellow-traveling constants
 
-# Plan pairs read into one bigon store at a time.  On a 2-vCPU VM, 2^10
-# ran the bigons of Z2 * Z3 R9 (5000 sampled pairs) in 45 ms against 70 ms
-# at 2^8, and the peak RSS of the Z x Z R2..4 sweep read 68.5 MiB, against
-# 69.8 MiB with the per-pair DAGs the store replaced.
+# Plan pairs read from the store at a time.  On a 2-vCPU VM the bigons of
+# Z2 * Z3 R9 (5000 sampled pairs, store built) took about 1 ms and
+# allocated 0.2 MiB at each of 2^8, 2^10 and 2^12.
 _BIGON_PAIRS = 1 << 10
 
 
@@ -539,15 +536,16 @@ def _bigon_batch(ball, dist, pairs):
     have more than one geodesic: ``(pairs, a_val, a_vertex, s_val, s_a,
     s_b)``, in batch order.  The first maximum counts, in DAG order for
     async and in row-major (entry, entry) order for sync."""
-    dags = _interval_dags(ball, dist, pairs[:, 0], pairs[:, 1])
-    sizes = np.diff(dags.ptr)
+    dags = inner_dags(dist)
+    pid = _pair_ids(ball.inner_count, pairs[:, 0], pairs[:, 1])
+    sizes = np.diff(dags.ptr)[pid]
     keep = np.flatnonzero(sizes > dist.inner[pairs[:, 0], pairs[:, 1]] + 1)
     if not len(keep):
         none = np.empty(0, dtype=np.int64)
         return pairs[keep], none, none, none, none, none
-    sizes = sizes[keep]
+    pid = pid[keep]
+    e, sizes = _entries(dags, pid)
     base = np.cumsum(sizes) - sizes
-    e = _segments(dags.ptr[keep], sizes)
     verts = dags.verts[e]
     owner = np.repeat(np.arange(len(keep)), sizes)
     used, local = np.unique(verts, return_inverse=True)
@@ -555,13 +553,12 @@ def _bigon_batch(ball, dist, pairs):
     # async: a pair's own interval vertices are the probes, the vector axis
     # of its unit; a shorter interval repeats its first probe
     probe = local[_first_padded(base, sizes)]
-    row_of = np.empty(len(dags.verts), dtype=np.int64)  # store entry -> row of D
-    row_of[e] = local
+    shift = base - dags.ptr[pid]  # store entry of unit i -> its position in e
 
     def values(entry, unit):
-        return D[row_of[entry][:, None], probe[unit]]
+        return D[local[entry + shift[unit]][:, None], probe[unit]]
 
-    avoid = _avoidance_units(dags, keep, probe.shape[1], values)
+    avoid = _avoidance_units(dags, pid, probe.shape[1], values)
     k = avoid.argmax(axis=1)
     # sync: every same-layer pair of entries
     layer = dags.layer[e]
@@ -587,13 +584,10 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
     sync is the worst distance between same-parameter vertices: the largest
     diameter of one DAG layer's slice of the interval, since two geodesics
     can pass through any two vertices of a layer.  Plan pairs are read in
-    batches of ``_BIGON_PAIRS``, each one geodesic-DAG store: pairs whose
-    interval holds one vertex per layer have a unique geodesic and drop
-    out; async is one max-min pass over the others' entries with the pair's
-    own interval vertices as probes, and it and sync read one distance
-    block over the batch's interval vertices.  Neither enumerates paths, so the geodesic cap does not apply
-    and both are exact under every exhaustive plan.  Every evaluated pair is
-    checked against sync <= 2 * async.
+    batches of ``_BIGON_PAIRS``; a pair with one interval vertex per layer
+    has a unique geodesic and drops out.  Neither constant enumerates
+    paths, so the cap does not apply and both are exact under every
+    exhaustive plan.  Every pair is checked against sync <= 2 * async.
     """
     n = ball.inner_count
     best_async = _Extremum()
@@ -654,29 +648,22 @@ def _detour_levels(ball, dist, probes, xs, ys):
     The level of a query (p, x, y) is the largest ``r >= 1`` at which x and
     y are connected in the subgraph induced on ``{w : rp[w] >= r}``, with
     ``rp = dist.row(p)``, and 0 when there is none.  The subgraphs shrink as
-    ``r`` grows, so levels are resolved in ascending ``r`` and a query drops
-    out at the first ``r`` that splits its pair.
+    ``r`` grows, so a query drops out at the first ``r`` that splits it.
 
-    Level 1 asks whether x and y stay connected in the ball minus p.
-    ``connected_without`` answers it for every query from one depth-first
-    search of the ball, through its cut vertices, and reads no distance
-    row; on a hyperbolic ball every query stops there.
+    Level 1 (connected in the ball minus p) comes from one depth-first
+    search through the ball's cut vertices, ``connected_without``, which
+    reads no distance row; on a hyperbolic ball every query stops there.
 
-    The levels from 2 up are stacked.  Per level, every probe with an
-    unresolved query gets one copy of the ball's CSR, and the copies are
-    stacked block-diagonally, copy ``k`` offsetting vertex ids by
-    ``k * n_vertices``, so one ``connected_components`` call labels every
-    copy at once.  An edge with ``min(rp[s], rp[t]) < r`` is masked by
-    pointing it back at its own row (a self-loop): every copy keeps the
-    cached CSR's ``indptr``, so nothing is sorted or sliced.  A masked
-    vertex is isolated in its copy, and a query also needs both endpoints
-    unmasked (which is what ends a query with x == y).  The ball's graph is
-    symmetric and an edge is masked with its reverse, so the stack's
-    strongly connected components are its connected components; the strong
-    search reads only ``indptr`` and ``indices``, where an undirected one
-    first transposes the whole stack.  Probes are stacked in chunks of at
-    most ``_DETOUR_ENTRIES`` adjacency entries (at least one probe per
-    chunk), so each stacked graph stays small enough for the cache.
+    From level 2 up, per level, every probe with an unresolved query gets a
+    copy of the ball's CSR, stacked block-diagonally (copy ``k`` offsets
+    vertex ids by ``k * n_vertices``) so one ``connected_components`` call
+    labels them all.  An edge with ``min(rp[s], rp[t]) < r`` is masked as a
+    self-loop, so every copy keeps the cached ``indptr`` and nothing is
+    sorted; a query also needs both endpoints unmasked (which ends x == y).
+    Edges are masked with their reverses, so strong components are the
+    connected ones, and the strong search needs no transpose.  Probes are
+    stacked in chunks of at most ``_DETOUR_ENTRIES`` adjacency entries (at
+    least one probe), so each stack stays small enough for the cache.
     """
     probes, xs, ys = (np.asarray(a, dtype=np.int32) for a in (probes, xs, ys))
     levels = np.zeros(len(probes), dtype=np.int32)
@@ -750,12 +737,13 @@ def masked_path(ball, rp, r, x, y):
 def _pair_detours(ball, dist, pairs):
     """Detour value and probe of each pair (x, y), as two int arrays: the
     largest level over the probes of the pair's interval, and the smallest
-    probe attaining it.  The intervals are one geodesic-DAG store, and one
+    probe attaining it.  The intervals are read from the store, and one
     ``_detour_levels`` pass resolves every pair."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    dags = _interval_dags(ball, dist, pairs[:, 0], pairs[:, 1])
-    sizes, probes, pair_of = np.diff(dags.ptr), dags.verts.astype(np.int32), dags.pair
-    del dags  # the pass reads no DAG edges; free them before it runs
+    dags = inner_dags(dist)
+    entry, sizes = _entries(dags, _pair_ids(ball.inner_count, pairs[:, 0], pairs[:, 1]))
+    probes = dags.verts[entry]
+    pair_of = np.repeat(np.arange(len(pairs)), sizes)
     xs, ys = pairs[pair_of].T
     levels = _detour_levels(ball, dist, probes, xs, ys)
     # per pair, highest level first and then smallest probe; pairs keep their blocks
@@ -825,7 +813,7 @@ def _with_adversarial(dist, cache, x, y, rows, counts, size):
     if not extra:
         return rows, counts, size
     width = max(rows.shape[1], max(map(len, extra)))
-    more = np.array([p + p[-1:] * (width - len(p)) for p in extra], dtype=np.int64)
+    more = np.array([p + p[-1:] * (width - len(p)) for p in extra], dtype=rows.dtype)
     # a stable sort by pair puts each pair's extra row after its geodesics
     order = np.argsort(np.concatenate([np.repeat(np.arange(len(counts)), counts), owner]), kind="stable")
     rows = np.concatenate([_pad_rows(rows, width), more])[order]
@@ -904,29 +892,22 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     additionally offers each side's maximal-detour path.  Always reported as
     a lower bound: the true mesh ranges over arbitrary triangles.
 
-    One batched program: each ordered corner pair's side choices are listed
-    once, unranked in label-lexicographic order from one geodesic-DAG store
-    per batch of new pairs (``_geodesic_rows``, the order and cap of
-    ``enumerate_geodesics``), straight into the rows of a path matrix padded
-    by repeating the last vertex (a repeated vertex changes no minimum),
-    over a compact distance block of the vertices used.  Every (triangle,
-    i0, i1, i2) combination of side choices is one row, in plan order with
-    the choices in product order; degenerate triangles are skipped.  Rows are evaluated
-    in chunks whose working tensors hold at most ``_MESH_CHUNK`` entries, so
-    memory stays bounded however many rows there are; within a chunk, rows
-    are grouped by their longest side and each group's tensors are only
-    that wide (an adversarial side can be twice as long as a geodesic,
-    and the cost grows with the cube of the width).  Only rows that can
-    still win run that cube: a row's tripod certificate ``_mesh_bound``, the
-    least diameter over the floor and ceiling of its three Gromov-product
-    points, bounds its mesh from above in O(1) gathers, and a row stays
-    live only if that bound beats the running maximum, or equals it with a
-    smaller key.  One rule for every plan; the value and witness are those
-    of evaluating every row.  The winner is the
-    lexicographically smallest ``(a, b, c, i0, i1, i2)`` attaining the
-    maximum, and its points are the first row-major argmin over its sides;
-    when the maximum is 0 the witness keeps corners ``(0, 0, 0)`` and no
-    sides.
+    Each ordered corner pair's side choices are unranked once from the
+    store (``_geodesic_rows``: the order and cap of ``enumerate_geodesics``)
+    into a path matrix padded by repeating the last vertex, over a compact
+    distance block of the vertices used.  Every (triangle, i0, i1, i2)
+    combination is one row, in plan order with the choices in product
+    order; degenerate triangles are skipped.  Rows run in chunks whose
+    working tensors hold at most ``_MESH_CHUNK`` entries, grouped by their
+    longest side (the cost grows with the cube of the width).  Only rows
+    that can still win run that cube: the tripod certificate
+    ``_mesh_bound`` (the least diameter over the floor and ceiling of the
+    three Gromov-product points) bounds a row's mesh from above, and a row
+    stays live only if it beats the running maximum, or ties it with a
+    smaller key.  The winner is the lexicographically smallest ``(a, b, c,
+    i0, i1, i2)`` attaining the maximum, its points the first row-major
+    argmin over its sides; a maximum of 0 keeps corners ``(0, 0, 0)`` and
+    no sides.
     """
     if mode not in ("geodesic", "adversarial"):
         raise ValueError(f"unknown mesh mode {mode!r}")
@@ -1058,20 +1039,22 @@ def subgroup_quasiconvexity(ball, dist, subgroup_gens, detour_result=None) -> In
     H_inner = H_arr[H_arr < ball.inner_count]
     i, j = np.triu_indices(len(H_inner))
     h, h2 = H_inner[i], H_inner[j]
-    dags = _interval_dags(ball, dist, h, h2)
-    used, local = np.unique(dags.verts, return_inverse=True)
+    dags = inner_dags(dist)
+    entry, sizes = _entries(dags, _pair_ids(ball.inner_count, h, h2))
+    verts = dags.verts[entry]
+    used, local = np.unique(verts, return_inverse=True)
     block = dist.rows(used, H_arr)
     nearest = block.argmin(axis=1)  # the first nearest element in H order
     far = block[np.arange(len(used)), nearest][local]
     # highest distance, then the smallest (h, h2, p); the identity is in H,
     # so pair (0, 0) is first and a maximum of 0 keeps the witness (0, 0, 0)
-    pair = dags.pair
-    w = np.lexsort((dags.verts, h2[pair], h[pair], -far))[0]
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    w = np.lexsort((verts, h2[pair], h[pair], -far))[0]
     value, k = int(far[w]), pair[w]
     witness = {
         "h": ball.word(int(h[k])),
         "h2": ball.word(int(h2[k])),
-        "geodesic_point": ball.word(int(dags.verts[w])),
+        "geodesic_point": ball.word(int(verts[w])),
         "nearest_subgroup_element": ball.word(H[nearest[local[w]]]),
         "distance": value,
     }

@@ -185,6 +185,13 @@ def test_default_report_matches_golden(group, r_in, golden):
                  samples=300, seed=5, geodesic_cap=4),
             "report_zxz_r3_mesh_sampled_cap4.json",
         ),
+        # vfree-sampled's selectors, all nonzero: sampled bigons and detour
+        # and a capped sampled mesh in one report
+        (
+            dict(group="Z x Z", radii=[3], samples=300, seed=5, geodesic_cap=4,
+                 invariants=["four_point", "polygon:3", "bigons", "detour", "mesh:geodesic"]),
+            "report_zxz_r3_sampled_cap4.json",
+        ),
         # the default set on a non-standard generating set: the mesh, chain
         # and polygon values are nonzero, where on the standard set they are 0
         (
@@ -192,7 +199,7 @@ def test_default_report_matches_golden(group, r_in, golden):
             "report_z2z3_t1t2_r3.json",
         ),
     ],
-    ids=["adversarial", "sampled-cap4", "t1t2-default"],
+    ids=["adversarial", "sampled-cap4", "sampled-all-cap4", "t1t2-default"],
 )
 def test_mesh_report_matches_golden(config, golden):
     text = emit_report(run_analysis(AnalysisConfig(**config)), "json")

@@ -1,18 +1,30 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyball import enumerate_geodesics, geodesics, interval, parse_group_spec
+from cayleyball import (
+    all_pairs_distances,
+    build_ball,
+    enumerate_geodesics,
+    geodesics,
+    interval,
+    invariants,
+    parse_group_spec,
+)
+from cayleyball.cli import AnalysisConfig, run_analysis
 from cayleyball.geodesics import (
     _avoidance_units,
     _first_padded,
     _geodesic_rows,
     _interval_dags,
+    _one_pair,
     geodesic_through,
+    inner_dags,
     max_avoidance,
     max_avoidance_block,
     most_avoiding_geodesic,
@@ -183,6 +195,13 @@ def test_geodesic_through(make_pair):
         assert via in path
 
 
+def test_geodesic_through_rejects_vertex_off_the_interval(make_pair):
+    ball, dist = make_pair("Z x Z", 2)
+    assert 7 not in interval(dist, 0, 1)
+    with pytest.raises(ValueError, match="vertex 7 .* from 0 to 1"):
+        geodesic_through(ball, dist, 0, 1, 7)
+
+
 def test_max_avoidance_matches_enumeration(make_pair):
     for text, r_in in (("Z x Z", 2), ("Z2 * Z3", 2), ("Z6", 3)):
         ball, dist = make_pair(text, r_in)
@@ -337,3 +356,83 @@ def test_max_avoidance_block_edge_cases(make_pair):
             max_avoidance_block(ball, dist, us, vs, rows)
     with pytest.raises(ValueError):
         max_avoidance_block(ball, dist, [0, 1], [1], rows)
+
+
+def _labelled(dags):
+    """A one-pair store as vertex -> (layer, successor vertex per column,
+    predecessor vertex per column), free of the order of its entries."""
+    verts = dags.verts.tolist()
+    name = lambda links: tuple(verts[j] if j >= 0 else -1 for j in links)
+    return {
+        v: (t, name(s), name(p))
+        for v, t, s, p in zip(verts, dags.layer.tolist(), dags.succ.tolist(), dags.pred.tolist())
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_store_entries_match_one_pair_dags(make_pair, data):
+    # every inner pair's slice of the store, read from either end, against
+    # the DAG grown for that pair alone, on standard or extended generators
+    text, r_in = data.draw(st.sampled_from(SMALL_CASES + WP_CASES))
+    names = list(parse_group_spec(text).generator_names)
+    gens = None
+    if len(names) >= 2 and data.draw(st.booleans()):
+        first, second = data.draw(st.permutations(names))[:2]
+        gens = names + [f"{first}.{second}"]
+    ball, dist = make_pair(text, r_in, generators=gens)
+    dags = inner_dags(dist)
+    us, vs = np.triu_indices(ball.inner_count)
+    assert len(dags.ptr) == len(us) + 1
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        alone = _interval_dags(ball, dist, [u], [v])
+        lo, hi = dags.ptr[k], dags.ptr[k + 1]
+        for field in ("verts", "layer", "succ", "pred"):
+            assert getattr(dags, field)[lo:hi].tolist() == getattr(alone, field).tolist()
+        assert _labelled(_one_pair(ball, dist, v, u)) == _labelled(_interval_dags(ball, dist, [v], [u]))
+
+
+def test_store_is_built_once_per_radius(monkeypatch):
+    # one store per ball, and no invariant or witness grows a multi-pair
+    # store of its own
+    builds, stray, building = [], [], []
+    build_store, grow = geodesics.inner_dags, geodesics._interval_dags
+
+    def counted_store(dist):
+        if dist._dags is None:
+            builds.append(dist.ball.r_in)
+            building.append(True)
+            try:
+                return build_store(dist)
+            finally:
+                building.pop()
+        return build_store(dist)
+
+    def counted_grow(ball, dist, a, b):
+        if not building and np.size(a) > 1:
+            stray.append(np.size(a))
+        return grow(ball, dist, a, b)
+
+    monkeypatch.setattr(geodesics, "inner_dags", counted_store)
+    monkeypatch.setattr(invariants, "inner_dags", counted_store)
+    monkeypatch.setattr(geodesics, "_interval_dags", counted_grow)
+    run_analysis(AnalysisConfig(group="Z2 * Z3", radii=[3, 4]))
+    run_analysis(AnalysisConfig(
+        group="Z x Z", radii=[3], samples=300, seed=5, geodesic_cap=4,
+        invariants=["four_point", "polygon:3", "bigons", "detour", "mesh:geodesic"],
+    ))
+    assert builds == [3, 4, 3]
+    assert stray == []
+
+
+def test_store_build_allocates_little_beyond_the_store():
+    # the chunks' working arrays are small next to the store they fill
+    ball = build_ball(parse_group_spec("Z2 * Z3"), 6)
+    dist = all_pairs_distances(ball)
+    tracemalloc.start()
+    try:
+        dags = inner_dags(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(field.nbytes for field in dags)
