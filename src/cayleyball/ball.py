@@ -1,51 +1,39 @@
 """Cayley-graph balls with exact word-metric distances.
 
 A ball is enumerated one sphere at a time over array codes of the elements
-(``groups.ElementCodes``): every element has a fixed-width integer row, equal
-exactly when the elements are, and a whole sphere's block of rows is
-multiplied by each letter at once.  A product ``u * l`` of a vertex at
-distance ``d`` lies at distance ``d - 1``, ``d`` or ``d + 1``, so matching the
-products exactly against spheres ``d - 1`` and ``d`` and against each other
-finds sphere ``d + 1``; its vertices are numbered by first occurrence in
-(vertex, letter) order, the breadth-first order of a scalar search.  The
-ball keeps the Cayley table, not the elements: ``BallGraph.elements`` and
-``index`` are derived from the breadth-first tree on first access.
+(``groups.ElementCodes``: one fixed-width integer row per element, equal
+exactly when the elements are), a sphere's block multiplied by each letter
+at once.  A product ``u * l`` of a vertex at distance ``d`` lies at
+distance ``d - 1``, ``d`` or ``d + 1``, so matching the products against
+spheres ``d - 1`` and ``d`` and each other finds sphere ``d + 1``, numbered
+by first occurrence in (vertex, letter) order: breadth-first order.  The
+ball keeps the Cayley table, not the elements.
 
-A ball is built out to radius ``r_out = 3 * r_in``.  Any geodesic between
-two vertices of the inner ball has length at most ``2 * r_in``, so all of
-its vertices stay within ``3 * r_in`` of the identity; distances restricted
-to inner-ball pairs therefore agree with the word metric of the full
-(possibly infinite) group.  More generally, a distance ``d(u, v)`` measured
-inside the ball is exact whenever
+It reaches ``r_out = 3 * r_in``: a geodesic between inner vertices has
+length at most ``2 * r_in`` and stays within ``3 * r_in`` of the identity,
+so inner-pair distances are those of the whole group.  In general a ball
+distance ``d(u, v)`` is exact when ``(d(1, u) + d(1, v) + d(u, v)) / 2 <=
+r_out``.
 
-    (d(1, u) + d(1, v) + d(u, v)) / 2  <=  r_out.
-
-Distance rows are clipped at ``clip = 2 * r_in + 1``: a row stores
-``min(d_ball(u, w), clip)``, so every distance up to ``2 * r_in`` is exact
-and every longer one reads ``clip``.  That is all the invariant computations
-need.  Their probe points lie on geodesics between inner vertices, and each
-value they report or compare against a threshold is at most a side length
-or the distance from a probe to an endpoint of its geodesic, hence at most
-``2 * r_in``.  Below ``clip`` a clipped distance decides every such
-comparison as the exact one does, and the maximum or minimum of clipped
-values is the clipped maximum or minimum.
-
-Those probe points form the geodesic hull: the vertices on some geodesic
-between two inner vertices, all within ``2 * r_in`` of the identity.
-``DistanceMatrix.hull`` reads it exactly from the inner rows, and every
-row lives in one block, the hull's first, so the exhaustive scans read them
-as one view and a row off the hull is computed only on request.
+Distance rows are clipped at ``clip = 2 * r_in + 1``: exact up to ``2 *
+r_in``, ``clip`` beyond.  The invariants need no more.  Their probe points
+lie on geodesics between inner vertices (the geodesic hull, within ``2 *
+r_in`` of the identity), and each value they report or compare against a
+threshold is at most a side length or a probe's distance to an end of its
+geodesic.  Below ``clip`` a clipped distance decides every such comparison
+as the exact one does, and extrema of clipped values are clipped extrema.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import functools
+import itertools
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import depth_first_order, dijkstra
 
-from .groups import ElementCodes, GeneratorLetter, GroupSpec, WordError
+from .groups import ElementCodes, GeneratorLetter, GroupSpec, InternalCheckError
 
 # Distances are int16, and the Gromov kernels add two inner distances of at
 # most 2 * r_in each: 4 * r_in must stay at most 32767.
@@ -54,6 +42,10 @@ _MAX_R_IN = 8191
 # 4 MiB.  Each call also reduces from its last subtree's end to the end of the
 # ball, so fewer, larger calls waste less.
 _SUBTREE_RANGES = 1 << 18
+# Maps kept and letter permutations checked by ``_automorphisms``: there are
+# factorially many, each a pass of every orbit filter.  Any set of maps gives
+# the same reports (a tuple no map sends lower is evaluated).
+_MAX_MAPS = 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -70,12 +62,10 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_letters(spec: GroupSpec, generator_words=None):
-    """Resolve a generating set and close it under inversion.
-
-    ``generator_words`` is a list of words over the standard generators; when
-    omitted the standard generators are used.  Letters are deduplicated by
-    group element (labels are canonical words, so label equality is element
-    equality) and identity letters are rejected.
+    """Resolve a generating set (words over the standard generators, or
+    those when omitted) and close it under inversion.  Letters are
+    deduplicated by element (labels are canonical words) and identity letters
+    are rejected.
     """
     if generator_words is None:
         base = [(name, spec._by_name[name]) for name, _ in spec.generators]
@@ -108,23 +98,20 @@ class BallGraph:
     """Induced subgraph of a Cayley graph on the radius-``r_out`` ball.
 
     Vertices are indexed in breadth-first order from the identity (index 0),
-    so ``dist0`` is nondecreasing and the inner ball is the index prefix
+    so ``dist0`` is nondecreasing and the inner ball is the prefix
     ``range(inner_count)``.  The adjacency is the Cayley table ``nbr``, an
     ``(n_vertices, len(letters))`` int32 array: ``nbr[u, li]`` is the index
-    of ``u * letters[li]``, or -1 when that product lies outside the ball.
-    Letters are sorted by label, so a row read left to right is in label
-    order, which makes every traversal order intrinsic to the group rather
-    than to the ball that happens to contain it.
+    of ``u * letters[li]``, or -1 outside the ball.  Letters are sorted by
+    label, so label-order traversals are intrinsic to the group, not the
+    ball.
 
-    ``elements`` (each vertex's group element, in vertex order) and
-    ``index`` (element to vertex) are views derived on first access, as
-    ``csr()`` is: vertex ``v``'s parent in the breadth-first tree is the
-    first ``(u, letter)`` in row-major order of ``nbr`` with
-    ``nbr[u, letter] == v``, and its element is the parent's times that
-    letter, one ``spec.multiply`` per vertex.  ``word(i)`` walks the parent
-    chain of ``i`` alone until the full list exists.  Both are None for a
-    graph-only import.  The table, ``dist0`` and the counts are fixed at
-    construction; the derived views fill in without locks.
+    ``elements`` (in vertex order) and ``index`` (element to vertex) are
+    derived on first access, as ``csr()`` and ``automorphisms()`` are: vertex
+    ``v``'s breadth-first parent is the first ``(u, letter)`` in row-major
+    order with ``nbr[u, letter] == v``, and its element the parent's times
+    that letter.  ``word(i)`` walks the parent chain of ``i`` alone until the
+    list exists.  Both are None for a graph-only import.  The table, ``dist0``
+    and the counts are fixed; the derived views fill in without locks.
     """
 
     def __init__(self, spec, letters, r_in, r_out, index, dist0, nbr, words=None):
@@ -142,6 +129,7 @@ class BallGraph:
         self._words = dict(enumerate(words)) if words is not None else {}
         self._csr = None
         self._arcs = None
+        self._autos = None
 
     def __repr__(self):
         text = self.spec.text if self.spec is not None else "<imported>"
@@ -158,9 +146,8 @@ class BallGraph:
 
     def _parent_arcs(self):
         """``arc[v] = u * len(letters) + li`` for the first ``(u, li)`` in
-        row-major order with ``nbr[u, li] == v`` (``arc[0]`` unused).  A
-        letter's column maps vertices one to one, so each column is one
-        scatter and the minimum over the columns is the first arc."""
+        row-major order with ``nbr[u, li] == v`` (``arc[0]`` unused): a column
+        maps vertices one to one, so one scatter per column and their minimum."""
         if self._arcs is None:
             n_letters = self.nbr.shape[1]
             arc = np.full(self.n_vertices, np.iinfo(np.int64).max)
@@ -215,8 +202,8 @@ class BallGraph:
         return w
 
     def words(self):
-        """Every vertex's word, in vertex order.  Derives the element list
-        first, one multiply per vertex rather than a chain walk per word."""
+        """Every vertex's word, in vertex order, from the element list (one
+        multiply per vertex, not a chain walk per word)."""
         if len(self._words) < self.n_vertices:
             elements = self.elements
             for i in range(self.n_vertices):
@@ -243,6 +230,91 @@ class BallGraph:
             self._csr = _table_csr(self.nbr)
         return self._csr
 
+    def automorphisms(self):
+        """Label-permuting automorphisms fixing vertex 0, as a ``(k, mid_count)``
+        int32 array of maps of the 2R prefix, identity first."""
+        if self._autos is None:
+            self._autos = _automorphisms(self, self.mid_count)
+        return self._autos
+
+
+def _inverse_letters(nbr):
+    """Column of each letter's inverse: ``nbr[nbr[0, c], inv[c]] == 0``."""
+    hit = nbr[nbr[0]] == 0
+    if (nbr[0] < 0).any() or (hit.sum(axis=1) != 1).any():
+        raise InternalCheckError("no inverses")
+    return hit.argmax(axis=1)
+
+
+def _letter_perms(inv):
+    """Permutations of the letters that commute with inversion, unturned
+    pairs first: a square's symmetries then take two checks."""
+    one = [c for c in range(len(inv)) if inv[c] == c]
+    two = np.array([c for c in range(len(inv)) if c < inv[c]], dtype=np.int64)
+    for flip in itertools.product((False, True), repeat=len(two)):
+        for a in itertools.permutations(one):
+            for b in itertools.permutations(two):
+                pi = np.empty(len(inv), dtype=np.int64)
+                img = np.where(flip, inv[list(b)], b).astype(np.int64)
+                pi[one], pi[two], pi[inv[two]] = a, img, inv[img]
+                yield pi
+
+
+def _tree_map(nbr, parent, letter, cuts, pi):
+    """The map ``phi(u * l) = phi(u) * pi(l)`` along the breadth-first tree,
+    or None unless it permutes the vertices and ``nbr[phi(u), pi(l)] ==
+    phi(nbr[u, l])`` on every entry (``phi[-1] = -1`` keeps -1 entries)."""
+    n = len(nbr)
+    phi = np.full(n + 1, -1, dtype=np.int32)
+    phi[0] = 0
+    for d in range(1, len(cuts) - 1):
+        at = slice(cuts[d], cuts[d + 1])
+        phi[at] = nbr[phi[parent[at]], pi[letter[at]]]
+        if phi[at].min() < 0:
+            return None
+    hit = np.zeros(n, dtype=bool)
+    hit[phi[:n]] = True
+    # np.take: the fast gathers here
+    if hit.all() and (np.take(nbr, phi[:n], axis=0)[:, pi] == np.take(phi, nbr)).all():
+        return phi[:n]
+    return None
+
+
+def _automorphisms(ball, keep):
+    """``BallGraph.automorphisms`` on the first ``keep`` vertices: the
+    ``_letter_perms`` that ``_tree_map`` keeps.  Maps compose, so a candidate
+    in the group found is not checked, and a failed one fails its coset.
+    Without unique letter inverses: the identity alone.
+    """
+    nbr = ball.nbr
+    ident = np.arange(keep, dtype=np.int32)
+    try:
+        inv = _inverse_letters(nbr)
+    except InternalCheckError:
+        return ident[None]
+    parent, letter = np.divmod(ball._parent_arcs(), len(inv))
+    cuts = np.searchsorted(ball.dist0, np.arange(int(ball.dist0[-1]) + 2))
+    gens, group, bad, checks = [], {tuple(range(len(inv))): ident}, set(), 0
+    for pi in _letter_perms(inv):
+        if len(group) >= _MAX_MAPS or checks >= _MAX_MAPS:
+            break
+        if tuple(pi) in group or tuple(pi) in bad:
+            continue
+        checks += 1
+        phi = _tree_map(nbr, parent, letter, cuts, pi)
+        if phi is None:
+            bad.update(tuple(pi[list(h)]) for h in group)
+            continue
+        gens.append((pi, phi[:keep]))
+        todo = list(group.items())
+        while todo and len(group) < _MAX_MAPS:  # close the group under the maps found
+            h, f = todo.pop()
+            for g, m in gens:
+                if (gh := tuple(g[list(h)])) not in group:
+                    group[gh] = m[f]
+                    todo.append((gh, group[gh]))
+    return np.stack(list(group.values()))
+
 
 def _table_csr(nbr):
     """CSR matrix of a Cayley table, one unit entry per table entry >= 0."""
@@ -253,25 +325,70 @@ def _table_csr(nbr):
     return csr_matrix((data, nbr[present], indptr), shape=(len(nbr), len(nbr)))
 
 
+def _orbit_least(ball, tuples):
+    """Which rows of a ``(t, k)`` int64 array of sorted tuples over the
+    ``2 * r_in`` prefix (k <= 3) are the least of their orbit under
+    ``ball.automorphisms()``.  The first entry must be least in its own
+    orbit; past that, each map's image is compared as one int64 key,
+    ``(lo * n + mid) * n + hi``.  An exhaustive scan evaluates only these
+    rows: its value is the same on every member of an orbit, and its
+    witness is the smallest tuple attaining the maximum, its orbit's least."""
+    maps, n = ball.automorphisms(), ball.mid_count
+    out = (maps >= np.arange(n)).all(axis=0)[tuples[:, 0]]
+    test = np.flatnonzero(out) if tuples.shape[1] > 1 else []
+
+    def key(t):  # columns: numpy reduces a short last axis slowly
+        c = list(np.moveaxis(t, -1, 0))
+        lo, hi = functools.reduce(np.minimum, c), functools.reduce(np.maximum, c)
+        return (lo * n + sum(c) - lo - hi) * n + hi
+
+    if len(test):
+        out[test] = (key(np.take(maps, tuples[test], axis=1).astype(np.int64)) >= key(tuples[test])).all(axis=0)
+    return out
+
+
+def _segments(starts, sizes):
+    """The concatenated index ranges ``starts[i]:starts[i] + sizes[i]``."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(int(np.sum(sizes))) + np.repeat(starts - offsets, sizes)
+
+
+def _least_triangles(ball, capped, size):
+    """A function yielding, in plan order, batches of about ``size`` inner
+    corner triples least in their orbit or with a ``capped`` side."""
+    n = len(capped)
+    # a least triple's least corner is least in its orbit
+    a = np.arange(n) if capped.any() else np.flatnonzero(_orbit_least(ball, np.arange(n)[:, None]))
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    start = np.searchsorted(pairs[:, 0], a + 1)  # the pairs (b, c) with b > a
+    count = len(pairs) - start
+    cuts = np.flatnonzero(np.diff(np.cumsum(count) // size)) + 1
+
+    def batches():
+        for at in np.split(np.arange(len(a)), cuts):
+            tri = np.column_stack([np.repeat(a[at], count[at]), pairs[_segments(start[at], count[at])]])
+            if len(tri := tri[capped[tri, tri[:, [1, 2, 0]]].any(axis=1) | _orbit_least(ball, tri)]):
+                yield tri
+
+    return batches
+
+
 def connected_without(ball, removed, xs, ys):
     """Whether ``xs[i]`` and ``ys[i]`` stay connected in the ball minus
     vertex ``removed[i]``, as a bool array; false when either is removed.
 
     One depth-first search answers every query (Tarjan's cut vertices).  Its
-    non-tree edges each join an ancestor to a descendant, so removing p cuts
-    off the subtree of a child c exactly when no table row in that subtree
-    reaches above p: ``low[c] >= pre[p]``, with ``pre`` the preorder number
-    and ``low[c]`` the least ``pre`` on the rows of c's subtree (always true
-    at the root).  The ball is connected and every edge has its reverse, so
-    every other vertex but p stays in one component: x and y are connected
-    when both lie in the same cut-off subtree, or both in the rest.
+    non-tree edges join ancestors to descendants, so removing p cuts off the
+    subtree of a child c exactly when no table row in it reaches above p:
+    ``low[c] >= pre[p]`` (preorder ``pre``, ``low[c]`` the least ``pre`` on
+    the rows of c's subtree; always at the root).  The ball is connected and
+    every edge has its reverse, so the rest stays connected: x and y are
+    when both lie in one cut-off subtree, or both in the rest.
 
-    Past the search, vertices are named by preorder position, and a subtree
-    is a range of positions.  Its end is the position plus its size, which
-    a second search of the tree (children reversed: a postorder) and the
-    depths (pointer doubling) give, and its ``low`` is one
-    ``minimum.reduceat`` over the ranges.  Nothing loops per vertex or per
-    tree level, however deep the search goes.
+    Past the search, vertices are named by preorder position and a subtree is
+    a range of positions, ending at the position plus its size (from a
+    second search in postorder and the depths by pointer doubling); its
+    ``low`` is one ``minimum.reduceat``.  Nothing loops per vertex or level.
     """
     n = ball.n_vertices
     order, parent = depth_first_order(ball.csr(), 0, directed=True, return_predecessors=True)
@@ -335,15 +452,13 @@ def connected_without(ball, removed, xs, ys):
 
 
 def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_000) -> BallGraph:
-    """Breadth-first enumeration of the Cayley ball of radius ``3 * r_in``,
-    one sphere at a time over array codes of the elements, as the module
-    docstring describes.
+    """Breadth-first enumeration of the Cayley ball of radius ``3 * r_in``
+    over array codes, as the module docstring describes.
 
-    ``generators`` optionally replaces the standard generating set by words
-    over it (changing the graph while fixing the group).  Only three
-    spheres of codes are alive at a time and no element is kept:
-    ``BallGraph.elements`` is derived on demand.  Raises
-    BudgetExceededError when more than ``budget`` vertices appear.
+    ``generators`` optionally replaces the standard generators by words over
+    them (a new graph, the same group).  Three spheres of codes are alive at
+    a time and no element is kept.  Raises BudgetExceededError when
+    more than ``budget`` vertices appear.
     """
     if r_in < 1:
         raise ValueError("r_in must be at least 1")
@@ -382,9 +497,9 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
 
 
 def _sphere_rows(codes, elements, prev, cur):
-    """Sphere ``d - 1``, sphere ``d`` and the product of each vertex of
-    sphere ``d`` with each letter, in (vertex, letter) row-major order: code
-    rows zero-padded to a common width of whole uint64 words."""
+    """Spheres ``d - 1`` and ``d`` and the products of sphere ``d`` with each
+    letter in (vertex, letter) order: code rows zero-padded to whole uint64
+    words."""
     if cur.shape[1] >= codes.width:
         full = cur[:, : codes.width]
     else:
@@ -414,8 +529,7 @@ _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 def _row_hashes(words, seed):
     """One 64-bit hash per row of a uint64 array: the first word xor the
-    seed, then a bijective mix (the splitmix64 finalizer) before each
-    further word is xored in."""
+    seed, then the splitmix64 finalizer before each further word is xored in."""
     h = words[:, 0] ^ np.uint64(seed) if seed or words.shape[1] > 1 else words[:, 0]
     for j in range(1, words.shape[1]):
         h ^= h >> np.uint64(30)
@@ -432,13 +546,12 @@ def _row_classes(words):
     occurrence: ``first[c]`` is the first row of class ``c`` (ascending) and
     ``cls[i]`` the class of row ``i``.
 
-    Rows are grouped by ``_row_hashes`` and every row is then compared in
-    full with its class's first row.  Should two different rows share a
-    hash, that comparison fails and the rows are grouped again under the
-    next seed, so the classes never depend on the hash.  One sort of the
-    hashes is cheaper than a ``np.lexsort`` over the words (a stable pass
-    per word) or ``np.unique`` over void rows: ``build_ball`` on
-    ``Z2 * Z3`` R9 takes about 165 ms this way against 195 and 235 ms.
+    Rows are grouped by ``_row_hashes``, then compared in full with their
+    class's first row; should two rows share a hash, that fails and they are
+    grouped again under the next seed, so the classes never depend on the
+    hash.  One sort of the hashes beats ``np.lexsort`` over the words and
+    ``np.unique`` over void rows: ``build_ball`` on ``Z2 * Z3`` R9 takes
+    about 165 ms this way against 195 and 235 ms.
     """
     seed = 0
     while True:
@@ -448,12 +561,13 @@ def _row_classes(words):
         head = np.empty(len(h), dtype=bool)
         head[:1] = True
         np.not_equal(sorted_h[1:], sorted_h[:-1], out=head[1:])
+        del h, sorted_h  # before the class arrays: F(a,b) R3 build peak 13.1 -> 10.9 MB
         first = np.minimum.reduceat(order, np.flatnonzero(head))  # per hash
         renumber = np.argsort(first)
         rank = np.empty_like(renumber)
         rank[renumber] = np.arange(len(renumber))
         first = first[renumber]
-        cls = np.empty(len(h), dtype=np.intp)
+        cls = np.empty(len(order), dtype=np.intp)
         cls[order] = rank[np.cumsum(head) - 1]
         if words.shape[1] == 1:  # a one-word row is its own hash up to the xor
             return first, cls
@@ -467,20 +581,16 @@ def _row_classes(words):
 class DistanceMatrix:
     """Clipped ball distances, every row in one int16 ``block``.
 
-    A row holds ``min(d_ball(u, w), clip)`` with ``clip = 2 * r_in + 1``:
-    exact up to ``2 * r_in`` and ``clip`` beyond it (the certificate in the
-    module docstring).  Every row comes from ``_clipped_rows``, one
-    breadth-first sweep over the Cayley table per request, and a slot per
-    vertex gives its row in the block, or -1.  The block fills in one
-    order: the inner rows at construction; on the first request for any
-    other row, the rest of the hull in hull order (``ensure_mid_rows`` is a
-    view of them); then each request's missing rows.  Read through ``rows``
-    or ``row``, since a request may replace ``block``.  ``inner`` is a
-    contiguous copy of the inner columns of the inner rows.
+    A row holds ``min(d_ball(u, w), clip)``, ``clip = 2 * r_in + 1`` (see
+    the module docstring), from ``_clipped_rows``; a slot per vertex gives
+    its block row, or -1.  The block fills in one order: the
+    inner rows at construction, the rest of the hull (in hull order, the
+    view ``ensure_mid_rows``) on the first other request, then each
+    request's missing rows.  Read through ``rows`` or ``row``, since a
+    request may replace ``block``.  ``inner`` is a copy of the inner block.
 
-    ``_dags`` is the geodesic-DAG store, built by ``geodesics.inner_dags``.
-    Logically read-only, but the hull, the block and the store fill on
-    first use without locks, so concurrent readers need a lock of their own.
+    ``_dags`` is the geodesic-DAG store of ``geodesics.inner_dags``.  The
+    hull, the block and the store fill on first use without locks.
     """
 
     def __init__(self, ball: BallGraph):
@@ -497,12 +607,11 @@ class DistanceMatrix:
 
     def _clipped_rows(self, sources):
         """int16 rows ``min(d_ball(s, w), clip)``, one per source, by one
-        breadth-first sweep for all sources.  The frontier holds flat
-        indices ``i * n + v`` into the rows, which start at ``clip``; level
-        ``t`` reads its table rows one letter at a time and writes ``t`` to
-        the products still at ``clip``, the next frontier.  A letter maps
-        vertices one to one, so a column holds no index twice, and marking
-        before the next column is read puts each index in one level."""
+        breadth-first sweep for all sources.  The frontier holds flat indices
+        ``i * n + v`` into rows that start at ``clip``; level ``t`` reads its
+        table rows a letter at a time and writes ``t`` to the products still at
+        ``clip``, the next frontier.  A letter maps vertices one to one, so
+        marking before the next column is read puts each index in one level."""
         n, clip = self.ball.n_vertices, self.clip
         out = np.full((len(sources), n), clip, dtype=np.int16)
         flat = out.reshape(-1)
@@ -522,9 +631,9 @@ class DistanceMatrix:
         return out
 
     def _slots(self, vertices):
-        """Block rows of ``vertices``, after appending the rows they lack
-        (and the rest of the hull before them) in one ``_clipped_rows`` call.
-        A vertex outside ``range(n_vertices)`` raises ``IndexError``."""
+        """Block rows of ``vertices``, after appending the rows they lack (and the
+        rest of the hull before them) in one ``_clipped_rows`` call; IndexError
+        for a vertex outside ``range(n_vertices)``."""
         at = self._slot[_vertices(vertices)]
         if at.min(initial=0) < 0:
             hull = self.hull()
@@ -536,16 +645,14 @@ class DistanceMatrix:
         return at
 
     def hull(self) -> np.ndarray:
-        """The geodesic hull: ascending indices of the vertices on some
-        geodesic between two inner vertices, computed on first request.
+        """The geodesic hull: ascending indices of the vertices on some geodesic
+        between two inner vertices, computed on first request.
 
         Such a geodesic has length ``d(a, b) <= 2 * r_in < clip`` and stays
-        within ``2 * r_in`` of the identity, so the test
-        ``d(a, w) + d(w, b) == d(a, b)`` on the inner rows is exact for
-        every ``w < mid_count`` and false beyond.  Every inner vertex ``w``
-        lies on a geodesic from the identity to ``w``, so the hull starts
-        with ``range(inner_count)`` and only the columns from
-        ``inner_count`` to ``mid_count`` are tested.
+        within ``2 * r_in`` of the identity, so ``d(a, w) + d(w, b) == d(a, b)``
+        on the inner rows is exact for ``w < mid_count`` and false beyond.  An
+        inner vertex lies on a geodesic from the identity, so only the columns
+        from ``inner_count`` to ``mid_count`` are tested.
         """
         if self._hull is None:
             ni, mid = self.ball.inner_count, self.ball.mid_count
@@ -557,18 +664,17 @@ class DistanceMatrix:
         return self._hull
 
     def ensure_mid_rows(self):
-        """The hull rows in hull order, as a view of the block's first rows.
-        The name predates the hull and stays because the layer probe in
-        ``perfbench/tracing.py`` binds it by name; its ``ball.mid_rows_s``
-        and ``ball.mid_block_bytes`` measure this block."""
+        """The hull rows in hull order, a view of the block's first rows; a
+        probe in ``perfbench/tracing.py`` binds the name (``ball.mid_rows_s``,
+        ``ball.mid_block_bytes``)."""
         hull = self.hull()
         self._slots(hull)
         return self.block[: len(hull)]
 
     def rows(self, vertices, cols=None) -> np.ndarray:
-        """Clipped rows of a 1-D array of vertices, as a new int16 array,
-        or only columns ``cols``: a 1-D ``cols`` is read from every row, a
-        2-D one row by row (``d(vertices[i], cols[i, j])``)."""
+        """Clipped rows of a 1-D array of vertices, as a new int16 array, or
+        only columns ``cols``: a 1-D ``cols`` from every row, a 2-D one row by
+        row (``d(vertices[i], cols[i, j])``)."""
         at = self._slots(vertices)
         return self.block[at] if cols is None else self.block[at[:, None], _vertices(cols)]
 
@@ -599,7 +705,6 @@ def all_pairs_distances(ball: BallGraph) -> DistanceMatrix:
     return DistanceMatrix(ball)
 
 
-# ---------------------------------------------------------------------------
 # line-based export / import
 
 def write_ball(ball: BallGraph) -> str:
@@ -617,17 +722,14 @@ def write_ball(ball: BallGraph) -> str:
 def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     """Rebuild a ball from its text export.
 
-    With ``spec`` the vertex words are re-evaluated to group elements and the
-    ball supports full element lookups; without it the ball is graph-only
-    (distances and invariants still work, subgroup enumeration does not).
-    Letters are the edge labels in label order, as ``build_ball`` orders
-    them.  Raises ValueError on a malformed header or vertex line, an edge
-    endpoint outside the ball, a repeated edge line, two edges with one label
-    out of one vertex, an edge without its reverse, a disconnected graph,
-    vertex lines out of breadth-first order (a vertex closer to vertex 0
-    than the one before it), a ``radius_in`` outside ``1.._MAX_R_IN``, a
-    vertex farther than ``radius_out`` from vertex 0, or (with ``spec``) two
-    vertex words naming one element.
+    With ``spec`` the vertex words are re-evaluated to group elements;
+    without it the ball is graph-only (no subgroup enumeration).  Letters are
+    the edge labels in label order.  Raises ValueError on a malformed header
+    or vertex line, an edge endpoint outside the ball, a repeated edge line,
+    two edges with one label out of one vertex, an edge without its reverse,
+    a disconnected graph, vertex lines out of breadth-first order, a
+    ``radius_in`` outside ``1.._MAX_R_IN``, a vertex beyond ``radius_out``,
+    or (with ``spec``) two vertex words naming one element.
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .ball import BudgetExceededError, all_pairs_distances, build_ball
@@ -72,17 +72,7 @@ class AnalysisConfig:
         return SamplingPlan.random(self.samples, self.seed, geodesic_cap=self.geodesic_cap)
 
     def describe(self):
-        return {
-            "group": self.group,
-            "generators": self.generators,
-            "radii": self.radii,
-            "invariants": self.invariants,
-            "samples": self.samples,
-            "seed": self.seed,
-            "geodesic_cap": self.geodesic_cap,
-            "budget": self.budget,
-            "subgroup": self.subgroup,
-        }
+        return asdict(self)
 
 
 def _parse_invariant(text, config):
@@ -212,11 +202,13 @@ def _parse_radii(args):
         return [args.radius]
     if args.radii is not None:
         lo, _, hi = args.radii.partition("..")
-        if not hi:
-            raise ValueError("--radii wants a range like 2..5")
-        if int(hi) < int(lo):
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"--radii wants a range like 2..5, got {args.radii!r}") from None
+        if hi < lo:
             raise ValueError(f"--radii range {args.radii} is empty")
-        return list(range(int(lo), int(hi) + 1))
+        return list(range(lo, hi + 1))
     raise ValueError("one of --radius or --radii is required")
 
 
@@ -229,7 +221,10 @@ def _parse_cap(text):
         return 64
     if text == "none":
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--geodesic-cap wants an integer or 'none', got {text!r}") from None
 
 
 def _add_common(parser):
@@ -305,6 +300,8 @@ def _cmd_h2_demo(args):
     probe = r
     for _ in range(6):
         probe = probe + (1.0 - probe) * 0.9
+        if f"{probe:.10f}".startswith("1"):  # it rounds to 1.0 or prints as 1
+            break
         lines.append(f"  r = {probe:.10f}  ->  {h2_center_distance(probe):.6f}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0

@@ -1,13 +1,12 @@
 """Geodesic intervals and the geodesic-DAG store.
 
-The geodesics between two vertices form a layered DAG inside the metric
-interval ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Each ``DistanceMatrix`` owns
-one flattened store of the DAGs of every inner pair a <= b
-(``inner_dags``), read by pair id, a pair asked for from its larger end
-walked back from its last entry.  On it run the max-min avoidance
-recurrence (``_avoidance_units``), label-lexicographic unranking of
-geodesics from path counts, so the k-th geodesic of a pair does not
-depend on the ball around it, and the witnesses' one-pair walks.
+The geodesics between two vertices form a layered DAG inside the interval
+``{w : d(u,w) + d(w,v) = d(u,v)}``.  Each ``DistanceMatrix`` owns one
+flattened store of the DAGs of every inner pair a <= b (``inner_dags``),
+read by pair id, a pair asked for from its larger end walked back from its
+last entry.  On it run the max-min avoidance recurrence, path counts and
+label-lexicographic unranking (so a pair's k-th geodesic does not depend
+on the ball around it), and the witnesses' one-pair walks.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ball import DistanceMatrix
+from .ball import DistanceMatrix, _inverse_letters, _segments
 from .groups import InternalCheckError
 
 
-# ---------------------------------------------------------------------------
 # the store
 
 class IntervalDags(NamedTuple):
@@ -36,15 +34,14 @@ class IntervalDags(NamedTuple):
 def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     """Geodesic DAGs from a[k] to b[k], flattened into one store.
 
-    Pair k owns entries ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex), so
-    its first entry is a[k] and its last b[k]; ``layer`` is the distance
-    from a[k].  Layer t + 1 holds the neighbours z of layer t (through
-    ``ball.nbr``) with ``d(z, b[k]) == d(a[k], b[k]) - t - 1``.  ``succ[e,
-    c]`` (``pred[e, c]``) is the pair-local entry that column c leads to
-    from e one layer up (down), or -1, in edge-label order; each link is
-    found once, as ``succ[e, c] == j`` and ``pred[j, inv[c]] == e`` for the
-    inverse letter ``inv[c]``.  Links and layers take the smallest dtype
-    that holds them.  Raises ValueError if ``d(a[k], b[k]) >= dist.clip``.
+    Pair k owns entries ``ptr[k]:ptr[k + 1]``, sorted by (layer, vertex),
+    first a[k] and last b[k]; ``layer`` is the distance from a[k].  Layer t +
+    1 holds the neighbours z of layer t with ``d(z, b[k]) == d(a[k], b[k]) -
+    t - 1``.  ``succ[e, c]`` (``pred[e, c]``) is the pair-local entry column c
+    leads to from e one layer up (down), or -1; each link is found once, as
+    ``succ[e, c] == j`` and ``pred[j, inv[c]] == e``.  Links and layers take
+    the smallest dtype that holds them.  Raises ValueError if ``d(a[k],
+    b[k]) >= dist.clip``.
     """
     a = np.asarray(a, dtype=np.int64).ravel()
     b = np.asarray(b, dtype=np.int64).ravel()
@@ -87,19 +84,10 @@ def _compact(bound):
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _inverse_letters(nbr):
-    """Column of each letter's inverse: ``nbr[nbr[0, c], inv[c]] == 0``."""
-    hit = nbr[nbr[0]] == 0
-    if (nbr[0] < 0).any() or (hit.sum(axis=1) != 1).any():
-        raise InternalCheckError("no inverses")
-    return hit.argmax(axis=1)
-
-
 # The store grows in at most this many chunks of at least ``_STORE_PAIRS``
-# pairs: a chunk works in about three times its share of the store, so the
-# build peaks at 1.7x the store on Z2 * Z3 R6.  Small chunks leave small
-# buffers in numpy's allocation cache: eight raised peak RSS of Z2 * Z3
-# R4..6 by 0.3 MiB.
+# pairs.  A chunk works in about three times its share (a peak of 1.7x the
+# store on Z2 * Z3 R6); small chunks leave buffers in numpy's allocation
+# cache (eight raised peak RSS of Z2 * Z3 R4..6 by 0.3 MiB).
 _STORE_CHUNKS = 4
 _STORE_PAIRS = 1 << 7
 
@@ -152,26 +140,24 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     return tuple(np.sort(_one_pair(dist.ball, dist, int(u), int(v)).verts).tolist())
 
 
-# ---------------------------------------------------------------------------
 # max-min avoidance on the store
 
 # DP values (entries times probes) of one ``_avoidance_units`` chunk.  On a
 # 2-vCPU VM, store built, the WP fill of Z2 * Z3 R10 (23,871 pairs, 218
-# probes) took 0.92, 0.33, 0.17 and 0.18 s at 2^14, 2^16, 2^18 and 2^20;
-# the sampled polygon:3 of Z2 * Z3 R9 0.105, 0.078 and 0.062 s at 2^14,
-# 2^16 and 2^18, allocating 0.7, 1.6 and 3.5 MiB.
+# probes) took 0.92, 0.33, 0.17, 0.18 s at 2^14, 2^16, 2^18, 2^20; sampled
+# polygon:3 of Z2 * Z3 R9 0.105, 0.078, 0.062 s and 0.7, 1.6, 3.5 MiB at
+# 2^14, 2^16, 2^18.
 _AVOIDANCE_ENTRIES = 1 << 16
 
 
 def _maxmin_layers(dags, entry, base, sizes, val):
     """The max-min avoidance recurrence over DP units laid end to end.
 
-    Unit i copies the store entries ``entry[base[i]:base[i] + sizes[i]]``
-    of one pair; ``val`` holds one value (or row) per DP entry.  Layer 0
-    reads its own value, layer t ``min(val, max over its predecessors)``,
-    packed to the largest in-degree and padded with a sentinel holding -1.
-    Returns the best prefix value of every DP entry; a unit's value is its
-    last entry's.
+    Unit i copies the store entries ``entry[base[i]:base[i] + sizes[i]]`` of
+    one pair; ``val`` holds a value (or row) per DP entry.  Layer 0 reads its
+    own value, layer t ``min(val, max over its predecessors)``, packed to the
+    largest in-degree and padded with a sentinel holding -1.  Returns every
+    DP entry's best prefix value; a unit's value is its last entry's.
     """
     local = dags.pred[entry]
     on = local >= 0
@@ -188,12 +174,6 @@ def _maxmin_layers(dags, entry, base, sizes, val):
         idx = by[cuts[t - 1] : cuts[t]]
         f[idx] = np.minimum(val[idx], f[slots[idx]].max(axis=1))
     return f[:-1]
-
-
-def _segments(starts, sizes):
-    """The concatenated index ranges ``starts[i]:starts[i] + sizes[i]``."""
-    offsets = np.cumsum(sizes) - sizes
-    return np.arange(int(np.sum(sizes))) + np.repeat(starts - offsets, sizes)
 
 
 def _entries(dags, pid):
@@ -213,12 +193,11 @@ def _avoidance_units(dags, pair_of, width, values) -> np.ndarray:
     """Max avoidance of every DP unit against its own row of ``width``
     probes, as a ``(units, width)`` int16 array.
 
-    Unit i runs ``_maxmin_layers`` over the store entries of pair
-    ``pair_of[i]``; ``values(entry, owner)`` gives the ``(len(entry),
-    width)`` probe values of store entries, entry j of unit ``owner[j]``.
-    Units run in chunks of at most ``_AVOIDANCE_ENTRIES`` DP values (and at
-    least one unit).  Ragged probe rows repeat a unit's first probe, which
-    changes neither the maximum nor its first probe.
+    Unit i runs ``_maxmin_layers`` over the entries of pair ``pair_of[i]``;
+    ``values(entry, owner)`` gives the probe values of entries, a row each,
+    entry j of unit ``owner[j]``.  Units run in chunks of at most
+    ``_AVOIDANCE_ENTRIES`` DP values (at least one unit).  Ragged probe rows
+    repeat a unit's first probe, which keeps the maximum and its first probe.
     """
     out = np.empty((len(pair_of), width), dtype=np.int16)
     sizes = np.diff(dags.ptr)[pair_of]
@@ -240,13 +219,10 @@ def _avoidance_units(dags, pair_of, width, values) -> np.ndarray:
 def max_avoidance_block(ball, dist, us, vs, rows_block) -> np.ndarray:
     """:func:`max_avoidance` of every inner pair ``(us[k], vs[k])`` against
     every probe row of ``rows_block``, as a ``(pairs, probes)`` int16 array:
-    entry ``[k, j]`` is the max over geodesics from us[k] to vs[k] of the
-    least ``rows_block[j, w]`` over their vertices.
-
-    The polygon scan's ``WP`` fill: one ``_avoidance_units`` unit per
-    pair, all sharing the probes as their vector axis.  Interval vertices
-    lie below ``mid_count``, so only those columns are read, transposed so
-    that an entry's probe values are one row.
+    the max over geodesics us[k] -> vs[k] of the least ``rows_block[j, w]``
+    over their vertices.  The polygon scan's ``WP`` fill: one unit per pair,
+    the probes as vector axis.  Interval vertices lie below ``mid_count``, so
+    only those columns are read, transposed so an entry's values are a row.
     """
     us, vs = (np.asarray(x, dtype=np.int64) for x in (us, vs))
     if not (us.ndim == 1 and us.shape == vs.shape):
@@ -293,23 +269,20 @@ def most_avoiding_geodesic(ball, dist, u, v, p) -> tuple[int, ...]:
     return tuple(dags.verts[trail[::-1]].tolist())
 
 
-# ---------------------------------------------------------------------------
 # geodesics as paths: counting and unranking on the store
 
 def _geodesic_rows(ball, dist, us, vs, cap):
     """Geodesics from us[k] to vs[k], in label-lexicographic order per pair.
 
-    Returns ``(rows, counts, truncated)``: ``rows`` is an int32 matrix of
-    vertex paths, pair after pair, padded by repeating the last vertex to
-    the longest pair's length; pair k owns ``counts[k]`` of them, the first
-    ``cap`` of its geodesics (all of them when ``cap`` is None), and
-    ``truncated[k]`` says whether it has more.
+    Returns ``(rows, counts, truncated)``: ``rows`` an int32 matrix of vertex
+    paths, pair after pair, padded by repeating the last vertex; pair k owns
+    ``counts[k]`` of them, its first ``cap`` geodesics (all when ``cap`` is
+    None), and ``truncated[k]`` says whether it has more.
 
     Inner pairs are read from the store, from the first entry over ``succ``
-    when ``us[k] <= vs[k]``, else from the last over ``pred``: the columns
-    of a DAG grown from ``us[k]``.  Each requested entry gets its count of
-    paths to the far end, saturating at ``cap + 1``, and the r-th path
-    steps to the first column whose running count exceeds r.
+    when ``us[k] <= vs[k]``, else from the last over ``pred``.  Each entry
+    gets its count of paths to the far end, saturating at ``cap + 1``, and
+    the r-th path steps to the first column whose running count exceeds r.
     """
     us, vs = (np.asarray(x, dtype=np.int64).ravel() for x in (us, vs))
     ni = ball.inner_count
@@ -357,13 +330,33 @@ def _geodesic_rows(ball, dist, us, vs, cap):
     return rows, counts, truncated
 
 
-def enumerate_geodesics(ball, dist, u, v, cap=None):
-    """All geodesics from u to v in label-lexicographic order.
+def _capped_pairs(dist, cap):
+    """Which inner pairs have more than ``cap`` (None: no) geodesics, as an
+    ``(n, n)`` bool matrix: an entry's path count from its pair's first
+    entry sums its ``pred`` links', layer by layer, up to ``cap + 1``."""
+    n = dist.ball.inner_count
+    out = np.zeros((n, n), dtype=bool)
+    if cap is None:
+        return out
+    dags = inner_dags(dist)
+    base = np.repeat(dags.ptr[:-1], np.diff(dags.ptr))
+    links = np.where(dags.pred.T >= 0, dags.pred.T + base, len(dags.verts))  # letter-major
+    count = np.ones(len(dags.verts) + 1, dtype=np.int64)
+    count[-1] = 0
+    by = np.argsort(dags.layer, kind="stable")
+    cuts = np.cumsum(np.bincount(dags.layer))
+    for t in range(1, len(cuts)):
+        idx = by[cuts[t - 1] : cuts[t]]
+        count[idx] = np.minimum(count[links[:, idx]].sum(axis=0), cap + 1)
+    i, j = np.triu_indices(n)
+    out[i, j] = out[j, i] = count[dags.ptr[1:] - 1] > cap
+    return out
 
-    Returns ``(paths, truncated)``, the paths as vertex tuples; with ``cap``
-    set, at most ``cap`` paths are returned and ``truncated`` reports
-    whether more exist.  The one-pair call of ``_geodesic_rows``.
-    """
+
+def enumerate_geodesics(ball, dist, u, v, cap=None):
+    """All geodesics from u to v in label-lexicographic order, as
+    ``(paths, truncated)``: vertex tuples, at most ``cap`` of them, and
+    whether more exist.  The one-pair call of ``_geodesic_rows``."""
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1 (or None for no cap)")
     rows, _, truncated = _geodesic_rows(ball, dist, [u], [v], cap)
@@ -371,10 +364,9 @@ def enumerate_geodesics(ball, dist, u, v, cap=None):
 
 
 def geodesic_through(ball, dist, u, v, via):
-    """Some geodesic from u to v passing through an interval vertex ``via``:
-    from ``via``, the first successor in label order up to v and the first
-    predecessor down to u.  Raises ValueError when ``via`` is not on the
-    interval."""
+    """Some geodesic from u to v through an interval vertex ``via``: the
+    first successor in label order up to v and the first predecessor down to
+    u (ValueError when ``via`` is off the interval)."""
     dags = _one_pair(ball, dist, u, v)
     hit = np.flatnonzero(dags.verts == int(via))
     if not len(hit):

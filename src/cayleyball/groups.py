@@ -1,6 +1,6 @@
 """Finitely generated groups with decidable canonical normal forms.
 
-Group expressions combine a few well-behaved building blocks:
+Group expressions combine a few building blocks:
 
     spec := term ('*' term)*          free product
     term := atom ('x' atom)*          direct product
@@ -8,31 +8,25 @@ Group expressions combine a few well-behaved building blocks:
 
 Examples: ``F(a,b)``, ``Z2 * Z3``, ``Z x Z``, ``(Z2 * Z3) x Z``.
 
-Elements are plain hashable Python values in canonical normal form, so two
-elements are equal in the group iff their values compare equal:
+Elements are hashable values in canonical normal form, equal in the group
+iff they compare equal:
 
-* free group     -- tuple of ``(generator index, +1/-1)`` letters, freely reduced
+* free group     -- tuple of ``(generator index, +1/-1)`` letters, reduced
 * cyclic Z / Zn  -- integer (residue in ``range(n)`` for Zn)
-* symmetric Sn   -- permutation of ``range(n)`` in one-line notation, as a tuple
-* free product   -- tuple of ``(factor index, factor element)`` syllables with no
-                    identity syllable and no two adjacent syllables from the
-                    same factor
+* symmetric Sn   -- permutation of ``range(n)`` in one-line notation
+* free product   -- tuple of ``(factor index, factor element)`` syllables,
+                    none the identity, no two neighbours from one factor
 * direct product -- tuple of per-factor elements
 
-Generator naming: free-group generators keep their declared names; the k-th
-atom of the expression (1-based, in source order) contributes ``t<k>`` when
-cyclic and the adjacent transpositions ``s<k>_1 .. s<k>_<n-1>`` when
-symmetric.  Names must be unique across the whole expression.
-
-Words over the generators are dot-separated: ``a.b^-1.a``.  Any integer
-exponent is accepted (``t1^3``), and ``1`` denotes the identity.  The
-canonical word produced by :meth:`GroupSpec.format_element` parses back to
-the same element.
+Free-group generators keep their declared names; the k-th atom (1-based,
+in source order) contributes ``t<k>`` when cyclic and the adjacent
+transpositions ``s<k>_1 .. s<k>_<n-1>`` when symmetric.  Names must be
+unique.  Words are dot-separated (``a.b^-1.a``), any integer exponent is
+accepted (``t1^3``), ``1`` is the identity, and
+:meth:`GroupSpec.format_element` parses back to the same element.
 
 For ball enumeration every normal form also has a fixed-width integer code
-(see :class:`ElementCodes`): one row of a 2-D array per element, equal rows
-exactly for equal elements, and a vectorized right multiplication of a whole
-block of rows by each of a few fixed elements.
+(:class:`ElementCodes`), and whole blocks of codes multiply at once.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ class WordError(ValueError):
     """Malformed word over the declared generators."""
 
 
-# ---------------------------------------------------------------------------
 # group nodes
 
 class FreeGroupNode:
@@ -450,21 +443,20 @@ def _slot_overflow(slots):
 class ElementCodes:
     """Fixed-width integer codes for every element within ``r_out`` letters.
 
-    A code is one row of ``width`` integers of type ``dtype``, and two rows
-    are equal exactly when the elements are: a cyclic element is one column,
-    a permutation its one-line notation, a direct product its factors'
-    columns side by side, and a free group or free product element a length
-    column plus ``S`` syllable slots, last syllable first (a free-group
-    letter ``sign * (gen + 1)``; a free-product syllable the tag ``fi + 1``
-    and the factor's code), with every unused column zero.
+    A code is one row of ``width`` integers of type ``dtype``, equal exactly
+    when the elements are: a cyclic element is one column, a permutation its
+    one-line notation, a direct product its factors' columns side by side,
+    and a free group or free product element a length column plus ``S``
+    syllable slots, last first (a free-group letter ``sign * (gen + 1)``; a
+    free-product syllable the tag ``fi + 1`` and the factor's code), unused
+    columns zero.
 
-    The bounds are read off the letters.  A product of ``k`` letters has at
-    most the summed syllable counts of its letters at every node, and an
-    infinite cyclic value at most their summed absolute exponents, so
-    ``(r_out + 1)`` times the largest per-letter count bounds every element
-    of the ball and every product of one with a letter.  ``dtype`` holds
-    twice the largest bound, so a sum of two in-bound values never wraps.
-    A row outside its bounds raises InternalCheckError; nothing is
+    The bounds are read off the letters: a product of ``k`` letters has at
+    most their summed syllable counts at every node, and an infinite cyclic
+    value at most their summed absolute exponents, so ``r_out + 1`` times the
+    largest per-letter count bounds the ball and its products with a letter.
+    ``dtype`` holds twice the largest bound, so a sum of two in-bound values
+    never wraps.  A row out of bounds raises InternalCheckError; nothing is
     truncated.
     """
 
@@ -511,7 +503,6 @@ class ElementCodes:
         return self.root.multiply_codes(block, elements, self)
 
 
-# ---------------------------------------------------------------------------
 # public spec object
 
 @dataclass(frozen=True)
@@ -525,11 +516,8 @@ class GeneratorLetter:
 
 
 class GroupSpec:
-    """A parsed group expression with exact element algebra.
-
-    All methods are pure and the object is immutable after construction, so
-    instances are safe to share between threads.
-    """
+    """A parsed group expression with exact element algebra: pure methods,
+    immutable after construction, so safe to share between threads."""
 
     def __init__(self, text, root, generators):
         self.text = text
@@ -592,7 +580,6 @@ class GroupSpec:
         return ".".join(name if exp == 1 else f"{name}^{exp}" for name, exp in merged)
 
 
-# ---------------------------------------------------------------------------
 # parser
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[(),*])")
@@ -715,11 +702,9 @@ class _Parser:
 
 
 def parse_group_spec(text: str) -> GroupSpec:
-    """Parse a group expression, e.g. ``"F(a,b)"`` or ``"Z2 * Z3"``.
-
-    Raises SpecParseError (with position) on syntax errors, duplicate
-    generator names, or orders below 2.
-    """
+    """Parse a group expression, e.g. ``"F(a,b)"`` or ``"Z2 * Z3"``; raises
+    SpecParseError (with position) on syntax errors, duplicate generator
+    names, or orders below 2."""
     if not text.strip():
         raise SpecParseError("empty group specification", 0)
     root = _Parser(text).parse()

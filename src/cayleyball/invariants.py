@@ -1,22 +1,21 @@
 """The four virtually-free invariants and their auxiliary constants.
 
-Everything is measured on the vertices of a padded ball (see
-``cayleyball.ball``).  Values are reported as doubled integers so that
-half-integer Gromov-product quantities stay exact; distance-valued constants
-are simply doubled.  Every result carries an explicit bound direction:
+Everything is measured on a padded ball (``cayleyball.ball``), in doubled
+integers so that half-integer Gromov products stay exact.  Every result
+carries a bound direction:
 
-* ``exact`` -- exhaustive tuple space, no geodesic cap bound, and the value
-  is a finite-window statistic of the ball itself;
-* ``lower`` -- random sampling, a binding cap, or a quantity whose true
-  supremum ranges over objects that can leave any finite ball (detour
-  constant, mesh over arbitrary triangles, quasi-convexity over an infinite
-  subgroup).
+* ``exact`` -- exhaustive tuples, no binding geodesic cap, and a value
+  that is a finite-window statistic of the ball itself;
+* ``lower`` -- sampling, a binding cap, or a supremum over objects that
+  can leave any finite ball (detour, mesh over arbitrary triangles,
+  quasi-convexity of an infinite subgroup).
 
 Nothing sampled or capped is ever labeled exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -27,37 +26,33 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .ball import DistanceMatrix, connected_without
+from .ball import DistanceMatrix, _least_triangles, _orbit_least, _segments, connected_without
 from .geodesics import (
     _avoidance_units,
     _entries,
     _first_padded,
     _geodesic_rows,
+    _capped_pairs,
     _pair_ids,
-    _segments,
-    enumerate_geodesics,  # noqa: F401 - not called here; the geodesics.enumerate probe binds it
+    enumerate_geodesics,  # noqa: F401 - a perfbench probe binds it here
     geodesic_through,
     inner_dags,
-    interval,  # noqa: F401 - not called here; the geodesics.interval probe binds it
-    max_avoidance,  # noqa: F401 - not called here; the geodesics.avoidance probe binds it
+    interval,  # noqa: F401 - as enumerate_geodesics
+    max_avoidance,  # noqa: F401 - as enumerate_geodesics
     max_avoidance_block,
     most_avoiding_geodesic,
 )
 from .groups import InternalCheckError
 
 
-# ---------------------------------------------------------------------------
 # sampling plans and results
 
 @dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic description of which tuples and geodesics are examined.
-
-    ``geodesic_cap`` bounds the number of geodesics enumerated per side where
-    explicit enumeration is needed, which is only the mesh; ``None`` means
-    unlimited.  Bigons never enumerate paths and are exact under every
-    exhaustive plan.
-    """
+    ``geodesic_cap`` bounds the geodesics listed per side, which only the
+    mesh does (``None``: unlimited); bigons list none and are exact under
+    every exhaustive plan."""
 
     mode: str = "exhaustive"
     count: int | None = None
@@ -83,11 +78,10 @@ class SamplingPlan:
         return cls(mode="random", count=count, seed=seed, geodesic_cap=geodesic_cap)
 
     def tuples(self, n, arity, unordered=False, size=None):
-        """The plan's ``arity``-tuples over ``range(n)``, in plan order, as
-        non-empty int64 arrays of at most ``size`` rows (one when None),
-        each row sorted when ``unordered``.  A random plan slices its
-        draws; an exhaustive one reads ``itertools.product`` (distinct
-        ``combinations`` when unordered) one array at a time."""
+        """The plan's ``arity``-tuples over ``range(n)`` in plan order, as
+        non-empty int64 arrays of at most ``size`` rows (one when None), rows
+        sorted when ``unordered``: slices of the draws, or
+        ``itertools.product`` (``combinations`` when unordered)."""
         step = size or self.count
         if self.mode == "random":
             draws = self._draws(n, arity)
@@ -101,14 +95,14 @@ class SamplingPlan:
             yield flat.reshape(-1, arity)
 
     def _draws(self, n, arity):
-        """``count`` rows of ``arity`` values, the values that successive
+        """``count`` rows of ``arity`` values, those that successive
         ``random.Random(seed).randrange(n)`` calls return, drawn in bulk.
 
-        For ``n < 2**32``, ``randrange(n)`` takes one 32-bit word of the
-        generator per attempt, keeps its top ``n.bit_length()`` bits and
-        retries while they are ``>= n``; ``getrandbits(32 * m)`` is ``m``
-        such words, least significant first.  Each call seeds its own
-        generator, so words drawn beyond the last kept value change nothing.
+        For ``n < 2**32``, ``randrange(n)`` takes one 32-bit word per attempt,
+        keeps its top ``n.bit_length()`` bits and retries while they are ``>=
+        n``; ``getrandbits(32 * m)`` is ``m`` such words, least significant
+        first.  Each call seeds its own generator, so words drawn beyond the
+        last kept value change nothing.
         """
         if n < 1:
             raise ValueError("empty range for randrange()")
@@ -136,11 +130,8 @@ class SamplingPlan:
 
 @dataclass
 class InvariantResult:
-    """A measured constant with bound direction, sampling record and witness.
-
-    ``value_doubled`` holds twice the half-integer value, so it is always an
-    exact integer; ``value`` is the human-readable half.
-    """
+    """A measured constant with bound direction, sampling record and witness;
+    ``value_doubled`` is an exact integer, ``value`` its half."""
 
     name: str
     value_doubled: int
@@ -204,13 +195,11 @@ def _words(ball, indices):
     return [ball.word(i) for i in indices]
 
 
-# ---------------------------------------------------------------------------
 # Gromov products and the four-point condition
 
 def _gromov_matrix(dist, p):
-    """Doubled Gromov products at basepoint p over inner pairs, as int16:
-    no sum ``d(p, x) + d(p, y)`` exceeds ``4 * r_in``, which ``build_ball``'s
-    radius bound keeps inside int16."""
+    """Doubled Gromov products at basepoint p over inner pairs, as int16 (no
+    sum ``d(p, x) + d(p, y)`` exceeds ``4 * r_in``, which fits)."""
     D = dist.inner
     dp = D[p]
     return dp[:, None] + dp[None, :] - D
@@ -223,21 +212,22 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
 
     floored at zero, in doubled units.
 
-    Exhaustively this is the chain condition's 2-chain case: at basepoint p
-    the max over x1 is the max-min square of the Gromov matrix G, so p's
-    value is ``(_maxmin(G, G) - G).max()``.  The witness, the
-    lexicographically first (p, x1, x0, x2) attaining the maximum, is
-    rebuilt for the first winning basepoint only.
+    Exhaustively this is the chain condition's 2-chain case: basepoint p's
+    value is ``(_maxmin(G, G) - G).max()`` for its Gromov matrix G, taken at
+    each orbit's least basepoint (``_orbit_least``).  The witness, the first
+    (p, x1, x0, x2) attaining the maximum, is rebuilt for the first winning
+    basepoint only.
     """
     ball = dist.ball
     n = ball.inner_count
     if plan.mode == "exhaustive":
         values = []
-        for p in range(n):
+        reps = np.flatnonzero(_orbit_least(ball, np.arange(n)[:, None])).tolist()
+        for p in reps:
             G = _gromov_matrix(dist, p)
             values.append(int((_maxmin(G, G) - G).max()))
         value = max(values)
-        p = values.index(value)
+        p = reps[values.index(value)]
         G = _gromov_matrix(dist, p)
         # the pairs (x0, x2) attaining the value, in row-major order; x1 is the
         # first vertex whose 2-chain reaches the value on one of them
@@ -271,10 +261,8 @@ def four_point_delta(dist: DistanceMatrix, plan: SamplingPlan) -> InvariantResul
     return _result("four_point_delta", ball, value, bound, plan, witness)
 
 
-# ---------------------------------------------------------------------------
 # chain defect: the all-lengths Gromov inequality as a max-min closure of the
-# Gromov-product matrix.  The four-point condition is its 2-chain case, and
-# polygon thinness is a max-min chain over avoidance values.
+# Gromov-product matrix (four-point is its 2-chain case)
 
 def _maxmin(A, B):
     """Max-min matrix product: entry (i, j) is max over z of min(A[i, z], B[z, j])."""
@@ -283,8 +271,8 @@ def _maxmin(A, B):
 
 def _maxmin_chain(powers, start, end):
     """A chain start = y_0, ..., y_k = end of k = len(powers) steps attaining
-    powers[k - 1][start, end], where powers[j] is the (j + 1)-step max-min
-    power of powers[0]; each step back takes the lowest index keeping the value."""
+    powers[k - 1][start, end] (powers[j] the (j + 1)-step max-min power of
+    powers[0]); each step back takes the lowest index keeping the value."""
     chain = [end]
     for P in reversed(powers[:-1]):
         chain.insert(0, int(np.minimum(P[start], powers[0][:, chain[0]]).argmax()))
@@ -313,15 +301,14 @@ def _bottleneck_chain(G, x, y, defect):
 
 def chain_defect(dist: DistanceMatrix) -> InvariantResult:
     """Least defect making the chain inequality hold for chains of every
-    length through inner-ball vertices, maximized over all inner basepoints.
-
-    The supremum over all chain lengths is exactly the max-min closure of
-    the Gromov-product matrix; the witness is a shortest chain attaining
-    the defect, rebuilt for the first winning basepoint only.
+    length through inner-ball vertices, maximized over the inner basepoints
+    (each orbit's least, ``_orbit_least``): the max-min closure of the
+    Gromov-product matrix.  The witness is a shortest chain attaining the
+    defect, rebuilt for the first winning basepoint only.
     """
     ball = dist.ball
     best = _Extremum()
-    for p in range(ball.inner_count):
+    for p in np.flatnonzero(_orbit_least(ball, np.arange(ball.inner_count)[:, None])).tolist():
         value, pair = _bottleneck_defect(_gromov_matrix(dist, p))
         best.offer(value, (p,), pair)
     p = best.key[0]
@@ -335,28 +322,23 @@ def chain_defect(dist: DistanceMatrix) -> InvariantResult:
     return _result("chain_defect", ball, best.value, "exact", SamplingPlan.exhaustive(), witness, extra)
 
 
-# ---------------------------------------------------------------------------
-# polygon thinness constants: the thinness of a polygon is measured against
-# the union of ALL sides other than the distinguished last one (the variant
-# under which the thinness/chain/mesh equivalences actually run), not just
-# the two sides adjacent to it.
+# polygon thinness, against the union of ALL sides but the last (the variant
+# under which the thinness/chain/mesh equivalences run)
 
 class _PolygonScan:
     """Exhaustive worst-case polygon thinness over every inner corner tuple.
 
-    For a probe point p, the worst thinness of an (n+1)-gon whose last side
-    has endpoints (a, b) with p on some last-side geodesic decomposes into a
-    bottleneck chain problem: each non-last side contributes the maximal
-    avoidance w_p(u, v) = max over geodesics u->v of d(p, image), and the
-    polygon value is the max over corner chains of the minimum contribution.
-    Exact n-step max-min matrix powers of w_p then cover every corner tuple
-    at once, which is what makes exhaustive mode affordable.
+    For a probe p on a geodesic of the last side (a, b), the worst thinness
+    of an (n+1)-gon is the max over corner chains of the least maximal
+    avoidance w_p(u, v) = max over geodesics u->v of d(p, image) of the
+    other sides: an n-step max-min power of w_p, every tuple at once.
 
-    Only probes of the geodesic hull are scanned, in ascending vertex order:
-    a probe outside it fails the mask ``d(a,p) + d(p,b) == d(a,b)`` for every
-    inner pair, so it can only offer -1 and never beats the running 0.
-    ``WP[k]`` is ``w_p`` of the k-th hull vertex, and ``last[k]`` its highest
-    power computed so far, so a larger ``n`` continues where the last stopped.
+    Probes run in ascending vertex order over the geodesic hull (a probe off
+    it fails the mask ``d(a,p) + d(p,b) == d(a,b)`` for every inner pair and
+    never beats the running 0), one per orbit (``_orbit_least``: ``w_p`` at
+    ``phi(p)`` is ``w_p`` at p, permuted).  ``hull`` holds those probes,
+    ``at`` their hull block rows, ``WP[k]`` is ``w_p`` of ``hull[k]`` and
+    ``last[k]`` its highest power so far, which a larger ``n`` continues.
     """
 
     def __init__(self, ball, dist):
@@ -365,10 +347,12 @@ class _PolygonScan:
         self.results = {}
         self.n_max = 0
         rows = dist.ensure_mid_rows()
-        self.hull = dist.hull()
+        hull = dist.hull()
+        self.at = np.flatnonzero(_orbit_least(ball, hull[:, None]))
+        self.hull = hull[self.at]
         ni = ball.inner_count
         us, vs = np.triu_indices(ni)
-        vals = max_avoidance_block(ball, dist, us, vs, rows).T
+        vals = max_avoidance_block(ball, dist, us, vs, rows[self.at, : ball.mid_count]).T
         WP = np.empty((len(self.hull), ni, ni), dtype=np.int16)
         WP[:, us, vs] = vals
         WP[:, vs, us] = vals
@@ -387,7 +371,7 @@ class _PolygonScan:
             best[n].offer(0, (0, 0, 0))
         for k, p in enumerate(self.hull.tolist()):
             W = self.WP[k]
-            dap = rows[k, :ni]
+            dap = rows[self.at[k], :ni]
             mask = (dap[:, None] + dap[None, :]) == self.dist.inner
             B = self.last[k]
             for n in sizes:
@@ -437,24 +421,22 @@ def _polygon_tuple_witness(ball, dist, corners, p, value):
     }
 
 
-# Corner tuples read from a sampling plan and evaluated at a time by the
-# tuple method.  On a 2-vCPU VM the sampled polygon:3 of Z2 * Z3 R9 (5000
-# tuples, store built) took 0.090, 0.080, 0.062 and 0.062 s at 2^6, 2^8,
-# 2^10 and 2^12, with allocation peaks of 1.1, 1.6, 2.1 and 3.9 MiB.
+# Sampled corner tuples evaluated at a time.  On a 2-vCPU VM the sampled
+# polygon:3 of Z2 * Z3 R9 (5000 tuples, store built) took 0.090, 0.080, 0.062
+# and 0.062 s at 2^6, 2^8, 2^10 and 2^12, peaking at 1.1, 1.6, 2.1, 3.9 MiB.
 _POLYGON_TUPLES = 1 << 10
 
 
 def _polygon_tuple_batch(ball, dist, corners):
     """``(value, corners, probe)`` of the worst tuple of a ``(t, n + 1)``
-    array of corner tuples: the highest value, then the lexicographically
-    smallest tuple, and within it the smallest probe attaining the value.
+    array of corner tuples: the highest value, then the smallest tuple, then
+    its smallest probe attaining the value.
 
-    A tuple's probes are the interval of its last side (c_n, c_0), and its
-    value is the max over probes of the min over its other sides of the
-    maximal avoidance.  Each (tuple, other side) is one unit of one
-    ``_avoidance_units`` pass with the tuple's probes as its vector axis,
-    read from the rows of the batch's probes cut after the sides' largest
-    vertex.
+    A tuple's probes are the interval of its last side (c_n, c_0), its value
+    the max over probes of the min over its other sides of the maximal
+    avoidance.  Each (tuple, other side) is one ``_avoidance_units`` unit
+    with the tuple's probes as its vector axis, read from the probes' rows
+    cut after the sides' largest vertex.
     """
     t, n = len(corners), corners.shape[1] - 1
     dags = inner_dags(dist)
@@ -482,8 +464,8 @@ def _polygon_tuple_batch(ball, dist, corners):
 
 def _polygon_tuples(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
     """Worst thinness over the plan's corner tuples, each exact over all
-    geodesic choices, in batches of ``_POLYGON_TUPLES``.  Under an
-    exhaustive plan it agrees with the scan, its oracle in the tests."""
+    geodesic choices, in batches of ``_POLYGON_TUPLES``; under an exhaustive
+    plan the scan's oracle in the tests."""
     best = _Extremum()
     best.offer(0, tuple([0] * (n + 1)), 0)
     for corners in plan.tuples(ball.inner_count, n + 1, size=_POLYGON_TUPLES):
@@ -494,12 +476,9 @@ def _polygon_tuples(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
 
 
 def polygon_delta(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
-    """Worst vertex-level thinness over geodesic (n+1)-gons.
-
-    An exhaustive plan runs the scan, which covers every corner tuple and
-    every geodesic choice with max-min powers; a sampled one evaluates its
-    corner tuples with ``_polygon_tuples`` and is a lower bound.
-    """
+    """Worst vertex-level thinness over geodesic (n+1)-gons: under an
+    exhaustive plan the scan, over every corner tuple and geodesic choice;
+    under a sampled one ``_polygon_tuples``, a lower bound."""
     if n < 1:
         raise ValueError("polygon size parameter must be at least 1")
     if n + 1 > ball.inner_count:
@@ -522,24 +501,25 @@ def rips_delta(ball, dist, plan: SamplingPlan) -> InvariantResult:
     return res
 
 
-# ---------------------------------------------------------------------------
 # bigons: asynchronous and synchronous fellow-traveling constants
 
-# Plan pairs read from the store at a time.  On a 2-vCPU VM the bigons of
-# Z2 * Z3 R9 (5000 sampled pairs, store built) took about 1 ms and
-# allocated 0.2 MiB at each of 2^8, 2^10 and 2^12.
+# Plan pairs read at a time.  On a 2-vCPU VM the bigons of Z2 * Z3 R9 (5000
+# sampled pairs, store built) took 1 ms and 0.2 MiB at 2^8, 2^10 and 2^12.
 _BIGON_PAIRS = 1 << 10
 
 
-def _bigon_batch(ball, dist, pairs):
-    """async and sync values, with their vertices, of a batch's pairs that
-    have more than one geodesic: ``(pairs, a_val, a_vertex, s_val, s_a,
-    s_b)``, in batch order.  The first maximum counts, in DAG order for
-    async and in row-major (entry, entry) order for sync."""
+def _bigon_batch(ball, dist, pairs, plan):
+    """async and sync values, with their vertices, of a batch's pairs with
+    more than one geodesic (under an exhaustive plan, orbit-least ones):
+    ``(pairs, a_val, a_vertex, s_val, s_a, s_b)``, in batch order.  The first
+    maximum counts, in DAG order for async and row-major (entry, entry) for
+    sync."""
     dags = inner_dags(dist)
     pid = _pair_ids(ball.inner_count, pairs[:, 0], pairs[:, 1])
     sizes = np.diff(dags.ptr)[pid]
     keep = np.flatnonzero(sizes > dist.inner[pairs[:, 0], pairs[:, 1]] + 1)
+    if len(keep) and plan.mode == "exhaustive":
+        keep = keep[_orbit_least(ball, pairs[keep])]
     if not len(keep):
         none = np.empty(0, dtype=np.int64)
         return pairs[keep], none, none, none, none, none
@@ -579,15 +559,14 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
     """(async, sync) fellow-traveler constants over sampled coterminal
     geodesic pairs, maximized over ALL geodesic pairs of each endpoint pair.
 
-    async is the worst one-sided Hausdorff distance from one geodesic into a
-    coterminal one: the max over interval probes p of the max avoidance of p.
-    sync is the worst distance between same-parameter vertices: the largest
-    diameter of one DAG layer's slice of the interval, since two geodesics
-    can pass through any two vertices of a layer.  Plan pairs are read in
-    batches of ``_BIGON_PAIRS``; a pair with one interval vertex per layer
-    has a unique geodesic and drops out.  Neither constant enumerates
-    paths, so the cap does not apply and both are exact under every
-    exhaustive plan.  Every pair is checked against sync <= 2 * async.
+    async is the worst one-sided Hausdorff distance from a geodesic into a
+    coterminal one: the max over interval probes p of the max avoidance of
+    p.  sync is the worst distance between same-parameter vertices: the
+    largest diameter of one DAG layer, since two geodesics can pass through
+    any two vertices of a layer.  Plan pairs are read in batches of
+    ``_BIGON_PAIRS``; a pair with a unique geodesic drops out.  No path is
+    listed, so both are exact under every exhaustive plan.  Every pair
+    is checked against sync <= 2 * async.
     """
     n = ball.inner_count
     best_async = _Extremum()
@@ -595,7 +574,7 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
     best_async.offer(0, (0, 0), None)
     best_sync.offer(0, (0, 0), None)
     for batch in plan.tuples(n, 2, unordered=True, size=_BIGON_PAIRS):
-        pairs, a_val, a_w, s_val, s_a, s_b = _bigon_batch(ball, dist, batch)
+        pairs, a_val, a_w, s_val, s_a, s_b = _bigon_batch(ball, dist, batch, plan)
         bad = np.flatnonzero(s_val > 2 * a_val)
         if len(bad):
             x, y = pairs[bad[0]].tolist()
@@ -631,39 +610,30 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
     return res_async, res_sync
 
 
-# ---------------------------------------------------------------------------
 # detour constant: how far an adversarial coterminal path can stay away
 
-# Adjacency entries of one stacked graph in the batched detour pass.  On a
-# 2-vCPU VM, 2^15 to 2^18 ran the benchmark workloads' detour about equally
-# fast, and 2^16 keeps a stack's arrays near 0.5 MiB; much larger stacks fall
-# out of cache (2^22 ran free-r3's detour 1.5x slower).
+# Adjacency entries of one stacked detour graph.  On a 2-vCPU VM 2^15 to 2^18
+# ran the benchmark's detour equally fast, 2^16 keeps a stack near 0.5 MiB,
+# and 2^22 fell out of cache (free-r3's detour 1.5x slower).
 _DETOUR_ENTRIES = 1 << 16
 
 
 def _detour_levels(ball, dist, probes, xs, ys):
     """Detour level of every query ``(probes[i], xs[i], ys[i])``, as an int
-    array aligned with the inputs.
+    array aligned with the inputs: the largest ``r >= 1`` at which x and y
+    are connected in the subgraph on ``{w : rp[w] >= r}``, ``rp =
+    dist.row(p)``, or 0.  The subgraphs shrink as ``r`` grows, so a query
+    drops out at the first ``r`` that splits it.
 
-    The level of a query (p, x, y) is the largest ``r >= 1`` at which x and
-    y are connected in the subgraph induced on ``{w : rp[w] >= r}``, with
-    ``rp = dist.row(p)``, and 0 when there is none.  The subgraphs shrink as
-    ``r`` grows, so a query drops out at the first ``r`` that splits it.
-
-    Level 1 (connected in the ball minus p) comes from one depth-first
-    search through the ball's cut vertices, ``connected_without``, which
-    reads no distance row; on a hyperbolic ball every query stops there.
-
-    From level 2 up, per level, every probe with an unresolved query gets a
-    copy of the ball's CSR, stacked block-diagonally (copy ``k`` offsets
-    vertex ids by ``k * n_vertices``) so one ``connected_components`` call
-    labels them all.  An edge with ``min(rp[s], rp[t]) < r`` is masked as a
-    self-loop, so every copy keeps the cached ``indptr`` and nothing is
-    sorted; a query also needs both endpoints unmasked (which ends x == y).
-    Edges are masked with their reverses, so strong components are the
-    connected ones, and the strong search needs no transpose.  Probes are
-    stacked in chunks of at most ``_DETOUR_ENTRIES`` adjacency entries (at
-    least one probe), so each stack stays small enough for the cache.
+    Level 1 (the ball minus p) comes from ``connected_without``; on a
+    hyperbolic ball every query stops there.  From level 2 up, each probe
+    with an open query gets a copy of the ball's CSR, stacked
+    block-diagonally for one ``connected_components`` call.  An
+    edge with ``min(rp[s], rp[t]) < r`` becomes a self-loop, so the copies
+    keep the cached ``indptr``, and a query needs both ends unmasked.  Edges
+    are masked with their reverses, so strong components are the connected
+    ones.  A stack holds at most ``_DETOUR_ENTRIES`` adjacency entries (at
+    least one probe).
     """
     probes, xs, ys = (np.asarray(a, dtype=np.int32) for a in (probes, xs, ys))
     levels = np.zeros(len(probes), dtype=np.int32)
@@ -736,9 +706,8 @@ def masked_path(ball, rp, r, x, y):
 
 def _pair_detours(ball, dist, pairs):
     """Detour value and probe of each pair (x, y), as two int arrays: the
-    largest level over the probes of the pair's interval, and the smallest
-    probe attaining it.  The intervals are read from the store, and one
-    ``_detour_levels`` pass resolves every pair."""
+    largest level over the pair's interval probes, and the smallest probe
+    attaining it, from one ``_detour_levels`` pass."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     dags = inner_dags(dist)
     entry, sizes = _entries(dags, _pair_ids(ball.inner_count, pairs[:, 0], pairs[:, 1]))
@@ -752,12 +721,14 @@ def _pair_detours(ball, dist, pairs):
 
 
 def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:
-    """Detour constant over sampled inner pairs; always a lower bound, since
-    paths in the full group may leave any finite ball.  The witness is the
-    lexicographically smallest (x, y, probe) attaining the maximum."""
+    """Detour constant over sampled inner pairs, a lower bound (paths may leave
+    any finite ball).  The witness is the smallest (x, y, probe) attaining
+    the maximum."""
     n = ball.inner_count
     pairs = next(plan.tuples(n, 2, unordered=True), np.empty((0, 2), dtype=np.int64))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if plan.mode == "exhaustive":
+        pairs = pairs[_orbit_least(ball, pairs)]
     values, probes = _pair_detours(ball, dist, pairs)
     value = int(values.max(initial=0))
     x = y = p = 0
@@ -777,13 +748,11 @@ def detour_epsilon(ball, dist, plan: SamplingPlan) -> InvariantResult:
     return _result("detour_epsilon", ball, 2 * value, "lower", plan, witness)
 
 
-# ---------------------------------------------------------------------------
 # mesh
 
 def _adversarial_sides(ball, dist, cache, pairs):
-    """Fill ``cache`` for the unordered pairs among ``pairs`` that it
-    lacks: each gets the masked path of its detour value and probe, all
-    resolved in one batched detour pass."""
+    """Fill ``cache`` for the unordered pairs it lacks among ``pairs`` with
+    the masked path of each one's detour value and probe (one detour pass)."""
     todo = sorted({(min(x, y), max(x, y)) for x, y in pairs} - cache.keys())
     values, probes = _pair_detours(ball, dist, todo)
     for (x, y), value, p in zip(todo, values.tolist(), probes.tolist()):
@@ -797,10 +766,9 @@ def _pad_rows(rows, width):
 
 def _with_adversarial(dist, cache, x, y, rows, counts, size):
     """The mesh's side choices with each pair's maximal-detour path (from
-    ``cache``, as ``_adversarial_sides`` fills it) after the pair's geodesic
-    rows, unless it is one of them.  ``rows`` and ``counts`` are as
-    ``_geodesic_rows`` returns them and ``size`` holds each row's path
-    length; returns the three updated."""
+    ``cache``) after its geodesic rows, unless it is one of them.  ``rows``
+    and ``counts`` are as ``_geodesic_rows`` returns them, ``size`` each
+    row's path length; returns the three updated."""
     starts = np.cumsum(counts) - counts
     extra, owner = [], []
     for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
@@ -838,10 +806,8 @@ def _mesh_triangles(plan, n):
 
 def _mesh_rows(paths, D, q):
     """Mesh of each row of side choices: the least diameter of one point per
-    side.  ``paths`` is the padded path matrix over the vertex indices of
-    ``D``, and row ``r`` takes sides ``paths[q[r, 0]]``, ``paths[q[r, 1]]``
-    and ``paths[q[r, 2]]``; each working tensor is ``(rows, width, width)``.
-    """
+    side, row ``r`` taking sides ``paths[q[r]]`` of the padded path matrix
+    over ``D``'s vertices; each working tensor is ``(rows, width, width)``."""
     n = len(D)
     flat = D.ravel()
     s0, s1, s2 = paths[q[:, 0]] * n, paths[q[:, 1]], paths[q[:, 2]]
@@ -860,10 +826,10 @@ def _mesh_rows(paths, D, q):
 
 
 def _mesh_bound(paths, D, q, lengths):
-    """Upper bound on ``_mesh_rows`` for each row: the least diameter of the
-    8 tripod point triples, one point per side at the floor or ceiling of
-    its Gromov-product position ((b|c)_a from a on side a->b, and so on),
-    clipped to the side's own length ``lengths[q] - 1``."""
+    """Upper bound on ``_mesh_rows`` per row: the least diameter of the 8
+    tripod triples, one point per side at the floor or ceiling of its
+    Gromov-product position ((b|c)_a from a on side a->b, ...), clipped to
+    the side's length ``lengths[q] - 1``."""
     n, q = len(D), q.T
     L = lengths[q] - 1
     g = L.sum(axis=0) - 2 * L[[1, 2, 0]]  # twice each position
@@ -885,29 +851,24 @@ def _key_before(keys, key):
 
 
 def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantResult:
-    """Worst per-triangle mesh over sampled corner triples.
-
-    Per triangle the mesh is the least possible diameter of one point per
-    side, maximized over (capped) geodesic side choices; ``adversarial`` mode
-    additionally offers each side's maximal-detour path.  Always reported as
+    """Worst per-triangle mesh over sampled corner triples: the least diameter
+    of one point per side, maximized over (capped) geodesic side choices,
+    and in ``adversarial`` mode each side's maximal-detour path too.  Always
     a lower bound: the true mesh ranges over arbitrary triangles.
 
-    Each ordered corner pair's side choices are unranked once from the
-    store (``_geodesic_rows``: the order and cap of ``enumerate_geodesics``)
-    into a path matrix padded by repeating the last vertex, over a compact
-    distance block of the vertices used.  Every (triangle, i0, i1, i2)
-    combination is one row, in plan order with the choices in product
-    order; degenerate triangles are skipped.  Rows run in chunks whose
-    working tensors hold at most ``_MESH_CHUNK`` entries, grouped by their
-    longest side (the cost grows with the cube of the width).  Only rows
-    that can still win run that cube: the tripod certificate
-    ``_mesh_bound`` (the least diameter over the floor and ceiling of the
-    three Gromov-product points) bounds a row's mesh from above, and a row
-    stays live only if it beats the running maximum, or ties it with a
-    smaller key.  The winner is the lexicographically smallest ``(a, b, c,
-    i0, i1, i2)`` attaining the maximum, its points the first row-major
-    argmin over its sides; a maximum of 0 keeps corners ``(0, 0, 0)`` and
-    no sides.
+    Each ordered corner pair's choices are unranked once from the store
+    (``_geodesic_rows``) into a path matrix padded by repeating the last
+    vertex, over a distance block of the vertices used.  Each (triangle,
+    i0, i1, i2) is a row, in plan order, choices in product order; an
+    exhaustive geodesic plan runs ``_least_triangles``, in full for orbits
+    with a capped side: the cap keeps a side's first geodesics in label
+    order, which a map need not keep.  Rows run in chunks of at most ``_MESH_CHUNK``
+    working entries, grouped by longest side (the cost is its cube), and
+    only rows whose tripod bound ``_mesh_bound`` beats the running maximum,
+    or ties it with a smaller key, run it.  The winner
+    is the smallest ``(a, b, c, i0, i1, i2)`` attaining the maximum, its
+    points the first row-major argmin; a maximum of 0 keeps corners ``(0, 0,
+    0)`` and no sides.
     """
     if mode not in ("geodesic", "adversarial"):
         raise ValueError(f"unknown mesh mode {mode!r}")
@@ -917,7 +878,10 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     first, count, blocks, lengths = [], [], [], []
     rows_before = 0
     capped = False
-    for tri in _mesh_triangles(plan, n):
+    triangles = functools.partial(_mesh_triangles, plan, n)
+    if plan.mode == "exhaustive" and mode == "geodesic":
+        triangles = _least_triangles(ball, _capped_pairs(dist, plan.geodesic_cap), _MESH_TRIANGLES)
+    for tri in triangles():
         u, v = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         new = pair_id[u, v] < 0
         codes = np.unique(u[new] * n + v[new])
@@ -948,7 +912,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
         D = dist.rows(used, used)
         first, count = np.asarray(first), np.asarray(count)
         chunk = max(1, _MESH_CHUNK // width**2)
-        for tri in _mesh_triangles(plan, n):
+        for tri in triangles():
             pid = pair_id[tri, tri[:, [1, 2, 0]]]
             k = count[pid]
             sizes = k.prod(axis=1)
@@ -961,7 +925,6 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
                 choice = np.column_stack([local // (k1 * k2), local // k2 % k1, local % k2])
                 q = first[pid[t]] + choice
                 keys = np.column_stack([tri[t], choice])
-                # only a row whose tripod bound can still beat the best runs the cube
                 U = _mesh_bound(P, D, q, lengths)
                 live = (U > best.value) | ((U == best.value) & _key_before(keys, best.key))
                 if not live.any():
@@ -991,15 +954,11 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     return _result("mesh_estimate", ball, 2 * best.value, "lower", plan, witness, extra)
 
 
-# ---------------------------------------------------------------------------
 # quasi-convexity of a finitely generated subgroup
 
 def enumerate_subgroup(ball, subgroup_gens):
-    """Closure of the identity under subgroup generator words inside the ball.
-
-    Returns ``(sorted vertex indices, M)`` where M is the largest word-metric
-    length of a subgroup generator.
-    """
+    """Closure of the identity under subgroup generator words inside the
+    ball: ``(sorted vertex indices, M)``, M the largest generator length."""
     if ball.spec is None:
         raise ValueError("subgroup enumeration needs a ball with a group spec")
     if not subgroup_gens:
@@ -1029,11 +988,10 @@ def enumerate_subgroup(ball, subgroup_gens):
 
 
 def subgroup_quasiconvexity(ball, dist, subgroup_gens, detour_result=None) -> InvariantResult:
-    """Quasi-convexity constant of the subgroup generated by the given words:
-    the farthest a geodesic between inner subgroup elements strays from the
+    """Quasi-convexity constant of the subgroup the words generate: the
+    farthest a geodesic between inner subgroup elements strays from the
     subgroup's trace in the ball.  Reports M (largest generator length) and,
-    when a detour result is supplied, whether q <= epsilon + M.
-    """
+    given a detour result, whether q <= epsilon + M."""
     H, M = enumerate_subgroup(ball, subgroup_gens)
     H_arr = np.asarray(H, dtype=np.int64)
     H_inner = H_arr[H_arr < ball.inner_count]
@@ -1074,16 +1032,12 @@ def subgroup_quasiconvexity(ball, dist, subgroup_gens, detour_result=None) -> In
     )
 
 
-# ---------------------------------------------------------------------------
 # hyperbolic-plane demo value
 
 def h2_center_distance(radius_euclidean: float) -> float:
-    """Poincare-disk distance from the origin to a point at the given
-    euclidean radius: |ln((1 - r) / (1 + r))|.
-
-    Diverges as r -> 1, which is what makes near-boundary polygon sides
-    escape every fixed neighborhood of the center.
-    """
+    """Poincare-disk distance from the origin to a point at euclidean radius
+    r: |ln((1 - r) / (1 + r))|.  It diverges as r -> 1: near-boundary
+    polygon sides escape every neighborhood of the center."""
     r = float(radius_euclidean)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"euclidean radius must lie in [0, 1), got {r}")

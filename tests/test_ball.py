@@ -202,6 +202,39 @@ def test_export_round_trip(make_pair):
     assert (d2.inner == dist.inner).all()
 
 
+@pytest.mark.parametrize(
+    "text,r_in,generators,order",
+    [
+        ("Z x Z", 2, None, 8),
+        ("F(a,b)", 2, None, 8),
+        ("(Z2 * Z3) x Z", 2, None, 4),
+        ("Z2 * Z3", 3, None, 2),
+        ("Z2 * Z3", 3, ["t1", "t2", "t1.t2"], 1),
+        ("Z x Z x Z x Z", 1, None, ball_module._MAX_MAPS),  # of 384
+    ],
+)
+def test_automorphisms_map_the_graph_onto_itself(text, r_in, generators, order):
+    # each map, taken on the whole ball, fixes vertex 0, permutes the
+    # vertices and maps networkx's edge set onto itself; the cached maps
+    # are the first mid_count entries, the identity first
+    ball = build_ball(parse_group_spec(text), r_in, generators=generators)
+    full = ball_module._automorphisms(ball, ball.n_vertices)
+    assert len(full) == order and (full[0] == np.arange(ball.n_vertices)).all()
+    edges = {frozenset(e) for e in nx_graph(ball).edges}
+    for phi in full.tolist():
+        assert phi[0] == 0 and sorted(phi) == list(range(ball.n_vertices))
+        assert {frozenset((phi[u], phi[v])) for u, v in edges} == edges
+    assert ball.automorphisms().dtype == np.int32
+    assert (ball.automorphisms() == full[:, : ball.mid_count]).all()
+
+
+def test_automorphisms_without_unique_inverses_are_the_identity():
+    # letters x and y both lead from 0 to 1 and back, so neither has a
+    # unique inverse: the finder keeps the identity instead of raising
+    ball = read_ball("vertices 2 radius_in 1 radius_out 3\n0 1\n1 x\n0 1 x\n0 1 y\n1 0 x\n1 0 y\n")
+    assert ball.automorphisms().tolist() == [[0, 1]]
+
+
 def test_import_without_spec(make_pair):
     ball, dist = make_pair("F(a,b)", 1)
     loaded = read_ball(write_ball(ball))

@@ -55,6 +55,9 @@ def test_bad_invariant_exit_code(capsys):
         ["--invariants", "four_point", "--radii", "3..2"],
         ["--invariants", "four_point", "--out", "missing-directory/report.json"],
         ["--invariants", "four_point", "--samples", "0"],
+        ["--invariants", "four_point", "--radii", "2..x"],
+        ["--invariants", "four_point", "--radii", "..3"],
+        ["--invariants", "four_point", "--geodesic-cap", "abc"],
     ],
 )
 def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
@@ -65,6 +68,20 @@ def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
     radius = [] if "--radii" in extra else ["--radius", "3"]
     assert cli.main(["analyze", "--group", "F(a,b)"] + radius + extra) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,text,message",
+    [
+        ("--radii", "2..x", "--radii wants a range like 2..5, got '2..x'"),
+        ("--radii", "..3", "--radii wants a range like 2..5, got '..3'"),
+        ("--geodesic-cap", "abc", "--geodesic-cap wants an integer or 'none', got 'abc'"),
+    ],
+)
+def test_integer_parse_errors_name_the_flag(capsys, flag, text, message):
+    radius = [] if flag == "--radii" else ["--radius", "1"]
+    assert cli.main(["analyze", "--group", "Z", flag, text] + radius) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_empty_radii_range_is_named(capsys):
@@ -275,6 +292,14 @@ def test_h2_demo(capsys):
     assert rc == 0
     assert "h2_center_distance(0.0) = 0.000000000000" in out
     assert cli.main(["h2-demo", "--radius", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("radius,rows", [("0.99999999999", 0), ("0.9999999", 3)])
+def test_h2_demo_near_radius_one(capsys, radius, rows):
+    # a probe that rounds to 1.0 or prints as 1 ends the sequence
+    assert cli.main(["h2-demo", "--radius", radius]) == 0
+    probes = re.findall(r"r = (\S+)  ->", capsys.readouterr().out)
+    assert len(probes) == rows and not any(p.startswith("1") for p in probes)
 
 
 def test_out_file(tmp_path):

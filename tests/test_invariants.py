@@ -1013,18 +1013,98 @@ def _cube_rows(monkeypatch, ball, dist, plan):
     return sum(len(U) for U, *_ in calls), cube[0]
 
 
+def _identity_group(monkeypatch):
+    # every ball's automorphism finder returns the identity alone, which
+    # turns the orbit reduction of the exhaustive scans off
+    monkeypatch.setattr(
+        ball_module.BallGraph, "automorphisms", lambda ball: np.arange(ball.mid_count, dtype=np.int32)[None]
+    )
+
+
 def test_mesh_cube_rows_tree(make_pair, monkeypatch):
-    # every bound on a tree is 0, so no row can beat the initial 0
+    # every bound on a tree is 0, so no row can beat the initial 0; the 8
+    # automorphisms of F(a,b) leave one triangle of each of 2,987 orbits
     ball, dist = make_pair("F(a,b)", 3)
+    assert _cube_rows(monkeypatch, ball, dist, EXHAUSTIVE) == (2987, 0)
+    _identity_group(monkeypatch)
     listed, cube = _cube_rows(monkeypatch, ball, dist, EXHAUSTIVE)
     assert listed == 23426 and cube == 0
 
 
 def test_mesh_cube_rows_virtually_free(make_pair, monkeypatch):
-    # Z2 * Z3 R6 lists 19,600 rows; the bound leaves 520 of them to the cube
+    # Z2 * Z3 R6 lists 19,600 rows; the bound leaves 520 of them to the
+    # cube.  Its 2 automorphisms halve the rows listed.
     ball, dist = make_pair("Z2 * Z3", 6)
     listed, cube = _cube_rows(monkeypatch, ball, dist, EXHAUSTIVE)
+    assert listed == 9824 and 0 < cube <= listed // 10
+    _identity_group(monkeypatch)
+    listed, cube = _cube_rows(monkeypatch, ball, dist, EXHAUSTIVE)
     assert listed == 19600 and 0 < cube <= listed // 20
+
+
+# ---------------------------------------------------------------------------
+# orbit reduction: exhaustive scans evaluate one tuple per automorphism orbit
+
+def _exhaustive_reports(ball):
+    # every exhaustive selector on a fresh distance matrix: the polygon
+    # sizes that fit, the geodesic mesh at caps 1, 2 and None, and the
+    # adversarial mesh
+    dist = DistanceMatrix(ball)
+    out = [four_point_delta(dist, EXHAUSTIVE), chain_defect(dist)]
+    out += [polygon_delta(ball, dist, n, EXHAUSTIVE) for n in (1, 2, 3) if n < ball.inner_count]
+    out += [*bigon_constants(ball, dist, EXHAUSTIVE), detour_epsilon(ball, dist, EXHAUSTIVE)]
+    out += [mesh_estimate(ball, dist, SamplingPlan.exhaustive(cap)) for cap in (1, 2, None)]
+    out.append(mesh_estimate(ball, dist, EXHAUSTIVE, mode="adversarial"))
+    return [res.to_dict() for res in out]
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_orbit_reduction_changes_no_report_random_specs(make_pair, data):
+    ball, _ = _draw_two_atom_pair(make_pair, data, max_inner=20, extra_generator=True)
+    reduced = _exhaustive_reports(ball)
+    with pytest.MonkeyPatch.context() as mp:
+        _identity_group(mp)
+        assert _exhaustive_reports(ball) == reduced
+
+
+@pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("(Z2 * Z3) x Z", 1)])
+def test_imported_ball_gives_its_parents_reports(text, r_in):
+    # a graph-only import finds the same maps from the table alone
+    ball = build_ball(parse_group_spec(text), r_in)
+    loaded = ball_module.read_ball(ball_module.write_ball(ball))
+    assert loaded.spec is None and len(loaded.automorphisms()) > 1
+    assert (loaded.automorphisms() == ball.automorphisms()).all()
+    assert _exhaustive_reports(loaded) == _exhaustive_reports(ball)
+
+
+def test_orbit_reduction_counts_on_grid(make_pair, monkeypatch):
+    # Z x Z R4: 8 automorphisms; the 41 inner basepoints fall in 9 orbits
+    # and the 81 hull probes in 15
+    ball, _ = make_pair("Z x Z", 4)
+    dist = DistanceMatrix(ball)
+    seen, gromov = [], invariants._gromov_matrix
+    monkeypatch.setattr(invariants, "_gromov_matrix", lambda dist, p: seen.append(p) or gromov(dist, p))
+    four_point_delta(dist, EXHAUSTIVE)
+    assert len(ball.automorphisms()) == 8 and len(set(seen)) == 9
+    seen.clear()
+    chain_defect(dist)
+    assert len(set(seen)) == 9
+    scan = invariants._polygon_scan(ball, dist)
+    assert len(dist.hull()) == 81 and len(scan.WP) == 15
+
+
+def test_sampled_plans_never_call_the_finder(monkeypatch):
+    # sampled plans draw in index space and the adversarial mesh lists
+    # detour paths in label order: neither is reduced
+    def unreachable(ball):
+        raise AssertionError("automorphisms called")
+
+    monkeypatch.setattr(ball_module.BallGraph, "automorphisms", unreachable)
+    selectors = ["four_point", "polygon:3", "bigons", "detour", "mesh:geodesic"]  # vfree-sampled's
+    cli.run_analysis(cli.AnalysisConfig(group="Z2 * Z3", radii=[4], invariants=selectors, samples=300, seed=7))
+    ball = build_ball(parse_group_spec("Z x Z"), 2)
+    mesh_estimate(ball, DistanceMatrix(ball), EXHAUSTIVE, mode="adversarial")
 
 
 # ---------------------------------------------------------------------------
