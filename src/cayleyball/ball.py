@@ -2,12 +2,14 @@
 
 A ball is enumerated one sphere at a time over array codes of the elements
 (``groups.ElementCodes``: one fixed-width integer row per element, equal
-exactly when the elements are), a sphere's block multiplied by each letter
-at once.  A product ``u * l`` of a vertex at distance ``d`` lies at
-distance ``d - 1``, ``d`` or ``d + 1``, so matching the products against
-spheres ``d - 1`` and ``d`` and each other finds sphere ``d + 1``, numbered
-by first occurrence in (vertex, letter) order: breadth-first order.  The
-ball keeps the Cayley table, not the elements.
+exactly when the elements are; a free group or free product element is one
+id), a sphere's block multiplied by each letter at once.  A product ``u *
+l`` of a vertex at distance ``d`` lies at distance ``d - 1``, ``d`` or ``d +
+1``, so matching the products against spheres ``d - 1`` and ``d`` and each
+other finds sphere ``d + 1``, numbered by first occurrence in (vertex,
+letter) order: breadth-first order.  The last sphere's products are looked
+up, not added, so a free id outside the ball reads -1.  The ball keeps the
+Cayley table, not the elements.
 
 It reaches ``r_out = 3 * r_in``: a geodesic between inner vertices has
 length at most ``2 * r_in`` and stays within ``3 * r_in`` of the identity,
@@ -468,19 +470,20 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
     r_out = 3 * r_in
     elements = [l.element for l in letters]
     codes = ElementCodes(spec.root, elements, r_out)
-    prev = np.zeros((0, 1), dtype=codes.dtype)  # spheres d - 1 and d, trimmed
-    cur = _trimmed(codes.encode(spec.identity())[None, :])
+    prev = np.zeros((0, codes.width), dtype=codes.dtype)  # spheres d - 1 and d
+    cur = codes.encode(spec.identity())[None, :]
     start = 0  # vertex index of prev's first row; cur follows prev
     counts = [1]
     table = []
     for d in range(r_out + 1):
         if len(cur) == 0:
             break
-        rows = _sphere_rows(codes, elements, prev, cur)
+        products = codes.multiply(cur, elements, add=d < r_out).reshape(-1, codes.width)
+        rows = _sphere_rows(prev, cur, products)
         known = len(prev) + len(cur)
         # the known rows are classes 0 .. known - 1 and the next sphere the
         # classes after them, so class c is vertex start + c
-        first, cls = _row_classes(rows.view(np.uint64))
+        first, cls = _row_classes(rows)
         n, fresh = start + known, len(first) - known
         vertex = start + cls[known:]
         if d == r_out:  # products outside the ball
@@ -490,38 +493,19 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = 500_00
             raise BudgetExceededError(budget, max(n, budget), d)
         table.append(vertex.astype(np.int32))
         counts.append(fresh)
-        prev, cur, start = cur, rows[first[known : known + fresh]], start + len(prev)
+        prev, cur, start = cur, products[first[known : known + fresh] - known], start + len(prev)
     nbr = np.concatenate(table).reshape(-1, len(letters))
     dist0 = np.repeat(np.arange(len(counts)), counts)
     return BallGraph(spec, letters, r_in, r_out, None, dist0, nbr)
 
 
-def _sphere_rows(codes, elements, prev, cur):
-    """Spheres ``d - 1`` and ``d`` and the products of sphere ``d`` with each
-    letter in (vertex, letter) order: code rows zero-padded to whole uint64
-    words."""
-    if cur.shape[1] >= codes.width:
-        full = cur[:, : codes.width]
-    else:
-        full = np.zeros((len(cur), codes.width), dtype=codes.dtype)
-        full[:, : cur.shape[1]] = cur
-    products = codes.multiply(full, elements).reshape(-1, codes.width)
-    per_word = 8 // codes.dtype.itemsize
-    if codes.width > per_word:  # a code of one word has no words to trim
-        products = _trimmed(products)
-    width = -(-max(prev.shape[1], cur.shape[1], products.shape[1]) // per_word) * per_word
-    rows = np.zeros((len(prev) + len(cur) + len(products), width), dtype=codes.dtype)
-    at = 0
-    for block in (prev, cur, products):
-        rows[at : at + len(block), : block.shape[1]] = block
-        at += len(block)
-    return rows
-
-
-def _trimmed(block):
-    """``block`` without its trailing all-zero columns (at least one column)."""
-    used = np.flatnonzero(block.any(axis=0))
-    return block[:, : used[-1] + 1 if used.size else 1]
+def _sphere_rows(*blocks):
+    """``blocks`` stacked, each row zero-padded to whole uint64 words."""
+    rows = np.concatenate(blocks)
+    pad = -rows.shape[1] % (8 // rows.itemsize)
+    if pad:
+        rows = np.concatenate([rows, np.zeros((len(rows), pad), rows.dtype)], axis=1)
+    return rows.view(np.uint64)
 
 
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
@@ -549,9 +533,10 @@ def _row_classes(words):
     Rows are grouped by ``_row_hashes``, then compared in full with their
     class's first row; should two rows share a hash, that fails and they are
     grouped again under the next seed, so the classes never depend on the
-    hash.  One sort of the hashes beats ``np.lexsort`` over the words and
-    ``np.unique`` over void rows: ``build_ball`` on ``Z2 * Z3`` R9 takes
-    about 165 ms this way against 195 and 235 ms.
+    hash.  A one-word row (every free group or free product) is its own
+    hash.  On wider rows one sort of the hashes beats ``np.lexsort`` over
+    the words and ``np.unique`` over void rows: ``build_ball`` on ``(Z2 *
+    Z3) x Z`` R6 takes about 31 ms this way against 44 and 55 ms.
     """
     seed = 0
     while True:
@@ -725,11 +710,12 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
     With ``spec`` the vertex words are re-evaluated to group elements;
     without it the ball is graph-only (no subgroup enumeration).  Letters are
     the edge labels in label order.  Raises ValueError on a malformed header
-    or vertex line, an edge endpoint outside the ball, a repeated edge line,
-    two edges with one label out of one vertex, an edge without its reverse,
-    a disconnected graph, vertex lines out of breadth-first order, a
-    ``radius_in`` outside ``1.._MAX_R_IN``, a vertex beyond ``radius_out``,
-    or (with ``spec``) two vertex words naming one element.
+    or vertex line, no edge line, an edge endpoint outside the ball, a
+    repeated edge line, two edges with one label out of one vertex, an edge
+    without its reverse, a disconnected graph, vertex lines out of
+    breadth-first order, a ``radius_in`` outside ``1.._MAX_R_IN``, a vertex
+    beyond ``radius_out``, or (with ``spec``) two vertex words naming one
+    element.
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
@@ -755,6 +741,8 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge endpoint out of range in {line!r}")
         edges.append((u, v, label))
+    if not edges:
+        raise ValueError("imported ball has no edge lines: a Cayley ball needs at least one letter")
     labels = sorted({label for _, _, label in edges})
     column = {label: li for li, label in enumerate(labels)}
     nbr = np.full((n, len(labels)), -1, dtype=np.int32)

@@ -26,7 +26,9 @@ accepted (``t1^3``), ``1`` is the identity, and
 :meth:`GroupSpec.format_element` parses back to the same element.
 
 For ball enumeration every normal form also has a fixed-width integer code
-(:class:`ElementCodes`), and whole blocks of codes multiply at once.
+(:class:`ElementCodes`), and whole blocks of codes multiply at once.  A free
+group or free product element's code is one id in a prefix table, so each
+letter syllable costs a row one table step.
 """
 
 from __future__ import annotations
@@ -58,7 +60,34 @@ class WordError(ValueError):
 
 # group nodes
 
-class FreeGroupNode:
+class _PrefixCoded:
+    """Code of a free group or free product element: one column, the id of
+    its normal form in the node's ``_PrefixTable``.  A subclass names each
+    syllable's table key (``_syllable``) and what a syllable times a letter
+    syllable leaves (``_merge``)."""
+
+    def code_width(self, codes):
+        return 1
+
+    def code_limit(self, codes):
+        return _MAX_ID
+
+    def encode(self, a, codes):
+        table = codes.table(self)
+        i = np.zeros(1, dtype=np.int64)
+        for x in a:
+            i = table.find(i, self._syllable(x, table, codes), True)
+        return [int(i[0])]
+
+    def multiply_codes(self, block, elements, codes, add=True):
+        table = codes.table(self)
+        letters = [[self._syllable(x, table, codes) for x in b] for b in elements]
+        source = {s: x for b, ss in zip(elements, letters) for x, s in zip(b, ss)}
+        ids = table.multiply(block[:, 0], letters, lambda t, s: self._merge(table, t, source[s], codes), add)
+        return ids.astype(codes.dtype)[:, :, None]
+
+
+class FreeGroupNode(_PrefixCoded):
     """Free group on named generators; elements are freely reduced words."""
 
     def __init__(self, names):
@@ -85,45 +114,16 @@ class FreeGroupNode:
     def word_syllables(self, a):
         return [(self.names[gen], sign) for gen, sign in a]
 
-    # code: [length, last letter, .., first letter, 0 ..] with S letter slots;
-    # letter = sign * (gen + 1).  Last first: a product changes column 1.
+    # code: one column, the id in the node's prefix table; a syllable is a
+    # letter (gen + 1, sign)
     def code_demand(self, a, demand):
-        demand[self] = demand.get(self, 0) + len(a)
+        pass
 
-    def code_width(self, codes):
-        return 1 + codes.bounds.get(self, 0)
+    def _syllable(self, x, table, codes):
+        return table.syllable((x[0] + 1, x[1]))
 
-    def code_limit(self, codes):
-        return max(codes.bounds.get(self, 0), len(self.names))
-
-    def encode(self, a, codes):
-        slots = codes.bounds.get(self, 0)
-        if len(a) > slots:
-            raise _slot_overflow(slots)
-        return [len(a)] + [sign * (gen + 1) for gen, sign in reversed(a)] + [0] * (slots - len(a))
-
-    def multiply_codes(self, block, elements, codes):
-        out, which = _per_element_rows(block, elements)
-        for k in range(max(map(len, elements), default=0)):
-            # letter k of each element, 0 for an element shorter than that
-            x = [b[k][1] * (b[k][0] + 1) if k < len(b) else 0 for b in elements]
-            x = np.array(x, dtype=out.dtype)[which]
-            active = x != 0
-            cancel = active & (out[:, 1] == -x)  # the last letter is x^-1
-            grow = active ^ cancel
-            if np.any(out[:, -1], where=grow):  # every slot is taken
-                raise _slot_overflow(codes.bounds.get(self, 0))
-            new = out.copy()
-            p = np.flatnonzero(grow)
-            new[p, 0] += 1
-            new[p, 1] = x[p]
-            new[p, 2:] = out[p, 1:-1]
-            c = np.flatnonzero(cancel)
-            new[c, 0] -= 1
-            new[c, 1:-1] = out[c, 2:]
-            new[c, -1] = 0
-            out = new
-        return out.reshape(len(block), len(elements), block.shape[1])
+    def _merge(self, table, t, x, codes):
+        return 0 if table.info[t] == (x[0] + 1, -x[1]) else -1
 
 
 class CyclicNode:
@@ -163,7 +163,7 @@ class CyclicNode:
     def encode(self, a, codes):
         return [a]
 
-    def multiply_codes(self, block, elements, codes):
+    def multiply_codes(self, block, elements, codes, add=True):
         # the dtype holds twice the largest bound, so no sum wraps around
         out = block[:, None, :] + np.array(elements, dtype=codes.dtype)[:, None]
         if self.order:
@@ -228,11 +228,11 @@ class SymmetricNode:
     def encode(self, a, codes):
         return list(a)
 
-    def multiply_codes(self, block, elements, codes):
+    def multiply_codes(self, block, elements, codes, add=True):
         return block[:, np.array(elements)]  # (a*b)[k] = a[b[k]]
 
 
-class FreeProductNode:
+class FreeProductNode(_PrefixCoded):
     """Free product; elements are alternating sequences of factor syllables."""
 
     def __init__(self, factors):
@@ -283,97 +283,33 @@ class FreeProductNode:
             out.extend(self.factors[fi].word_syllables(e))
         return out
 
-    # code: [length, last syllable, .., first syllable, 0 ..] with S syllable
-    # slots; a syllable is the tag fi + 1 and the factor's code, zero-padded
-    # to the widest factor.  Last first: a product changes the first slot.
+    # code: one column, the id in the node's prefix table; a syllable is the
+    # tag fi + 1 followed by the factor's code
     def code_demand(self, a, demand):
-        demand[self] = demand.get(self, 0) + len(a)
         for fi, e in a:
             self.factors[fi].code_demand(e, demand)
 
-    def code_width(self, codes):
-        return 1 + codes.bounds.get(self, 0) * self._syllable_width(codes)
-
-    def _syllable_width(self, codes):
-        return 1 + max(codes.width_of(f) for f in self.factors)
-
     def code_limit(self, codes):
-        limits = [f.code_limit(codes) for f in self.factors]
-        return max([codes.bounds.get(self, 0), len(self.factors)] + limits)
+        return max([_MAX_ID] + [f.code_limit(codes) for f in self.factors])
 
     def encode(self, a, codes):
-        slots = codes.bounds.get(self, 0)
-        if len(a) > slots:
-            raise _slot_overflow(slots)
-        sw = self._syllable_width(codes)
-        out = [len(a)]
-        for fi, e in reversed(a):
-            code = self.factors[fi].encode(e, codes)
-            out += [fi + 1] + code + [0] * (sw - 1 - len(code))
-        return out + [0] * ((slots - len(a)) * sw)
-
-    def multiply_codes(self, block, elements, codes):
-        slots, sw, ident = codes.memo(self._code_layout)
-        out, which = _per_element_rows(block, elements)
-        w = out.shape[1]
-        tail = np.zeros(len(out), dtype=np.intp)  # slot of the last merged or surviving syllable
-        steps = max(map(len, elements), default=0)
-        for k in range(steps):
-            # syllable k of each element as a code row, all zero for an element shorter than that
-            syllables = np.zeros((len(elements), sw), dtype=out.dtype)
-            for li, b in enumerate(elements):
-                if k < len(b):
-                    fi, e = b[k]
-                    code = self.factors[fi].encode(e, codes)
-                    syllables[li, : 1 + len(code)] = [fi + 1] + code
-            tag = syllables[which, 0]
-            active = tag != 0
-            merge = active & (out[:, 1] == tag)  # b[k] merges into the last syllable
-            grow = active ^ merge
-            if np.any(out[:, w - sw], where=grow):  # every slot is taken
-                raise _slot_overflow(slots)
-            new = out.copy()
-            p = np.flatnonzero(grow)
-            new[p, 0] += 1
-            new[p, 1 : 1 + sw] = syllables[which[p]]
-            new[p, 1 + sw :] = out[p, 1 : w - sw]
-            r = np.flatnonzero(merge)
-            if r.size:
-                of = which[r]
-                for li, b in enumerate(elements):
-                    rl = r[of == li] if k < len(b) else ()
-                    if len(rl):
-                        fi, e = b[k]
-                        factor = self.factors[fi]
-                        fw = codes.width_of(factor)
-                        new[rl, 2 : 2 + fw] = factor.multiply_codes(out[rl, 2 : 2 + fw], [e], codes)[:, 0]
-                gone = r[(new[r, 2 : 1 + sw] == ident[tag[r]]).all(axis=1)]
-                new[gone, 0] -= 1
-                new[gone, 1 : w - sw] = out[gone, 1 + sw :]
-                new[gone, w - sw :] = 0
-            tail = np.where(merge, 0, tail + grow)
-            out = new
-        # reduced factors can break the normal form only where they meet: no
-        # identity syllable and no equal neighbouring tags among the slots
-        # next to the junction
-        k = min(steps + 2, slots)
-        syl = out[:, 1 : 1 + k * sw].reshape(len(out), k, sw)
-        live = (np.abs(np.arange(k) - tail[:, None]) <= 1) & (np.arange(k) < out[:, :1])
-        tags = syl[..., 0]
-        bad = (syl[..., 1:] == ident[tags]).all(axis=2)
-        bad[:, 1:] |= (tags[:, 1:] == tags[:, :-1]) & live[:, :-1]
-        if (bad & live).any():
+        if not self._reduced(a):
             raise InternalCheckError("free-product normal form violated")
-        return out.reshape(len(block), len(elements), w)
+        return super().encode(a, codes)
 
-    def _code_layout(self, codes):
-        """Slot count, syllable width, and each tag's identity syllable code
-        (tag 0, an empty slot, reads as an identity)."""
-        sw = self._syllable_width(codes)
-        ident = np.zeros((len(self.factors) + 1, sw - 1), dtype=codes.dtype)
-        for fi, factor in enumerate(self.factors):
-            ident[fi + 1, : codes.width_of(factor)] = codes.identity(factor)
-        return codes.bounds.get(self, 0), sw, ident
+    def _syllable(self, x, table, codes):
+        return table.syllable((x[0] + 1, *self.factors[x[0]].encode(x[1], codes)))
+
+    def _merge(self, table, t, x, codes):
+        fi, e = x
+        tag, *code = table.info[t]
+        if tag != fi + 1:
+            return -1
+        factor = self.factors[fi]
+        row = factor.multiply_codes(np.array([code], dtype=codes.dtype), [e], codes)[0, 0]
+        if (row == codes.identity(factor)).all():
+            return 0
+        return table.syllable((tag, *row.tolist()))
 
 
 class DirectProductNode:
@@ -413,7 +349,7 @@ class DirectProductNode:
             factor.code_demand(x, demand)
 
     def code_width(self, codes):
-        return sum(codes.width_of(f) for f in self.factors)
+        return sum(f.code_width(codes) for f in self.factors)
 
     def code_limit(self, codes):
         return max(f.code_limit(codes) for f in self.factors)
@@ -421,23 +357,119 @@ class DirectProductNode:
     def encode(self, a, codes):
         return [v for factor, x in zip(self.factors, a) for v in factor.encode(x, codes)]
 
-    def multiply_codes(self, block, elements, codes):
+    def multiply_codes(self, block, elements, codes, add=True):
         parts, col = [], 0
         for fi, factor in enumerate(self.factors):
-            w = codes.width_of(factor)
-            parts.append(factor.multiply_codes(block[:, col : col + w], [b[fi] for b in elements], codes))
+            w = factor.code_width(codes)
+            parts.append(factor.multiply_codes(block[:, col : col + w], [b[fi] for b in elements], codes, add))
             col += w
         return np.concatenate(parts, axis=2)
 
 
-def _per_element_rows(block, elements):
-    """Each row of ``block`` once per element, row ``u * len(elements) + li``
-    for element ``li``, and that element index of every row."""
-    return np.repeat(block, len(elements), axis=0), np.tile(np.arange(len(elements)), len(block))
+# Ids stay below 2**31: a key ``parent << 32 | syllable`` then fits int64.
+_MAX_ID = 1 << 31
 
 
-def _slot_overflow(slots):
-    return InternalCheckError(f"normal-form code needs more than its {slots} syllable slots")
+class _PrefixTable:
+    """The normal forms of one free group or free product node met so far.
+
+    Id 0 is the identity; id i > 0 the pair (``parent[i]``, ``last[i]``) of
+    the id of the normal form less its last syllable and that syllable's id,
+    all int32.  ``keys`` holds the pairs as ``parent << 32 | last``, sorted,
+    before a sentinel; ``at`` their ids.  Syllable s > 0 has key ``info[s]``,
+    a tuple led by its tag.  ``move[t, c]`` caches what syllable t times
+    letter syllable ``columns[c]`` leaves: -1 both, 0 nothing, or one
+    merged syllable.
+    """
+
+    def __init__(self):
+        self.parent = np.zeros(1, dtype=np.int32)
+        self.last = np.zeros(1, dtype=np.int32)
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.at = np.array([-1], dtype=np.int32)
+        self.info = [(0,)]
+        self._syllables = {}
+        self.columns = []
+        self.move = np.zeros((1, 0), dtype=np.int32)
+
+    def syllable(self, key):
+        s = self._syllables.get(key)
+        if s is None:
+            s = len(self.info)
+            if s >= _MAX_ID:
+                raise _id_overflow()
+            self._syllables[key] = s
+            self.info.append(key)
+        return s
+
+    def find(self, parent, syllable, add):
+        """Ids of the pairs (``parent[i]``, ``syllable[i]``); a pair not in
+        the table is added where ``add`` (one bool, or one per pair) holds,
+        else reads -1."""
+        key = parent.astype(np.int64)
+        key <<= 32
+        key |= syllable
+        pos = np.searchsorted(self.keys, key)
+        out = self.at[pos]
+        missing = self.keys[pos] != key
+        del pos
+        out[missing] = -1
+        new = missing & add
+        if new.any():
+            fresh, inv = np.unique(key[new], return_inverse=True)
+            n = len(self.parent)
+            if n + len(fresh) > _MAX_ID:
+                raise _id_overflow()
+            at = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            self.at = np.insert(self.at, at, np.arange(n, n + len(fresh), dtype=np.int32))
+            self.parent = np.concatenate([self.parent, fresh >> 32], dtype=np.int32)
+            self.last = np.concatenate([self.last, fresh & 0xFFFFFFFF], dtype=np.int32)
+            out[new] = n + inv
+        return out
+
+    def multiply(self, ids, letters, merge, add):
+        """The ``(len(ids), len(letters))`` ids of ``a * b`` for every id
+        ``a`` and letter ``b`` (syllable ids); ``merge(t, s)`` fills ``move``.
+        A letter's last step adds to the table only with ``add``."""
+        ending = np.array([len(b) for b in letters]) - 1
+        ids = np.repeat(ids.astype(np.int32)[:, None], len(letters), axis=1)
+        for k in range(ending.max(initial=-1) + 1):
+            s = np.array([b[k] if k < len(b) else 0 for b in letters])  # 0: the letter has ended
+            m = self._moves(self.last[ids], s, merge)
+            grow = m < 0
+            out = np.where(grow, ids, self.parent[ids])
+            syl = np.where(grow, s, m)
+            del m, grow
+            look = np.flatnonzero(syl)
+            keep = add or np.broadcast_to(k < ending, syl.shape).ravel()[look]
+            out.ravel()[look] = self.find(out.ravel()[look], syl.ravel()[look], keep)
+            ids = out
+        return ids
+
+    def _moves(self, last, s, merge):
+        """``move`` at syllables ``last[:, j]`` and letter syllable ``s[j]``."""
+        for x in s:
+            if x not in self.columns:
+                self.columns.append(x)
+        col = np.array([self.columns.index(x) for x in s])
+        shape = (len(self.info), len(self.columns))
+        if self.move.shape != shape:
+            grown = np.full(shape, -2, dtype=np.int32)  # -2: not computed yet
+            grown[: self.move.shape[0], : self.move.shape[1]] = self.move
+            self.move = grown
+        m = self.move[last, col]
+        r, j = np.nonzero(m == -2)
+        if r.size:
+            for t, c in set(zip(last[r, j].tolist(), col[j].tolist())):
+                x = self.columns[c]
+                self.move[t, c] = merge(t, x) if x else -1
+            m = self.move[last, col]
+        return m
+
+
+def _id_overflow():
+    return InternalCheckError(f"prefix table ids past {_MAX_ID} would not fit the int64 key")
 
 
 class ElementCodes:
@@ -446,18 +478,15 @@ class ElementCodes:
     A code is one row of ``width`` integers of type ``dtype``, equal exactly
     when the elements are: a cyclic element is one column, a permutation its
     one-line notation, a direct product its factors' columns side by side,
-    and a free group or free product element a length column plus ``S``
-    syllable slots, last first (a free-group letter ``sign * (gen + 1)``; a
-    free-product syllable the tag ``fi + 1`` and the factor's code), unused
-    columns zero.
+    and a free group or free product element the id of its normal form in
+    the node's ``_PrefixTable``, which this object owns and fills.
 
-    The bounds are read off the letters: a product of ``k`` letters has at
-    most their summed syllable counts at every node, and an infinite cyclic
-    value at most their summed absolute exponents, so ``r_out + 1`` times the
-    largest per-letter count bounds the ball and its products with a letter.
-    ``dtype`` holds twice the largest bound, so a sum of two in-bound values
-    never wraps.  A row out of bounds raises InternalCheckError; nothing is
-    truncated.
+    An infinite cyclic value is bounded by the letters: a product of ``k``
+    letters has at most their summed absolute exponents, so ``r_out + 1``
+    times the largest per-letter sum bounds the ball and its products with
+    a letter.  ``dtype`` holds twice the largest bound or id, so a sum of
+    two in-bound values never wraps.  A value out of bounds raises
+    InternalCheckError; nothing is truncated.
     """
 
     def __init__(self, root, letters, r_out):
@@ -469,22 +498,19 @@ class ElementCodes:
                 peak[node] = max(peak.get(node, 0), k)
         self.root = root
         self.bounds = {node: (r_out + 1) * k for node, k in peak.items()}
-        self._memo = {}
+        self._tables = {}
         self._identities = {}
         limit = 2 * root.code_limit(self)
         self.dtype = np.min_scalar_type(-limit - 1)  # the smallest signed type holding +-limit
         if self.dtype.kind != "i":
             raise InternalCheckError(f"code values up to {limit} overflow int64")
-        self.width = self.width_of(root)
+        self.width = root.code_width(self)
 
-    def memo(self, method):
-        """``method(self)`` for a bound method of a group node, computed once."""
-        if method not in self._memo:
-            self._memo[method] = method(self)
-        return self._memo[method]
-
-    def width_of(self, node):
-        return self.memo(node.code_width)
+    def table(self, node):
+        """The prefix table of a free group or free product node."""
+        if node not in self._tables:
+            self._tables[node] = _PrefixTable()
+        return self._tables[node]
 
     def identity(self, node):
         """The code row of ``node``'s identity."""
@@ -497,10 +523,11 @@ class ElementCodes:
         """The code row of an element of the root group."""
         return np.array(self.root.encode(e, self), dtype=self.dtype)
 
-    def multiply(self, block, elements):
+    def multiply(self, block, elements, add=True):
         """The ``(m, len(elements), width)`` codes of ``a * e`` for every row
-        ``a`` of an ``(m, width)`` block and every element ``e``."""
-        return self.root.multiply_codes(block, elements, self)
+        ``a`` of an ``(m, width)`` block and every element ``e``.  Without
+        ``add``, an id not yet in its prefix table reads -1."""
+        return self.root.multiply_codes(block, elements, self, add)
 
 
 # public spec object

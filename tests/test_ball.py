@@ -265,11 +265,12 @@ _OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("r
         # build_ball refuses r_in > 8191: 4 * r_in must fit int16
         "vertices 2 radius_in 9000 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n",
         _OUT_OF_RADIUS,
+        "vertices 1 radius_in 1 radius_out 3\n0 1\n",
     ],
     ids=[
         "empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge",
         "two-edges-one-label", "not-breadth-first", "negative-radius-in", "radius-in-past-int16",
-        "vertex-beyond-radius-out",
+        "vertex-beyond-radius-out", "no-edges",
     ],
 )
 def test_import_rejects_malformed_text(text):
@@ -496,6 +497,22 @@ def test_distance_rows_allocate_little_beyond_the_block():
     assert peak <= 2 * dist.block.nbytes
 
 
+@pytest.mark.parametrize("text,r_in,mib", [("F(a,b)", 3, 10.5), ("Z2 * Z3", 9, 12)])
+def test_build_memory_peak_is_bounded(text, r_in, mib):
+    # one id column per free-group or free-product element keeps the build's
+    # own peak below these bounds; codes with a slot per syllable peaked at
+    # 10.9 and 21.6 MiB
+    spec = parse_group_spec(text)
+    build_ball(spec, 1)
+    tracemalloc.start()
+    try:
+        build_ball(spec, r_in)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
+
+
 @pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3), ("(Z2 * Z3) x Z", 1)])
 def test_word_matches_format_element(text, r_in):
     ball = build_ball(parse_group_spec(text), r_in)
@@ -617,6 +634,10 @@ def test_large_ball_matches_bfs_oracle(text, r_in):
         ("Z x Z", 2, ["t1", "t2", "t1.t2"]),
         ("Z2 * Z3", 2, ["t1.t2", "t2"]),
         ("S3 * Z", 1, ["s1_1.s1_2", "t2^2"]),
+        # a letter's first syllables can leave the ball at the last sphere,
+        # where products are looked up without being added
+        ("F(a,b)", 3, ["a.b", "b"]),
+        ("Z2 * Z3", 3, ["t1.t2.t1", "t2"]),
     ],
 )
 def test_export_matches_bfs_oracle(text, r_in, generators):
@@ -627,19 +648,23 @@ def test_export_matches_bfs_oracle(text, r_in, generators):
 
 def test_hash_collisions_are_resolved(monkeypatch):
     # a hash that sends every multi-word row to one value at the first seed:
-    # the full-row comparison catches it and the next seed groups the rows
-    seeds = []
+    # the full-row comparison catches it and the next seed groups the rows.
+    # A free product's code is one id, so the rows span two words only next
+    # to the Z column of a direct product.
+    seeds, widths = [], []
     original = ball_module._row_hashes
 
     def colliding(words, seed):
         seeds.append(seed)
+        widths.append(words.shape[1])
         if seed == 0 and words.shape[1] > 1:
             return np.zeros(len(words), dtype=np.uint64)
         return original(words, seed)
 
     monkeypatch.setattr(ball_module, "_row_hashes", colliding)
-    spec = parse_group_spec("Z2 * Z3")
-    _assert_same_ball(build_ball(spec, 3), ball_bfs_oracle(spec, 3))
+    spec = parse_group_spec("(Z2 * Z3) x Z")
+    _assert_same_ball(build_ball(spec, 2), ball_bfs_oracle(spec, 2))
+    assert max(widths) > 1
     assert 1 in seeds
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleyball import SpecParseError, WordError, parse_group_spec
+from cayleyball import SpecParseError, WordError, groups, parse_group_spec
 from cayleyball.ball import resolve_letters
 from cayleyball.groups import ElementCodes, InternalCheckError
 from oracles import z2z3_rewrite
@@ -245,31 +245,39 @@ def _codes(text, r_out):
 
 @pytest.mark.parametrize("letter", ["1", "t2", "t2^-1"])
 def test_free_product_codes_check_normal_form(letter):
-    # a code block holding a non-reduced element trips the junction check of
-    # the vectorized multiply, as it does the scalar one
+    # a non-reduced element trips the scalar junction check, and encoding one
+    # (an identity syllable, or two neighbouring syllables of one factor) is
+    # refused rather than given a prefix-table id
     spec, codes = _codes("Z2 * Z3", 3)
     identity_syllable = ((0, spec.root.factors[0].identity()),)
     e = spec.parse_word(letter)
     with pytest.raises(InternalCheckError, match="free-product normal form"):
         spec.multiply(identity_syllable, e)
-    block = codes.encode(identity_syllable)[None, :]
-    with pytest.raises(InternalCheckError, match="free-product normal form"):
-        codes.multiply(block, [e])
+    for bad in (identity_syllable + e, e + identity_syllable, ((1, 1),) + e + ((1, 2),)):
+        with pytest.raises(InternalCheckError, match="free-product normal form"):
+            codes.encode(bad)
 
 
 @pytest.mark.parametrize(
-    "text,full,letter",
-    [("Z2 * Z3", "t1.t2", "t1"), ("F(a,b)", "a.b", "a"), ("(Z2 * Z3) x Z", "t1.t2", "t1")],
+    "text,full,letter,fresh",
+    [("Z2 * Z3", "t1.t2", "t1", "t2^-1"), ("F(a,b)", "a.b", "a", "a^-1"), ("(Z2 * Z3) x Z", "t1.t2", "t1", "t2^-1")],
 )
-def test_codes_refuse_slot_overflow(text, full, letter):
-    # at r_out = 1 every letter has one syllable, so there are two slots: a
-    # block already at that bound cannot grow, and nothing is truncated
+def test_codes_refuse_id_overflow(monkeypatch, text, full, letter, fresh):
+    # with ids bounded by 3, the table holds the identity, full's prefix and
+    # full, and syllable ids 1 and 2: one more id of either kind raises
+    # before the table changes, so no key ever wraps
     spec, codes = _codes(text, 1)
     block = codes.encode(spec.parse_word(full))[None, :]
-    with pytest.raises(InternalCheckError, match="slots"):
-        codes.multiply(block, [spec.parse_word(letter)])
-    with pytest.raises(InternalCheckError, match="slots"):
-        codes.encode(spec.parse_word(f"{full}.{letter}"))
+    monkeypatch.setattr(groups, "_MAX_ID", 3)
+    for _ in range(2):
+        with pytest.raises(InternalCheckError, match="ids past 3"):
+            codes.multiply(block, [spec.parse_word(letter)])
+        with pytest.raises(InternalCheckError, match="ids past 3"):
+            codes.encode(spec.parse_word(f"{full}.{letter}"))
+        with pytest.raises(InternalCheckError, match="ids past 3"):
+            codes.multiply(codes.encode(spec.identity())[None, :], [spec.parse_word(fresh)])
+    assert codes.multiply(block, [spec.parse_word(letter)], add=False)[0, 0, 0] == -1
+    assert codes.encode(spec.parse_word(full)).tolist() == block[0].tolist()
 
 
 def test_codes_refuse_value_beyond_bound():
