@@ -568,20 +568,19 @@ class DistanceMatrix:
 
     A row holds ``min(d_ball(u, w), clip)``, ``clip = 2 * r_in + 1`` (see
     the module docstring), from ``_clipped_rows``; a slot per vertex gives
-    its block row, or -1.  The block fills in one order: the
-    inner rows at construction, the rest of the hull (in hull order, the
-    view ``ensure_mid_rows``) on the first other request, then each
-    request's missing rows.  Read through ``rows`` or ``row``, since a
-    request may replace ``block``.  ``inner`` is a copy of the inner block.
+    its block row, or -1.  The block holds the inner rows from construction,
+    then each request's missing rows, appended in one sweep per request.
+    Read through ``rows``, ``row`` or ``ensure_mid_rows``, since a request
+    may replace ``block``.  ``inner`` is a copy of the inner block.
 
-    ``_dags`` is the geodesic-DAG store of ``geodesics.inner_dags``.  The
-    hull, the block and the store fill on first use without locks.
+    ``_dags`` is the geodesic-DAG store of ``geodesics.inner_dags``, whose
+    vertex set is the geodesic hull (``geodesics.hull``).  The block and
+    the store fill on first use without locks.
     """
 
     def __init__(self, ball: BallGraph):
         self.ball = ball
         self.clip = 2 * ball.r_in + 1
-        self._hull: np.ndarray | None = None
         self._pscan = None  # the polygon scan, filled lazily by invariants
         self._dags = None  # the geodesic-DAG store, filled lazily by geodesics
         ni = ball.inner_count
@@ -616,45 +615,24 @@ class DistanceMatrix:
         return out
 
     def _slots(self, vertices):
-        """Block rows of ``vertices``, after appending the rows they lack (and the
-        rest of the hull before them) in one ``_clipped_rows`` call; IndexError
-        for a vertex outside ``range(n_vertices)``."""
+        """Block rows of ``vertices``, after appending the rows they lack in
+        one ``_clipped_rows`` call; IndexError for a vertex outside
+        ``range(n_vertices)``."""
         at = self._slot[_vertices(vertices)]
         if at.min(initial=0) < 0:
-            hull = self.hull()
-            missing = np.setdiff1d(np.asarray(vertices)[at < 0], hull)
-            missing = np.concatenate([hull[len(self.block) :], missing])
+            missing = np.unique(np.asarray(vertices)[at < 0])
             self.block = np.concatenate([self.block, self._clipped_rows(missing)])
             self._slot[missing] = np.arange(len(self.block) - len(missing), len(self.block))
             at = self._slot[vertices]
         return at
 
-    def hull(self) -> np.ndarray:
-        """The geodesic hull: ascending indices of the vertices on some geodesic
-        between two inner vertices, computed on first request.
-
-        Such a geodesic has length ``d(a, b) <= 2 * r_in < clip`` and stays
-        within ``2 * r_in`` of the identity, so ``d(a, w) + d(w, b) == d(a, b)``
-        on the inner rows is exact for ``w < mid_count`` and false beyond.  An
-        inner vertex lies on a geodesic from the identity, so only the columns
-        from ``inner_count`` to ``mid_count`` are tested.
-        """
-        if self._hull is None:
-            ni, mid = self.ball.inner_count, self.ball.mid_count
-            rows = self.block[:ni, ni:mid]
-            on = np.zeros(mid - ni, dtype=bool)
-            for a in range(ni):  # pairs (a, b) with b >= a
-                on |= (rows[a:] + rows[a] == self.inner[a:, a, None]).any(axis=0)
-            self._hull = np.concatenate([np.arange(ni), ni + np.flatnonzero(on)])
-        return self._hull
-
-    def ensure_mid_rows(self):
-        """The hull rows in hull order, a view of the block's first rows; a
-        probe in ``perfbench/tracing.py`` binds the name (``ball.mid_rows_s``,
+    def ensure_mid_rows(self, vertices) -> np.ndarray:
+        """Rows of ``vertices`` cut after ``mid_count`` columns (the vertices
+        within ``2 * r_in`` of the identity), as a new int16 array; a probe
+        in ``perfbench/tracing.py`` binds the name (``ball.mid_rows_s``,
         ``ball.mid_block_bytes``)."""
-        hull = self.hull()
-        self._slots(hull)
-        return self.block[: len(hull)]
+        at = self._slots(vertices)  # fill first: the fill replaces the block
+        return self.block[at, : self.ball.mid_count]
 
     def rows(self, vertices, cols=None) -> np.ndarray:
         """Clipped rows of a 1-D array of vertices, as a new int16 array, or

@@ -87,9 +87,9 @@ def _parse_invariant(text, config):
     if name == "rips" and not args:
         return text, lambda ball, dist, plan: [rips_delta(ball, dist, plan)]
     if name == "polygon" and len(args) == 1:
-        n = int(args[0])
+        n = int(args[0]) if args[0].isdecimal() else 0
         if n < 1:
-            raise ValueError("polygon size parameter must be at least 1")
+            raise ValueError("polygon wants a positive size like polygon:3, got %r" % text)
         return text, lambda ball, dist, plan: [polygon_delta(ball, dist, n, plan)]
     if name == "bigons" and not args:
         return text, lambda ball, dist, plan: list(bigon_constants(ball, dist, plan))

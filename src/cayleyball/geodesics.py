@@ -6,7 +6,8 @@ flattened store of the DAGs of every inner pair a <= b (``inner_dags``),
 read by pair id, a pair asked for from its larger end walked back from its
 last entry.  On it run the max-min avoidance recurrence, path counts and
 label-lexicographic unranking (so a pair's k-th geodesic does not depend
-on the ball around it), and the witnesses' one-pair walks.
+on the ball around it), and the witnesses' one-pair walks.  Its vertex set
+is the geodesic hull (``hull``).
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def _one_pair(ball, dist, u, v) -> IntervalDags:
     return IntervalDags(np.array([0, hi - lo]), verts, layer, succ, pred)
 
 
+def hull(dist: DistanceMatrix) -> np.ndarray:
+    """The geodesic hull: the ascending vertices on some geodesic between
+    two inner vertices, the store's vertex set."""
+    return np.unique(inner_dags(dist).verts)
+
+
 def interval(dist: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
     """Exact geodesic interval of one pair, as an ascending vertex tuple.
     Raises ValueError when ``d(u, v) >= dist.clip`` (no inner pair is)."""
@@ -167,13 +174,28 @@ def _maxmin_layers(dags, entry, base, sizes, val):
     f = np.empty((len(entry) + 1,) + val.shape[1:], dtype=np.int16)
     f[-1] = -1
     f[base] = val[base]
-    lay = dags.layer[entry]
-    by = np.argsort(lay, kind="stable")
-    cuts = np.cumsum(np.bincount(lay))
-    for t in range(1, len(cuts)):
-        idx = by[cuts[t - 1] : cuts[t]]
+    for idx in _layers(dags.layer[entry])[1:]:
         f[idx] = np.minimum(val[idx], f[slots[idx]].max(axis=1))
     return f[:-1]
+
+
+def _layers(layer):
+    """The indices of each value of ``layer``, from 0 up, ascending within
+    a value: one stable argsort, cut at the running counts."""
+    by = np.argsort(layer, kind="stable")
+    cuts = np.cumsum(np.bincount(layer)).tolist()
+    return [by[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
+
+
+def _path_counts(links, togo, limit):
+    """Each entry's count of paths to its far end, saturating at ``limit``,
+    plus a last 0 for the sentinel: swept in ``togo`` order from 0 (steps to
+    the far end), an entry sums the counts of its ``links`` row (entry
+    indices, ``len(links)`` for none), and a sum of 0 (an end) counts 1."""
+    count = np.zeros(len(links) + 1, dtype=np.int32 if limit * links.shape[1] < 2**31 else np.int64)
+    for idx in _layers(togo):
+        count[idx] = np.clip(count[links[idx]].sum(axis=1), 1, limit)
+    return count
 
 
 def _entries(dags, pid):
@@ -297,26 +319,20 @@ def _geodesic_rows(ball, dist, us, vs, cap):
     glob[back_e] = dags.pred[entry[back_e]]
     del entry
     togo = np.where(back_e, layer, np.repeat(layer[base + sizes - 1], sizes) - layer)  # steps to the far end
+    del layer, back_e
     glob = np.where(glob >= 0, glob + np.repeat(base.astype(np.int32), sizes)[:, None], len(verts))
     far = base + np.where(back, 0, sizes - 1)
     glob[far, 0] = far  # a finished path stays put
-    letters = glob.shape[1]
-    limit = np.iinfo(np.int64).max // letters if cap is None else cap + 1
-    count = np.zeros(len(verts) + 1, dtype=np.int32 if limit * letters < 2**31 else np.int64)
-    by = np.argsort(togo, kind="stable")
-    cuts = np.concatenate([[0], np.cumsum(np.bincount(togo))])
-    del togo, layer, back_e
-    for t in range(len(cuts) - 1):
-        idx = by[cuts[t] : cuts[t + 1]]
-        count[idx] = np.clip(count[glob[idx]].sum(axis=1), 1, limit)
-    del by
+    steps = int(togo.max(initial=-1)) + 1
+    count = _path_counts(glob, togo, np.iinfo(np.int64).max // glob.shape[1] if cap is None else cap + 1)
+    del togo
     e = base + np.where(back, sizes - 1, 0)
     total = count[e]
     counts = total if cap is None else np.minimum(total, cap)
     pair = np.repeat(np.arange(len(counts)), counts)
     rank = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
     e = e[pair]
-    rows = np.empty((len(pair), len(cuts) - 1), dtype=verts.dtype)
+    rows = np.empty((len(pair), steps), dtype=verts.dtype)
     rows[:, 0] = verts[e]
     at = np.arange(len(pair))
     for s in range(1, rows.shape[1]):
@@ -332,22 +348,16 @@ def _geodesic_rows(ball, dist, us, vs, cap):
 
 def _capped_pairs(dist, cap):
     """Which inner pairs have more than ``cap`` (None: no) geodesics, as an
-    ``(n, n)`` bool matrix: an entry's path count from its pair's first
-    entry sums its ``pred`` links', layer by layer, up to ``cap + 1``."""
+    ``(n, n)`` bool matrix: ``_path_counts`` over the ``pred`` links, toward
+    each pair's first entry, read at its last."""
     n = dist.ball.inner_count
     out = np.zeros((n, n), dtype=bool)
     if cap is None:
         return out
     dags = inner_dags(dist)
     base = np.repeat(dags.ptr[:-1], np.diff(dags.ptr))
-    links = np.where(dags.pred.T >= 0, dags.pred.T + base, len(dags.verts))  # letter-major
-    count = np.ones(len(dags.verts) + 1, dtype=np.int64)
-    count[-1] = 0
-    by = np.argsort(dags.layer, kind="stable")
-    cuts = np.cumsum(np.bincount(dags.layer))
-    for t in range(1, len(cuts)):
-        idx = by[cuts[t - 1] : cuts[t]]
-        count[idx] = np.minimum(count[links[:, idx]].sum(axis=0), cap + 1)
+    links = np.where(dags.pred >= 0, dags.pred + base[:, None], len(dags.verts))
+    count = _path_counts(links, dags.layer, cap + 1)
     i, j = np.triu_indices(n)
     out[i, j] = out[j, i] = count[dags.ptr[1:] - 1] > cap
     return out

@@ -36,6 +36,7 @@ from .geodesics import (
     _pair_ids,
     enumerate_geodesics,  # noqa: F401 - a perfbench probe binds it here
     geodesic_through,
+    hull,
     inner_dags,
     interval,  # noqa: F401 - as enumerate_geodesics
     max_avoidance,  # noqa: F401 - as enumerate_geodesics
@@ -337,8 +338,9 @@ class _PolygonScan:
     it fails the mask ``d(a,p) + d(p,b) == d(a,b)`` for every inner pair and
     never beats the running 0), one per orbit (``_orbit_least``: ``w_p`` at
     ``phi(p)`` is ``w_p`` at p, permuted).  ``hull`` holds those probes,
-    ``at`` their hull block rows, ``WP[k]`` is ``w_p`` of ``hull[k]`` and
-    ``last[k]`` its highest power so far, which a larger ``n`` continues.
+    ``rows`` their rows cut at ``mid_count``, ``WP[k]`` is ``w_p`` of
+    ``hull[k]`` and ``last[k]`` its highest power so far, which a larger
+    ``n`` continues.
     """
 
     def __init__(self, ball, dist):
@@ -346,13 +348,12 @@ class _PolygonScan:
         self.dist = dist
         self.results = {}
         self.n_max = 0
-        rows = dist.ensure_mid_rows()
-        hull = dist.hull()
-        self.at = np.flatnonzero(_orbit_least(ball, hull[:, None]))
-        self.hull = hull[self.at]
+        probes = hull(dist)
+        self.hull = probes[_orbit_least(ball, probes[:, None])]
+        self.rows = dist.ensure_mid_rows(self.hull)
         ni = ball.inner_count
         us, vs = np.triu_indices(ni)
-        vals = max_avoidance_block(ball, dist, us, vs, rows[self.at, : ball.mid_count]).T
+        vals = max_avoidance_block(ball, dist, us, vs, self.rows).T
         WP = np.empty((len(self.hull), ni, ni), dtype=np.int16)
         WP[:, us, vs] = vals
         WP[:, vs, us] = vals
@@ -363,7 +364,6 @@ class _PolygonScan:
         if n_max <= self.n_max:
             return
         ni = self.ball.inner_count
-        rows = self.dist.ensure_mid_rows()
         sizes = range(self.n_max + 1, n_max + 1)
         best = {}
         for n in sizes:
@@ -371,7 +371,7 @@ class _PolygonScan:
             best[n].offer(0, (0, 0, 0))
         for k, p in enumerate(self.hull.tolist()):
             W = self.WP[k]
-            dap = rows[self.at[k], :ni]
+            dap = self.rows[k, :ni]
             mask = (dap[:, None] + dap[None, :]) == self.dist.inner
             B = self.last[k]
             for n in sizes:
@@ -481,11 +481,6 @@ def polygon_delta(ball, dist, n, plan: SamplingPlan) -> InvariantResult:
     under a sampled one ``_polygon_tuples``, a lower bound."""
     if n < 1:
         raise ValueError("polygon size parameter must be at least 1")
-    if n + 1 > ball.inner_count:
-        raise ValueError(
-            f"a {n + 1}-gon needs {n + 1} corners but the inner ball has only "
-            f"{ball.inner_count} vertices"
-        )
     if plan.mode != "exhaustive":
         return _polygon_tuples(ball, dist, n, plan)
     scan = _polygon_scan(ball, dist)

@@ -15,6 +15,7 @@ from cayleyball import (
     all_pairs_distances,
     build_ball,
     cli,
+    geodesics,
     interval,
     parse_group_spec,
     read_ball,
@@ -325,20 +326,21 @@ def test_rows_match_clipped_bfs(make_pair, data):
 
 @pytest.mark.parametrize("text,r_in", ROW_CASES)
 def test_mid_block_rows_match_lazy_rows(make_pair, text, r_in):
-    # the hull block built in bulk on a fresh store, against a fresh store
-    # asked for one row at a time: the ball's last vertex (off the hull)
-    # first, then the hull backwards; every row is min(BFS distance, 2R + 1)
-    ball, _ = make_pair(text, r_in)
+    # the hull's rows cut at mid_count, built in bulk on a fresh store,
+    # against a fresh store asked for one row at a time: the ball's last
+    # vertex (off the hull) first, then the hull backwards; every row is
+    # min(BFS distance, 2R + 1)
+    ball, dist = make_pair(text, r_in)
+    hull = geodesics.hull(dist).tolist()
     lazy = DistanceMatrix(ball)
-    hull = lazy.hull().tolist()
     order = [ball.n_vertices - 1] + hull[::-1]
     rows = {u: lazy.row(u).copy() for u in order}
     for u in order:
         assert rows[u].tolist() == [min(d, lazy.clip) for d in bfs_distances(ball, u)]
-    block = DistanceMatrix(ball).ensure_mid_rows()
-    assert block.shape == (len(hull), ball.n_vertices) and block.dtype == np.int16
-    assert (block == np.stack([rows[u] for u in hull])).all()
-    assert (lazy.ensure_mid_rows() == block).all()
+    block = DistanceMatrix(ball).ensure_mid_rows(hull)
+    assert block.shape == (len(hull), ball.mid_count) and block.dtype == np.int16
+    assert (block == np.stack([rows[u][: ball.mid_count] for u in hull])).all()
+    assert (lazy.ensure_mid_rows(hull) == block).all()
 
 
 @settings(max_examples=30)
@@ -347,11 +349,11 @@ def test_rows_match_clipped_bfs_in_any_request_order(make_pair, data):
     # a fresh store asked for inner, hull and off-hull vertices in any
     # order, through rows (whole, on shared columns or on per-row columns)
     # and row: every row is min(BFS distance, 2R + 1), and afterwards the
-    # hull block is the hull rows in hull order
+    # hull's mid rows are those rows cut at mid_count
     text, r_in = data.draw(st.sampled_from(ROW_CASES))
     ball, _ = make_pair(text, r_in)
     dist = DistanceMatrix(ball)
-    hull = dist.hull().tolist()
+    hull = geodesics.hull(dist).tolist()
     off = sorted(set(range(ball.n_vertices)) - set(hull))
     vertex = st.one_of(
         [st.integers(0, ball.inner_count - 1), st.sampled_from(hull)] + ([st.sampled_from(off)] if off else [])
@@ -376,9 +378,9 @@ def test_rows_match_clipped_bfs_in_any_request_order(make_pair, data):
         else:
             for u in vs:
                 assert dist.row(u).tolist() == clipped(u)
-    block = dist.ensure_mid_rows()
+    block = dist.ensure_mid_rows(hull)
     assert block.dtype == np.int16
-    assert block.tolist() == [clipped(u) for u in hull]
+    assert block.tolist() == [clipped(u)[: ball.mid_count] for u in hull]
 
 
 def _draw_generators(data, text):
@@ -408,7 +410,7 @@ def test_hull_is_union_of_inner_intervals(make_pair, data):
             between = np.flatnonzero(bfs[a] + bfs[b] == bfs[a, b]).tolist()
             assert list(interval(dist, a, b)) == between
             union.update(between)
-    hull = dist.hull()
+    hull = geodesics.hull(dist)
     assert hull.tolist() == sorted(union)
     assert all(ball.dist0[w] <= 2 * r_in for w in hull)
 
@@ -431,14 +433,13 @@ def test_interval_of_any_pair_matches_bfs(make_pair, data):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_hull_rows_serve_row(make_pair, data):
-    # once the block exists, row(u) of a hull vertex is its block row, and
-    # it is min(BFS distance, 2R + 1)
+    # once the hull's mid rows exist, row(u) of a hull vertex is
+    # min(BFS distance, 2R + 1)
     text, r_in = data.draw(st.sampled_from(ROW_CASES))
     ball, dist = make_pair(text, r_in)
-    block = dist.ensure_mid_rows()
-    k = data.draw(st.integers(0, len(dist.hull()) - 1))
-    u = int(dist.hull()[k])
-    assert np.shares_memory(dist.row(u), block[k])
+    hull = geodesics.hull(dist)
+    dist.ensure_mid_rows(hull)
+    u = int(hull[data.draw(st.integers(0, len(hull) - 1))])
     bfs = nx.single_source_shortest_path_length(nx_graph(ball), u)
     assert dist.row(u).tolist() == [min(bfs[w], dist.clip) for w in range(ball.n_vertices)]
 
@@ -472,7 +473,7 @@ def test_clipped_rows_match_bfs(make_pair, data):
     r_in = data.draw(st.integers(1, 2))
     generators = data.draw(st.sampled_from([_draw_generators, _draw_words]))(data, text)
     ball, dist = make_pair(text, r_in, generators=generators)
-    hull = dist.hull().tolist()
+    hull = geodesics.hull(dist).tolist()
     off = sorted(set(range(ball.n_vertices)) - set(hull))
     vertex = st.one_of(
         [st.integers(0, ball.inner_count - 1), st.sampled_from(hull)] + ([st.sampled_from(off)] if off else [])

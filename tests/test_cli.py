@@ -76,6 +76,9 @@ def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
         ("--radii", "2..x", "--radii wants a range like 2..5, got '2..x'"),
         ("--radii", "..3", "--radii wants a range like 2..5, got '..3'"),
         ("--geodesic-cap", "abc", "--geodesic-cap wants an integer or 'none', got 'abc'"),
+        ("--invariants", "polygon:x", "polygon wants a positive size like polygon:3, got 'polygon:x'"),
+        ("--invariants", "polygon:", "polygon wants a positive size like polygon:3, got 'polygon:'"),
+        ("--invariants", "polygon:0", "polygon wants a positive size like polygon:3, got 'polygon:0'"),
     ],
 )
 def test_integer_parse_errors_name_the_flag(capsys, flag, text, message):
@@ -137,6 +140,15 @@ def test_free_product_normal_form_check_exit_code(monkeypatch, capsys):
     rc = cli.main(["analyze", "--group", "Z2 * Z3", "--radius", "1", "--invariants", "four_point"])
     assert rc == 4
     assert "free-product normal form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["Z", "Z2"])
+def test_default_set_runs_on_the_smallest_balls(capsys, group):
+    # an inner ball of 3 or 2 vertices: corner tuples repeat corners, so
+    # every polygon size of the default set has a value
+    assert cli.main(["analyze", "--group", group, "--radius", "1", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["runs"][0]["results"]
+    assert [r["extra"]["n"] for r in results if r["invariant"] == "polygon_delta"] == [1, 2, 3]
 
 
 def test_empty_invariants_gives_ball_stats_only():

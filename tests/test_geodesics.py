@@ -19,6 +19,7 @@ from cayleyball import (
 from cayleyball.cli import AnalysisConfig, run_analysis
 from cayleyball.geodesics import (
     _avoidance_units,
+    _capped_pairs,
     _first_padded,
     _geodesic_rows,
     _interval_dags,
@@ -315,6 +316,29 @@ def test_store_paths_match_dfs_oracle(make_pair, data):
         assert row == list(path) + [path[-1]] * (len(row) - len(path))
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_capped_pairs_match_uncapped_enumeration(make_pair, data):
+    # the cap test the exhaustive mesh reads, against counting every
+    # geodesic, for each inner pair from both ends, on random two-atom
+    # groups with or without an extra product generator
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    names = list(parse_group_spec(text).generator_names)
+    gens = None
+    if data.draw(st.booleans()):
+        first, second = data.draw(st.permutations(names))[:2]
+        gens = names + [f"{first}.{second}"]
+    ball, dist = make_pair(text, data.draw(st.integers(1, 2)), generators=gens)
+    cap = data.draw(st.sampled_from([1, 2, 3, None]))
+    capped = _capped_pairs(dist, cap)
+    n = ball.inner_count
+    assert capped.shape == (n, n) and capped.dtype == bool
+    for a, b in itertools.product(range(n), repeat=2):
+        count = len(enumerate_geodesics(ball, dist, a, b)[0])
+        assert capped[a, b] == (cap is not None and count > cap)
+
+
 WP_CASES = [
     ("S4", 1), ("S4", 2), ("(Z2 * Z3) x Z", 1), ("(Z2 * Z3) x Z", 2),
     ("Z x Z", 2), ("Z2 * Z3", 2), ("F(a,b)", 1), ("Z6", 2),
@@ -334,8 +358,9 @@ def test_wp_block_matches_oracle(make_pair, data):
         first, second = data.draw(st.permutations(names))[:2]
         gens = names + [f"{first}.{second}"]
     ball, dist = make_pair(text, r_in, generators=gens)
-    rows = dist.ensure_mid_rows()
-    hull = dist.hull().tolist()
+    hull = geodesics.hull(dist)
+    rows = dist.ensure_mid_rows(hull)
+    hull = hull.tolist()
     us, vs = np.triu_indices(ball.inner_count)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geodesics, "_AVOIDANCE_ENTRIES", data.draw(st.sampled_from([1, 1 << 16])))

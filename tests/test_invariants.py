@@ -409,6 +409,8 @@ EXHAUSTIVE_TUPLE_CASES = [
     ("S4", 1, 1), ("S4", 1, 2),
     ("(Z2 * Z3) x Z", 1, 1), ("(Z2 * Z3) x Z", 1, 2),
     ("Z6", 2, 1), ("Z6", 2, 2), ("Z6", 2, 3),
+    # more corners than inner vertices: tuples repeat corners
+    ("Z", 1, 3), ("Z2", 1, 2), ("Z2", 1, 4), ("Z x Z", 1, 5),
 ]
 
 
@@ -523,10 +525,14 @@ def test_polygon_sampled_below_exhaustive(make_pair):
     assert sampled.bound == "lower"
 
 
-def test_polygon_too_many_corners(make_pair):
+def test_polygon_corners_may_outnumber_inner_vertices(make_pair):
+    # Z2 R1 has 2 inner vertices: a tuple of n + 1 corners repeats some,
+    # and both plans answer with an (n + 1)-corner witness
     ball, dist = make_pair("Z2", 1)
-    with pytest.raises(ValueError):
-        polygon_delta(ball, dist, ball.inner_count, EXHAUSTIVE)
+    n = ball.inner_count
+    for plan in (EXHAUSTIVE, SamplingPlan.random(20, 5)):
+        res = polygon_delta(ball, dist, n, plan)
+        assert res.value_doubled == 0 and len(res.witness["corners"]) == n + 1
 
 
 def test_polygon_witness_reevaluates(make_pair):
@@ -1091,7 +1097,7 @@ def test_orbit_reduction_counts_on_grid(make_pair, monkeypatch):
     chain_defect(dist)
     assert len(set(seen)) == 9
     scan = invariants._polygon_scan(ball, dist)
-    assert len(dist.hull()) == 81 and len(scan.WP) == 15
+    assert len(geodesics.hull(dist)) == 81 and len(scan.WP) == 15
 
 
 def test_sampled_plans_never_call_the_finder(monkeypatch):
