@@ -32,17 +32,15 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 from .groups import ElementCodes, GeneratorLetter, GroupSpec, InternalCheckError
 
 # Distances are int16, and the Gromov kernels add two inner distances of at
 # most 2 * r_in each: 4 * r_in must stay at most 32767.
 _MAX_R_IN = 8191
-# Subtrees per reduceat in ``connected_without``: bounds its index array to
-# 4 MiB.  Each call also reduces from its last subtree's end to the end of the
-# ball, so fewer, larger calls waste less.
+# Subtrees per sphere slice in ``connected_without``: a slice's sizes and
+# extremes merge into their parents' in one ``ufunc.at`` each, so its gathered
+# temporaries stay within 1 MiB.
 _SUBTREE_RANGES = 1 << 18
 # Maps kept and letter permutations checked by ``_automorphisms``: there are
 # factorially many, each a pass of every orbit filter.  Any set of maps gives
@@ -101,14 +99,14 @@ class BallGraph:
 
     Vertices are indexed in breadth-first order from the identity (index 0),
     so ``dist0`` is nondecreasing and the inner ball is the prefix
-    ``range(inner_count)``.  The adjacency is the Cayley table ``nbr``, an
-    ``(n_vertices, len(letters))`` int32 array: ``nbr[u, li]`` is the index
-    of ``u * letters[li]``, or -1 outside the ball.  Letters are sorted by
-    label, so label-order traversals are intrinsic to the group, not the
-    ball.
+    ``range(inner_count)``.  The adjacency, the only one kept, is the Cayley
+    table ``nbr``, an ``(n_vertices, len(letters))`` int32 array: ``nbr[u,
+    li]`` is the index of ``u * letters[li]``, or -1 outside the ball.
+    Letters are sorted by label, so label-order traversals are intrinsic to
+    the group, not the ball.
 
     ``elements`` (in vertex order) and ``index`` (element to vertex) are
-    derived on first access, as ``csr()`` and ``automorphisms()`` are: vertex
+    derived on first access, as ``automorphisms()`` is: vertex
     ``v``'s breadth-first parent is the first ``(u, letter)`` in row-major
     order with ``nbr[u, letter] == v``, and its element the parent's times
     that letter.  ``word(i)`` walks the parent chain of ``i`` alone until the
@@ -129,7 +127,6 @@ class BallGraph:
         self.inner_count = int(np.searchsorted(self.dist0, r_in, side="right"))
         self.mid_count = int(np.searchsorted(self.dist0, 2 * r_in, side="right"))
         self._words = dict(enumerate(words)) if words is not None else {}
-        self._csr = None
         self._arcs = None
         self._autos = None
 
@@ -225,13 +222,6 @@ class BallGraph:
     def label(self, letter_index):
         return self.letters[letter_index].label
 
-    def csr(self):
-        """The adjacency as a scipy CSR matrix, for scipy's graph searches:
-        a view derived from ``nbr``, built on first request and cached."""
-        if self._csr is None:
-            self._csr = _table_csr(self.nbr)
-        return self._csr
-
     def automorphisms(self):
         """Label-permuting automorphisms fixing vertex 0, as a ``(k, mid_count)``
         int32 array of maps of the 2R prefix, identity first."""
@@ -318,15 +308,6 @@ def _automorphisms(ball, keep):
     return np.stack(list(group.values()))
 
 
-def _table_csr(nbr):
-    """CSR matrix of a Cayley table, one unit entry per table entry >= 0."""
-    present = nbr >= 0
-    indptr = np.zeros(len(nbr) + 1, dtype=np.int64)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    data = np.ones(int(indptr[-1]), dtype=np.int8)
-    return csr_matrix((data, nbr[present], indptr), shape=(len(nbr), len(nbr)))
-
-
 def _orbit_least(ball, tuples):
     """Which rows of a ``(t, k)`` int64 array of sorted tuples over the
     ``2 * r_in`` prefix (k <= 3) are the least of their orbit under
@@ -375,80 +356,116 @@ def _least_triangles(ball, capped, size):
     return batches
 
 
+def components(n, a, b):
+    """Connected components of the graph on ``range(n)`` with edges ``(a[i],
+    b[i])``: each vertex's label is the least vertex of its component.
+
+    Min-label hooking with pointer jumping.  Labels point to smaller or equal
+    vertices and start as the vertices themselves; a round hooks the larger
+    of each edge's two labels, both roots, to the smaller (the least offer
+    wins), then jumps every label to its root, and drops the edges whose ends
+    now share a label.  Every component tree with an edge to another one
+    hooks or is hooked, so the number of trees per component halves each
+    round.
+    """
+    dtype = np.int32 if n < 1 << 31 else np.int64
+    label = np.arange(n, dtype=dtype)
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    while len(lo):
+        np.minimum.at(label, hi, lo)
+        while True:
+            up = label.take(label)
+            if (up == label).all():
+                break
+            label = up
+        la, lb = label.take(a), label.take(b)
+        split = np.flatnonzero(la != lb)
+        a, b, la, lb = a.take(split), b.take(split), la.take(split), lb.take(split)
+        lo, hi = np.minimum(la, lb), np.maximum(la, lb)
+    return label
+
+
 def connected_without(ball, removed, xs, ys):
     """Whether ``xs[i]`` and ``ys[i]`` stay connected in the ball minus
     vertex ``removed[i]``, as a bool array; false when either is removed.
 
-    One depth-first search answers every query (Tarjan's cut vertices).  Its
-    non-tree edges join ancestors to descendants, so removing p cuts off the
-    subtree of a child c exactly when no table row in it reaches above p:
-    ``low[c] >= pre[p]`` (preorder ``pre``, ``low[c]`` the least ``pre`` on
-    the rows of c's subtree; always at the root).  The ball is connected and
-    every edge has its reverse, so the rest stays connected: x and y are
-    when both lie in one cut-off subtree, or both in the rest.
+    Tarjan and Vishkin's biconnected components on the breadth-first tree
+    (``BallGraph._parent_arcs``), one node per tree edge, named by its lower
+    end.  A non-tree edge between two vertices neither of which is an
+    ancestor of the other links their tree edges, and a vertex's edge links
+    to its parent's edge (unless the parent is the root) when some table row
+    in the vertex's subtree reaches outside the parent's subtree.  Removing
+    p leaves x and y connected exactly when the first edges of tree paths
+    from p to them lie in one block: p's own edge when x lies outside p's
+    subtree, otherwise the edge of p's child toward x.
 
-    Past the search, vertices are named by preorder position and a subtree is
-    a range of positions, ending at the position plus its size (from a
-    second search in postorder and the depths by pointer doubling); its
-    ``low`` is one ``minimum.reduceat``.  Nothing loops per vertex or level.
+    The tree is walked a sphere at a time, with vertices numbered so that
+    parents are nondecreasing (each sphere grouped by parent, in the order
+    of the parents).  A built ball is; an imported one may be renumbered.
+    Subtree sizes merge bottom-up, preorder positions follow top-down (so a
+    subtree is a range of positions), and each subtree's least and greatest
+    position on its table rows merge bottom-up.  Each sphere is then in
+    preorder, so a query's child toward x is the vertex one sphere below p
+    with the last position at or before x's: one ``searchsorted`` over the
+    spheres in turn.
     """
-    n = ball.n_vertices
-    order, parent = depth_first_order(ball.csr(), 0, directed=True, return_predecessors=True)
-    pre = np.empty(n, dtype=np.int32)
-    pre[order] = np.arange(n, dtype=np.int32)
-    removed, xs, ys = pre[removed], pre[xs], pre[ys]
-    parent[0] = 0  # the root hangs from itself
-    up = pre[parent[order]]  # the parent's position
-    # each position's least position on its own table row; -1 entries read n
-    ext = np.append(pre, n)
-    row_low = pre.copy()
-    for col in ball.nbr.T:
-        np.minimum(row_low, ext[col], out=row_low)
-    row_low = np.append(row_low[order], n)
-    del order, parent, pre, ext
-    kids = np.argsort(up[1:], kind="stable").astype(np.int32) + 1  # grouped by parent
-    # The tree again under labels n - 1 - position: a search visits
-    # neighbours in ascending label, so children in descending position,
-    # and its visit order read backwards is the first search's postorder.
-    rows = (n - 1 - up[kids])[::-1]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    tree = csr_matrix((np.ones(n - 1, dtype=np.int8), (n - 1 - kids)[::-1], indptr), shape=(n, n))
-    del rows, indptr
-    visit = depth_first_order(tree, n - 1, directed=True, return_predecessors=False)
-    del tree
-    # A position is preceded in preorder by its ancestors and the subtrees
-    # finished before it, in postorder by those and its descendants: its
-    # subtree ends at postorder + depth + 1.
-    end = np.empty(n, dtype=np.int32)
-    end[n - 1 - visit] = np.arange(n, 0, -1, dtype=np.int32)
-    del visit
-    depth = np.ones(n, dtype=np.int32)
-    depth[0] = 0
-    anc = up.copy()
-    while anc.any():  # after k rounds, anc is 2^k levels up or the root
-        depth += depth[anc]
-        anc = anc[anc]
-    end += depth
-    del depth, anc
-    # the least row entry of each subtree: its range is every second slot
-    cut = np.empty(n, dtype=bool)
-    for lo in range(0, n, _SUBTREE_RANGES):
-        hi = min(lo + _SUBTREE_RANGES, n)
-        ranges = np.empty(2 * (hi - lo), dtype=np.intp)
-        ranges[0::2] = np.arange(lo, hi)
-        ranges[1::2] = end[lo:hi]
-        cut[lo:hi] = np.minimum.reduceat(row_low, ranges)[0::2] >= up[lo:hi]
-    del row_low
-    key = up[kids].astype(np.int64) * n + kids  # ascending
+    n, nbr, dist0 = ball.n_vertices, ball.nbr, ball.dist0
+    removed, xs, ys = (np.asarray(q) for q in (removed, xs, ys))
+    parent = ball._parent_arcs() // nbr.shape[1]
+    parent[0] = 0
+    cuts = np.searchsorted(dist0, np.arange(int(dist0[-1]) + 2))
+    if (parent[2:] < parent[1:-1]).any():  # renumber, a sphere at a time
+        new = np.arange(n)
+        for d in range(1, len(cuts) - 1):
+            v = np.arange(cuts[d], cuts[d + 1])
+            new[v[np.argsort(new[parent[v]], kind="stable")]] = v
+        old = np.empty_like(new)
+        old[new] = np.arange(n)
+        parent, nbr = new[parent[old]], np.where(nbr >= 0, new[nbr], -1)[old]
+        removed, xs, ys = new[removed], new[xs], new[ys]
+    parent = parent.astype(np.int32)
+    # the spheres deepest first, in slices of at most _SUBTREE_RANGES vertices
+    slices = [slice(lo, min(lo + _SUBTREE_RANGES, cuts[d + 1]))
+              for d in range(len(cuts) - 2, 0, -1) for lo in range(cuts[d], cuts[d + 1], _SUBTREE_RANGES)]
+    size = np.ones(n, dtype=np.int32)
+    for at in slices:
+        np.add.at(size, parent[at], size[at])
+    # a vertex's position is its parent's plus one plus the sizes of its
+    # earlier siblings, whose numbers run from the parent's first child
+    heads = np.flatnonzero(np.diff(parent[1:], prepend=-1)) + 1
+    first = np.zeros(n, dtype=np.intp)
+    first[heads] = heads
+    before = np.cumsum(size) - size
+    step = before - before[np.maximum.accumulate(first)] + 1
+    pre = np.zeros(n, dtype=np.int32)
+    for at in reversed(slices):
+        pre[at] = pre[parent[at]] + step[at]
+    end = pre + size
+    # each vertex's least and greatest position on its table row (-1 entries
+    # read n, then -1), then over its subtree
+    lo_ext, hi_ext = np.append(pre, np.int32(n)), np.append(pre, np.int32(-1))
+    low, high = pre.copy(), pre.copy()
+    for col in nbr.T:
+        np.minimum(low, lo_ext[col], out=low)
+        np.maximum(high, hi_ext[col], out=high)
+    for at in slices:
+        np.minimum.at(low, parent[at], low[at])
+        np.maximum.at(high, parent[at], high[at])
+    reach = (parent > 0) & ((low < pre[parent]) | (high >= end[parent]))
+    a, b = [np.flatnonzero(reach)], [parent[reach]]
+    for col in nbr.T:  # row entries past the row's subtree, each edge once
+        u = np.flatnonzero(hi_ext[col] >= end)
+        a.append(u)
+        b.append(col[u])
+    block = components(n, np.concatenate(a), np.concatenate(b))
+    key = dist0.astype(np.int64) * n + pre  # ascending
+    below = (dist0[removed].astype(np.int64) + 1) * n
 
     def side(v):
-        # the child of the removed vertex whose subtree holds v, if removing
-        # it cuts that subtree off, and -1 for the rest of the ball
-        i = np.searchsorted(key, removed.astype(np.int64) * n + v, side="right") - 1
-        c = kids[np.maximum(i, 0)]
-        held = (i >= 0) & (up[c] == removed) & (v < end[c]) & cut[c]
-        return np.where(held, c, -1)
+        inside = (pre[removed] < pre[v]) & (pre[v] < end[removed])
+        child = np.searchsorted(key, below + pre[v], side="right") - 1
+        return block[np.where(inside, child, removed)]
 
     return (xs != removed) & (ys != removed) & (side(xs) == side(ys))
 
@@ -737,9 +754,15 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
         u, v = one_way[0]
         raise ValueError(f"edge {u} {v} has no reverse edge {v} {u}")
 
-    graph = _table_csr(nbr)
-    dist0 = dijkstra(graph, unweighted=True, indices=0)
-    if np.isinf(dist0).any():
+    # distances from vertex 0, one sphere of the table at a time
+    dist0 = np.full(n, -1, dtype=np.int64)
+    dist0[0], front, d = 0, np.zeros(1, dtype=np.int32), 0
+    while len(front):
+        d += 1
+        reached = np.unique(nbr[front])
+        front = reached[(reached >= 0) & (dist0[reached] < 0)]
+        dist0[front] = d
+    if (dist0 < 0).any():
         raise ValueError("imported ball is not connected")
     drop = np.flatnonzero(np.diff(dist0) < 0)
     if drop.size:
@@ -758,6 +781,4 @@ def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
         index = {spec.parse_word(w): i for i, w in enumerate(words)}
         if len(index) < n:
             raise ValueError("two vertex words name the same element")
-    ball = BallGraph(spec, letters, r_in, r_out, index, dist0, nbr, words=words)
-    ball._csr = graph
-    return ball
+    return BallGraph(spec, letters, r_in, r_out, index, dist0, nbr, words=words)

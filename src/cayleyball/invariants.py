@@ -23,10 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .ball import DistanceMatrix, _least_triangles, _orbit_least, _segments, connected_without
+from .ball import DistanceMatrix, _least_triangles, _orbit_least, _segments, components, connected_without
 from .geodesics import (
     _avoidance_units,
     _entries,
@@ -607,10 +605,10 @@ def bigon_constants(ball, dist, plan: SamplingPlan):
 
 # detour constant: how far an adversarial coterminal path can stay away
 
-# Adjacency entries of one stacked detour graph.  On a 2-vCPU VM 2^15 to 2^18
-# ran the benchmark's detour equally fast, 2^16 keeps a stack near 0.5 MiB,
-# and 2^22 fell out of cache (free-r3's detour 1.5x slower).
-_DETOUR_ENTRIES = 1 << 16
+# Edges (each once) of one stacked detour graph.  On a 2-vCPU VM 2^15 ran the detour of
+# Z x Z R3 to R5, (Z2 * Z3) x Z R3 and F(a,b) R3 fastest of 2^13 to 2^17;
+# 2^16 took up to 1.5x as long on the larger balls.
+_DETOUR_ENTRIES = 1 << 15
 
 
 def _detour_levels(ball, dist, probes, xs, ys):
@@ -622,13 +620,10 @@ def _detour_levels(ball, dist, probes, xs, ys):
 
     Level 1 (the ball minus p) comes from ``connected_without``; on a
     hyperbolic ball every query stops there.  From level 2 up, each probe
-    with an open query gets a copy of the ball's CSR, stacked
-    block-diagonally for one ``connected_components`` call.  An
-    edge with ``min(rp[s], rp[t]) < r`` becomes a self-loop, so the copies
-    keep the cached ``indptr``, and a query needs both ends unmasked.  Edges
-    are masked with their reverses, so strong components are the connected
-    ones.  A stack holds at most ``_DETOUR_ENTRIES`` adjacency entries (at
-    least one probe).
+    with an open query gets a copy of the ball's edges whose ends both have
+    ``rp >= r``, the copies numbered apart for one ``components`` call, and
+    a query needs both ends unmasked.  A stack holds at most
+    ``_DETOUR_ENTRIES`` edges (at least one probe).
     """
     probes, xs, ys = (np.asarray(a, dtype=np.int32) for a in (probes, xs, ys))
     levels = np.zeros(len(probes), dtype=np.int32)
@@ -640,16 +635,10 @@ def _detour_levels(ball, dist, probes, xs, ys):
     active = np.flatnonzero(levels[order])  # sorted positions of unresolved queries
     if not active.size:
         return levels
-    graph = ball.csr()
-    n, nnz = ball.n_vertices, graph.nnz
-    per_chunk = max(1, _DETOUR_ENTRIES // max(nnz, 1))
-    copies = min(per_chunk, len(np.unique(sp[active])))
-    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(graph.indptr))
-    dst = graph.indices.astype(np.int32, copy=False)
-    # the stack of `copies` copies; a chunk of m copies reads prefixes
-    shift = np.arange(copies, dtype=np.int32)[:, None]
-    indptr = np.append((graph.indptr[:-1] + shift * nnz).ravel(), copies * nnz).astype(np.int32, copy=False)
-    data = np.broadcast_to(1.0, (copies * nnz,))  # edge weights are never read
+    n = ball.n_vertices
+    src, col = np.nonzero(ball.nbr > np.arange(n)[:, None])  # each edge once
+    dst = ball.nbr[src, col]
+    per_chunk = max(1, _DETOUR_ENTRIES // max(len(src), 1))
     r = 2
     while active.size:
         ap = sp[active]
@@ -657,15 +646,13 @@ def _detour_levels(ball, dist, probes, xs, ys):
         survivors = []
         for lo in range(0, len(live), per_chunk):
             chunk = live[lo : lo + per_chunk]
-            m = len(chunk)
             allowed = dist.rows(chunk) >= r
             kept = allowed.take(src, axis=1)
             kept &= allowed.take(dst, axis=1)
-            heads = np.where(kept, dst, src)
-            heads += shift[:m] * n
-            stacked = csr_matrix((data[: m * nnz], heads.ravel(), indptr[: m * n + 1]), shape=(m * n, m * n))
+            copy, e = np.nonzero(kept)
+            copy *= n
+            labels = components(len(chunk) * n, copy + src[e], copy + dst[e])
             allowed = allowed.ravel()
-            _, labels = connected_components(stacked, directed=True, connection="strong")
             q = active[np.searchsorted(ap, chunk[0]) : np.searchsorted(ap, chunk[-1], side="right")]
             base = np.searchsorted(chunk, sp[q]) * n
             vx, vy = base + sx[q], base + sy[q]

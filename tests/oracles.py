@@ -12,6 +12,7 @@ from collections import deque
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from cayleyball.ball import BallGraph, BudgetExceededError, resolve_letters
 
@@ -273,7 +274,17 @@ def quasiconvexity_oracle(ball, subgroup_gens):
 
 
 # ---------------------------------------------------------------------------
-# graph-level oracles via networkx
+# graph-level oracles via networkx and scipy
+
+def table_csr(nbr):
+    """A Cayley table as a scipy CSR matrix, one unit entry per table entry
+    >= 0, for scipy's graph searches."""
+    present = nbr >= 0
+    indptr = np.zeros(len(nbr) + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    data = np.ones(int(indptr[-1]), dtype=np.int8)
+    return csr_matrix((data, nbr[present], indptr), shape=(len(nbr), len(nbr)))
+
 
 def nx_graph(ball):
     G = nx.Graph()

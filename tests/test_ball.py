@@ -22,7 +22,7 @@ from cayleyball import (
     write_ball,
 )
 from cayleyball import ball as ball_module
-from cayleyball.ball import resolve_letters
+from cayleyball.ball import components, connected_without, resolve_letters
 from cayleyball.groups import GroupSpec
 from oracles import (
     all_pairs_oracle,
@@ -252,30 +252,32 @@ _OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("r
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,match",
     [
-        "",
-        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 -1 a\n",
-        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 2 a\n",
-        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n0 1 a\n1 0 a\n",
-        "vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n",
-        "vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 b\n0 1 a\n0 2 a\n1 0 a\n2 0 a\n",
+        ("", None),
+        ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 -1 a\n", None),
+        ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 2 a\n", None),
+        ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n0 1 a\n1 0 a\n", None),
+        ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n", None),
+        ("vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 b\n0 1 a\n0 2 a\n1 0 a\n2 0 a\n", None),
         # the path 0 - 2 - 1: dist0 = [0, 2, 1] would drop vertex 2 from the inner ball
-        "vertices 3 radius_in 1 radius_out 2\n0 1\n1 a^2\n2 a\n0 2 a\n2 0 a^-1\n2 1 a\n1 2 a^-1\n",
-        "vertices 2 radius_in -1 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n",
+        ("vertices 3 radius_in 1 radius_out 2\n0 1\n1 a^2\n2 a\n0 2 a\n2 0 a^-1\n2 1 a\n1 2 a^-1\n", None),
+        ("vertices 2 radius_in -1 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n", None),
         # build_ball refuses r_in > 8191: 4 * r_in must fit int16
-        "vertices 2 radius_in 9000 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n",
-        _OUT_OF_RADIUS,
-        "vertices 1 radius_in 1 radius_out 3\n0 1\n",
+        ("vertices 2 radius_in 9000 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n", None),
+        (_OUT_OF_RADIUS, None),
+        ("vertices 1 radius_in 1 radius_out 3\n0 1\n", None),
+        # vertex 2 has no edge: the sweep from vertex 0 never reaches it
+        ("vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 a^2\n0 1 a\n1 0 a^-1\n", "not connected"),
     ],
     ids=[
         "empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge",
         "two-edges-one-label", "not-breadth-first", "negative-radius-in", "radius-in-past-int16",
-        "vertex-beyond-radius-out", "no-edges",
+        "vertex-beyond-radius-out", "no-edges", "disconnected",
     ],
 )
-def test_import_rejects_malformed_text(text):
-    with pytest.raises(ValueError):
+def test_import_rejects_malformed_text(text, match):
+    with pytest.raises(ValueError, match=match):
         read_ball(text)
 
 
@@ -300,6 +302,96 @@ def test_export_round_trip_random(data):
     assert (loaded.nbr == ball.nbr).all() and (loaded.dist0 == ball.dist0).all()
     assert loaded.index == ball.index
     assert (all_pairs_distances(loaded).inner == all_pairs_distances(ball).inner).all()
+
+
+def _least_labels(n, edges):
+    """Each vertex's least component-mate, from networkx's components."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    labels = [0] * n
+    for part in nx.connected_components(graph):
+        for v in part:
+            labels[v] = min(part)
+    return labels
+
+
+def _ruler_path(k):
+    """The path through ``2**k`` vertices whose i-th vertex is numbered by
+    the trailing zeros of i, most first: the local minima of each round's
+    contracted path are every second one of its vertices, so min-label
+    hooking needs k rounds."""
+    def zeros(i):
+        return k if i == 0 else (i & -i).bit_length() - 1
+
+    ranked = sorted(range(2**k), key=lambda i: (-zeros(i), i))
+    number = [0] * 2**k
+    for rank, i in enumerate(ranked):
+        number[i] = rank
+    return list(zip(number, number[1:]))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_components_match_networkx(data):
+    n = data.draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    if data.draw(st.booleans()):  # a ruler path, shifted, among the edges
+        k = data.draw(st.integers(1, 5))
+        n += 2**k
+        edges += [(n - 2**k + a, n - 2**k + b) for a, b in _ruler_path(k)]
+    a, b = (np.array([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+    assert components(n, a, b).tolist() == _least_labels(n, edges)
+
+
+def test_components_of_a_ruler_path():
+    edges = _ruler_path(10)
+    a, b = (np.array(c) for c in zip(*edges))
+    assert components(2**10, a, b).tolist() == [0] * 2**10
+    assert components(2**10, b, a).tolist() == [0] * 2**10
+
+
+def _shuffled_export(ball, rng):
+    """``write_ball`` text of the ball with its vertices renumbered at random
+    within each sphere: still breadth-first, but the first parents in
+    row-major order are no longer nondecreasing."""
+    cuts = np.searchsorted(ball.dist0, np.arange(ball.r_out + 2))
+    new = np.concatenate([rng.permutation(np.arange(lo, hi)) for lo, hi in zip(cuts, cuts[1:])])
+    old = np.argsort(new)
+    lines = [f"vertices {ball.n_vertices} radius_in {ball.r_in} radius_out {ball.r_out}"]
+    lines += [f"{i} v{v}" for i, v in enumerate(old.tolist())]
+    us, lis = np.nonzero(ball.nbr >= 0)
+    for u, v, li in zip(new[us].tolist(), new[ball.nbr[us, lis]].tolist(), lis.tolist()):
+        lines.append(f"{u} {v} {ball.label(li)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_connected_without_on_shuffled_imports(make_pair, data):
+    # a cut-vertex query against networkx on a ball whose BFS-tree parents
+    # are out of order, so that connected_without renumbers the tree first
+    atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
+    text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
+    built, _ = make_pair(text, data.draw(st.integers(1, 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ball = read_ball(_shuffled_export(built, rng))
+    parent = ball._parent_arcs()[1:] // ball.nbr.shape[1]
+    assume((np.diff(parent) < 0).any())
+    p, x, y = rng.integers(0, ball.n_vertices, size=(3, 300)).tolist()
+    # the root, probes at an endpoint, and repeated endpoints
+    queries = list(zip(p, x, y)) + [(0, x[0], y[0])]
+    queries += [(a, a, b) for a, b in zip(x[:20], y[:20])] + [(b, a, b) for a, b in zip(x[:20], y[:20])]
+    queries += [(q, a, a) for q, a in zip(p[:20], x[:20])]
+    got = connected_without(ball, *(np.array(c) for c in zip(*queries)))
+    graph = nx_graph(ball)
+    side = {}
+    for q in {q for q, _, _ in queries}:
+        for part in nx.connected_components(nx.restricted_view(graph, [q], [])):
+            side.update({(q, v): min(part) for v in part})
+    for (q, a, b), reached in zip(queries, got.tolist()):
+        assert reached == (a != q and b != q and side[q, a] == side[q, b]), (q, a, b)
 
 
 def test_custom_generating_set(make_pair):
@@ -488,7 +580,6 @@ def test_clipped_rows_match_bfs(make_pair, data):
 def test_distance_rows_allocate_little_beyond_the_block():
     # the sweep's frontier is small next to the int16 block it fills
     ball = build_ball(parse_group_spec("F(a,b)"), 3)
-    ball.csr()
     tracemalloc.start()
     try:
         dist = DistanceMatrix(ball)

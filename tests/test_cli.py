@@ -351,6 +351,22 @@ def test_optimized_interpreter_reports_the_same():
     assert _strip_timing(optimized) == _strip_timing(plain)
 
 
+def test_analysis_loads_no_scipy():
+    # the package needs numpy alone (scipy serves the test oracles): a fresh
+    # interpreter that imports the CLI and runs the default set loads no
+    # scipy module, scipy.sparse included
+    code = (
+        "import sys\n"
+        "from cayleyball import cli\n"
+        "cli.emit_report(cli.run_analysis(cli.AnalysisConfig(group='Z x Z', radii=[2])), 'json')\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_readme_library_sketch_runs(capsys):
     # the sketch goes stale when the API it uses is renamed or deleted
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import shortest_path
 
 from cayleyball import (
     DistanceMatrix,
@@ -28,7 +28,7 @@ from cayleyball import (
 )
 from cayleyball import InternalCheckError, geodesics, invariants
 from cayleyball import ball as ball_module
-from cayleyball.ball import connected_without
+from cayleyball.ball import components, connected_without
 from cayleyball.invariants import (
     SamplingPlan,
     _bottleneck_chain,
@@ -54,6 +54,7 @@ from oracles import (
     polygon_thinness_oracle,
     polygon_tuple_oracle,
     quasiconvexity_oracle,
+    table_csr,
 )
 
 EXHAUSTIVE = SamplingPlan.exhaustive()
@@ -762,15 +763,15 @@ def test_detour_level_one_matches_networkx(make_pair, data):
 @pytest.mark.parametrize("text,r_in", [("F(a,b)", 2), ("Z2 * Z3", 3)])
 def test_detour_stops_at_level_one_without_component_passes(make_pair, monkeypatch, text, r_in):
     # every query of a virtually free ball stops at level 1, which one
-    # depth-first search resolves: no component pass runs
+    # cut-vertex pass resolves: no component pass on the stacked copies runs
     ball, dist = make_pair(text, r_in)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return connected_components(*args, **kwargs)
+        return components(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "connected_components", counted)
+    monkeypatch.setattr(invariants, "components", counted)
     assert detour_epsilon(ball, dist, EXHAUSTIVE).value_doubled == 0
     assert calls == []
 
@@ -1236,7 +1237,7 @@ class UnclippedDistances(DistanceMatrix):
     """Full-ball rows: every distance exact, none clipped."""
 
     def _clipped_rows(self, sources):
-        return shortest_path(self.ball.csr(), unweighted=True, indices=sources).astype(np.int16)
+        return shortest_path(table_csr(self.ball.nbr), unweighted=True, indices=sources).astype(np.int16)
 
 
 @pytest.mark.parametrize(
