@@ -61,16 +61,16 @@ class BudgetExceededError(RuntimeError):
         self.radius_reached = radius_reached
 
 
-def resolve_letters(spec: GroupSpec, generator_words=None):
+def resolve_letters(spec: GroupSpec, generators=None):
     """Resolve a generating set (words over the standard generators, or
     those when omitted) and close it under inversion.  Letters are
     deduplicated by element (labels are canonical words) and identity letters
     are rejected.
     """
-    if generator_words is None:
+    if generators is None:
         base = [(name, spec._by_name[name]) for name, _ in spec.generators]
     else:
-        base = [(w, spec.parse_word(w)) for w in generator_words]
+        base = [(w, spec.parse_word(w)) for w in generators]
     if not base:
         raise ValueError("generator list is empty")
 
@@ -110,11 +110,12 @@ class BallGraph:
     ``v``'s breadth-first parent is the first ``(u, letter)`` in row-major
     order with ``nbr[u, letter] == v``, and its element the parent's times
     that letter.  ``word(i)`` walks the parent chain of ``i`` alone until the
-    list exists.  Both are None for a graph-only import.  The table, ``dist0``
-    and the counts are fixed; the derived views fill in without locks.
+    list exists.  The table, ``dist0`` and the counts are fixed; the derived
+    views fill in without locks.  Balls come from ``build_ball`` (``read_ball``
+    rebuilds one); ``index``, when given, is the element-to-vertex map.
     """
 
-    def __init__(self, spec, letters, r_in, r_out, index, dist0, nbr, words=None):
+    def __init__(self, spec, letters, r_in, r_out, index, dist0, nbr):
         self.spec = spec
         self.letters = letters
         self.r_in = r_in
@@ -126,14 +127,13 @@ class BallGraph:
         self.n_vertices = len(nbr)
         self.inner_count = int(np.searchsorted(self.dist0, r_in, side="right"))
         self.mid_count = int(np.searchsorted(self.dist0, 2 * r_in, side="right"))
-        self._words = dict(enumerate(words)) if words is not None else {}
+        self._words = {}
         self._arcs = None
         self._autos = None
 
     def __repr__(self):
-        text = self.spec.text if self.spec is not None else "<imported>"
         return (
-            f"BallGraph({text!r}, r_in={self.r_in}, "
+            f"BallGraph({self.spec.text!r}, r_in={self.r_in}, "
             f"vertices={self.n_vertices}, inner={self.inner_count})"
         )
 
@@ -159,8 +159,8 @@ class BallGraph:
 
     @property
     def elements(self):
-        """Group element of each vertex, in vertex order (None without a spec)."""
-        if self._elements is None and self.spec is not None:
+        """Group element of each vertex, in vertex order."""
+        if self._elements is None:
             arcs = self._parent_arcs()[1:].tolist()
             n_letters = len(self.letters)
             letter_elements = [l.element for l in self.letters]
@@ -173,8 +173,8 @@ class BallGraph:
 
     @property
     def index(self):
-        """Vertex of each element (None without a spec)."""
-        if self._index is None and self.elements is not None:
+        """Vertex of each element."""
+        if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements)}
         return self._index
 
@@ -212,8 +212,6 @@ class BallGraph:
 
     def index_of_word(self, word):
         """Vertex index of the element a word evaluates to; KeyError if outside."""
-        if self.spec is None or self.index is None:
-            raise ValueError("ball was imported without a group spec")
         e = self.spec.parse_word(word)
         if e not in self.index:
             raise KeyError(f"element {word!r} lies outside the ball")
@@ -276,14 +274,10 @@ def _automorphisms(ball, keep):
     """``BallGraph.automorphisms`` on the first ``keep`` vertices: the
     ``_letter_perms`` that ``_tree_map`` keeps.  Maps compose, so a candidate
     in the group found is not checked, and a failed one fails its coset.
-    Without unique letter inverses: the identity alone.
     """
     nbr = ball.nbr
     ident = np.arange(keep, dtype=np.int32)
-    try:
-        inv = _inverse_letters(nbr)
-    except InternalCheckError:
-        return ident[None]
+    inv = _inverse_letters(nbr)
     parent, letter = np.divmod(ball._parent_arcs(), len(inv))
     cuts = np.searchsorted(ball.dist0, np.arange(int(ball.dist0[-1]) + 2))
     gens, group, bad, checks = [], {tuple(range(len(inv))): ident}, set(), 0
@@ -400,30 +394,23 @@ def connected_without(ball, removed, xs, ys):
     from p to them lie in one block: p's own edge when x lies outside p's
     subtree, otherwise the edge of p's child toward x.
 
-    The tree is walked a sphere at a time, with vertices numbered so that
-    parents are nondecreasing (each sphere grouped by parent, in the order
-    of the parents).  A built ball is; an imported one may be renumbered.
-    Subtree sizes merge bottom-up, preorder positions follow top-down (so a
-    subtree is a range of positions), and each subtree's least and greatest
-    position on its table rows merge bottom-up.  Each sphere is then in
-    preorder, so a query's child toward x is the vertex one sphere below p
-    with the last position at or before x's: one ``searchsorted`` over the
-    spheres in turn.
+    The tree is walked a sphere at a time.  ``build_ball`` numbers each
+    sphere by first occurrence in (vertex, letter) order, so parents are
+    nondecreasing: each sphere is grouped by parent, in the order of the
+    parents (checked; InternalCheckError otherwise).  Subtree sizes merge
+    bottom-up, preorder positions follow top-down (so a subtree is a range
+    of positions), and each subtree's least and greatest position on its
+    table rows merge bottom-up.  Each sphere is then in preorder, so a
+    query's child toward x is the vertex one sphere below p with the last
+    position at or before x's: one ``searchsorted`` over the spheres in turn.
     """
     n, nbr, dist0 = ball.n_vertices, ball.nbr, ball.dist0
     removed, xs, ys = (np.asarray(q) for q in (removed, xs, ys))
     parent = ball._parent_arcs() // nbr.shape[1]
     parent[0] = 0
     cuts = np.searchsorted(dist0, np.arange(int(dist0[-1]) + 2))
-    if (parent[2:] < parent[1:-1]).any():  # renumber, a sphere at a time
-        new = np.arange(n)
-        for d in range(1, len(cuts) - 1):
-            v = np.arange(cuts[d], cuts[d + 1])
-            new[v[np.argsort(new[parent[v]], kind="stable")]] = v
-        old = np.empty_like(new)
-        old[new] = np.arange(n)
-        parent, nbr = new[parent[old]], np.where(nbr >= 0, new[nbr], -1)[old]
-        removed, xs, ys = new[removed], new[xs], new[ys]
+    if (parent[2:] < parent[1:-1]).any():
+        raise InternalCheckError("breadth-first parents out of order")
     parent = parent.astype(np.int32)
     # the spheres deepest first, in slices of at most _SUBTREE_RANGES vertices
     slices = [slice(lo, min(lo + _SUBTREE_RANGES, cuts[d + 1]))
@@ -699,86 +686,33 @@ def write_ball(ball: BallGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_ball(text: str, spec: GroupSpec | None = None) -> BallGraph:
-    """Rebuild a ball from its text export.
+def read_ball(text: str, spec: GroupSpec) -> BallGraph:
+    """Rebuild a ball from its text export: ``build_ball(spec, radius_in)``
+    over the edge labels (the lines of three fields), accepted only when its
+    ``write_ball`` export is the text, line for line.
 
-    With ``spec`` the vertex words are re-evaluated to group elements;
-    without it the ball is graph-only (no subgroup enumeration).  Letters are
-    the edge labels in label order.  Raises ValueError on a malformed header
-    or vertex line, no edge line, an edge endpoint outside the ball, a
-    repeated edge line, two edges with one label out of one vertex, an edge
-    without its reverse, a disconnected graph, vertex lines out of
-    breadth-first order, a ``radius_in`` outside ``1.._MAX_R_IN``, a vertex
-    beyond ``radius_out``, or (with ``spec``) two vertex words naming one
-    element.
+    The build's vertex budget is the text's line count, so a header cannot
+    make it outgrow its input.  Raises ValueError on a malformed header, a
+    ``radius_in`` outside ``1.._MAX_R_IN``, no edge line, a label that is not
+    a word of ``spec``, a build past the budget, or a line that differs from
+    the rebuilt ball's export (the first one is named).
     """
     lines = text.splitlines() or [""]  # empty text fails the header check
     header = lines[0].split()
     if len(header) != 6 or header[0] != "vertices" or header[2] != "radius_in" or header[4] != "radius_out":
         raise ValueError(f"bad ball header: {lines[0]!r}")
-    n, r_in, r_out = int(header[1]), int(header[3]), int(header[5])
+    r_in = int(header[3])
     if not 1 <= r_in <= _MAX_R_IN:
         raise ValueError(f"radius_in must lie in 1..{_MAX_R_IN}, got {r_in}")
-
-    words = []
-    for line in lines[1 : 1 + n]:
-        idx, word = line.split(" ", 1)
-        if int(idx) != len(words):
-            raise ValueError(f"vertex lines out of order near {line!r}")
-        words.append(word)
-
-    edges = []
-    for line in lines[1 + n :]:
-        if not line.strip():
-            continue
-        u, v, label = line.split(" ", 2)
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge endpoint out of range in {line!r}")
-        edges.append((u, v, label))
-    if not edges:
+    labels = sorted({f[2] for f in (line.split(" ") for line in lines[1:]) if len(f) == 3})
+    if not labels:
         raise ValueError("imported ball has no edge lines: a Cayley ball needs at least one letter")
-    labels = sorted({label for _, _, label in edges})
-    column = {label: li for li, label in enumerate(labels)}
-    nbr = np.full((n, len(labels)), -1, dtype=np.int32)
-    for u, v, label in edges:
-        li = column[label]
-        if nbr[u, li] == v:
-            raise ValueError(f"repeated edge {u} {v} {label}")
-        if nbr[u, li] >= 0:
-            raise ValueError(f"vertex {u} has two edges labelled {label!r}")
-        nbr[u, li] = v
-    arcs = {(u, v) for u, v, _ in edges}
-    one_way = sorted(arc for arc in arcs if arc[::-1] not in arcs)
-    if one_way:
-        u, v = one_way[0]
-        raise ValueError(f"edge {u} {v} has no reverse edge {v} {u}")
-
-    # distances from vertex 0, one sphere of the table at a time
-    dist0 = np.full(n, -1, dtype=np.int64)
-    dist0[0], front, d = 0, np.zeros(1, dtype=np.int32), 0
-    while len(front):
-        d += 1
-        reached = np.unique(nbr[front])
-        front = reached[(reached >= 0) & (dist0[reached] < 0)]
-        dist0[front] = d
-    if (dist0 < 0).any():
-        raise ValueError("imported ball is not connected")
-    drop = np.flatnonzero(np.diff(dist0) < 0)
-    if drop.size:
-        v = int(drop[0])
-        raise ValueError(f"vertex lines not in breadth-first order: vertex {v + 1} is closer to vertex 0 than vertex {v}")
-    if dist0[-1] > r_out:
-        raise ValueError(f"vertex {n - 1} is {int(dist0[-1])} from vertex 0, beyond radius_out {r_out}")
-
-    letters = [
-        GeneratorLetter(label=label, word=label, inverted=False,
-                        element=spec.parse_word(label) if spec is not None else None)
-        for label in labels
-    ]
-    index = None
-    if spec is not None:
-        index = {spec.parse_word(w): i for i, w in enumerate(words)}
-        if len(index) < n:
-            raise ValueError("two vertex words name the same element")
-    return BallGraph(spec, letters, r_in, r_out, index, dist0, nbr, words=words)
+    try:
+        ball = build_ball(spec, r_in, generators=labels, budget=len(lines))
+    except BudgetExceededError as exc:
+        raise ValueError(f"the rebuilt ball outgrows the text: {exc}") from None
+    export = write_ball(ball).splitlines()
+    for i, (got, want) in enumerate(itertools.zip_longest(lines, export)):
+        if got != want:
+            raise ValueError(f"line {i + 1} is {got!r}, the rebuilt ball's export has {want!r}")
+    return ball

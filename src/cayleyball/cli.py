@@ -213,7 +213,7 @@ def _parse_radii(args):
 
 
 def _split_words(text):
-    return [w.strip() for w in text.split(",") if w.strip()] if text else None
+    return None if text is None else [w.strip() for w in text.split(",") if w.strip()]
 
 
 def _parse_cap(text):
@@ -250,7 +250,10 @@ def _invariant_list(text, subgroup):
         if subgroup:
             out.append("quasiconvex")
         return out
-    return [s.strip() for s in text.split(",") if s.strip()]
+    out = [s.strip() for s in text.split(",") if s.strip()]
+    if not out:  # AnalysisConfig takes [] as a ball-statistics run; the flag does not
+        raise ValueError(f"--invariants {text!r} selects no invariant")
+    return out
 
 
 def _config_from_args(args):

@@ -569,10 +569,14 @@ class GroupSpec:
         return self.root.invert(a)
 
     def power(self, a, k):
-        out = self.identity()
-        base = a if k >= 0 else self.invert(a)
-        for _ in range(abs(k)):
-            out = self.multiply(out, base)
+        """``a ** k`` by square and multiply: about ``2 log2 |k|`` products."""
+        out, base, k = self.identity(), a if k >= 0 else self.invert(a), abs(k)
+        while k:
+            if k & 1:
+                out = self.multiply(out, base)
+            k >>= 1
+            if k:
+                base = self.multiply(base, base)
         return out
 
     def parse_word(self, text):

@@ -941,8 +941,6 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
 def enumerate_subgroup(ball, subgroup_gens):
     """Closure of the identity under subgroup generator words inside the
     ball: ``(sorted vertex indices, M)``, M the largest generator length."""
-    if ball.spec is None:
-        raise ValueError("subgroup enumeration needs a ball with a group spec")
     if not subgroup_gens:
         raise ValueError("subgroup generator list is empty")
     spec = ball.spec

@@ -22,7 +22,7 @@ from cayleyball import (
     write_ball,
 )
 from cayleyball import ball as ball_module
-from cayleyball.ball import components, connected_without, resolve_letters
+from cayleyball.ball import components, resolve_letters
 from cayleyball.groups import GroupSpec
 from oracles import (
     all_pairs_oracle,
@@ -229,24 +229,6 @@ def test_automorphisms_map_the_graph_onto_itself(text, r_in, generators, order):
     assert (ball.automorphisms() == full[:, : ball.mid_count]).all()
 
 
-def test_automorphisms_without_unique_inverses_are_the_identity():
-    # letters x and y both lead from 0 to 1 and back, so neither has a
-    # unique inverse: the finder keeps the identity instead of raising
-    ball = read_ball("vertices 2 radius_in 1 radius_out 3\n0 1\n1 x\n0 1 x\n0 1 y\n1 0 x\n1 0 y\n")
-    assert ball.automorphisms().tolist() == [[0, 1]]
-
-
-def test_import_without_spec(make_pair):
-    ball, dist = make_pair("F(a,b)", 1)
-    loaded = read_ball(write_ball(ball))
-    assert loaded.spec is None
-    d2 = all_pairs_distances(loaded)
-    assert (d2.inner == dist.inner).all()
-    assert write_ball(loaded) == write_ball(ball)
-    with pytest.raises(ValueError):
-        loaded.index_of_word("a")
-
-
 # a Z x Z R1 export, whose vertices reach distance 3, under a radius_out 1 header
 _OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("radius_out 3", "radius_out 1", 1)
 
@@ -254,7 +236,7 @@ _OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("r
 @pytest.mark.parametrize(
     "text,match",
     [
-        ("", None),
+        ("", "bad ball header"),
         ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 -1 a\n", None),
         ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 2 a\n", None),
         ("vertices 2 radius_in 1 radius_out 1\n0 1\n1 a\n0 1 a\n0 1 a\n1 0 a\n", None),
@@ -262,13 +244,14 @@ _OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("r
         ("vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 b\n0 1 a\n0 2 a\n1 0 a\n2 0 a\n", None),
         # the path 0 - 2 - 1: dist0 = [0, 2, 1] would drop vertex 2 from the inner ball
         ("vertices 3 radius_in 1 radius_out 2\n0 1\n1 a^2\n2 a\n0 2 a\n2 0 a^-1\n2 1 a\n1 2 a^-1\n", None),
-        ("vertices 2 radius_in -1 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n", None),
+        ("vertices 2 radius_in -1 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n", "radius_in must lie"),
         # build_ball refuses r_in > 8191: 4 * r_in must fit int16
-        ("vertices 2 radius_in 9000 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n", None),
-        (_OUT_OF_RADIUS, None),
-        ("vertices 1 radius_in 1 radius_out 3\n0 1\n", None),
-        # vertex 2 has no edge: the sweep from vertex 0 never reaches it
-        ("vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 a^2\n0 1 a\n1 0 a^-1\n", "not connected"),
+        ("vertices 2 radius_in 9000 radius_out 1\n0 1\n1 a\n0 1 a\n1 0 a^-1\n", "radius_in must lie"),
+        (_OUT_OF_RADIUS, "line 1 is"),
+        ("vertices 1 radius_in 1 radius_out 3\n0 1\n", "no edge lines"),
+        # vertex 2 has no edge, and the F(a,b) ball over a and a^-1 has 7
+        # vertices: more than the text's 6 lines
+        ("vertices 3 radius_in 1 radius_out 1\n0 1\n1 a\n2 a^2\n0 1 a\n1 0 a^-1\n", "outgrows the text"),
     ],
     ids=[
         "empty", "negative-endpoint", "endpoint-past-end", "repeated-edge", "one-way-edge",
@@ -277,28 +260,59 @@ _OUT_OF_RADIUS = write_ball(build_ball(parse_group_spec("Z x Z"), 1)).replace("r
     ],
 )
 def test_import_rejects_malformed_text(text, match):
+    # _OUT_OF_RADIUS is a Z x Z export; the other labels are F(a,b) words
+    spec = parse_group_spec("Z x Z" if text is _OUT_OF_RADIUS else "F(a,b)")
     with pytest.raises(ValueError, match=match):
-        read_ball(text)
+        read_ball(text, spec)
 
 
 def test_import_rejects_words_naming_one_element():
-    text = "vertices 2 radius_in 1 radius_out 1\n0 a\n1 a.b.b^-1\n0 1 b\n1 0 b^-1\n"
-    read_ball(text)  # graph-only: the words are not evaluated
-    with pytest.raises(ValueError):
-        read_ball(text, spec=parse_group_spec("F(a,b)"))
+    # the F(a,b) R1 export with vertex 2 renamed a.b.b^-1, vertex 1's element
+    lines = write_ball(build_ball(parse_group_spec("F(a,b)"), 1)).splitlines()
+    assert lines[2:4] == ["1 a", "2 a^-1"]
+    lines[3] = "2 a.b.b^-1"
+    with pytest.raises(ValueError, match=re.escape("line 4 is '2 a.b.b^-1'")):
+        read_ball("\n".join(lines) + "\n", spec=parse_group_spec("F(a,b)"))
+
+
+def test_import_rejects_swapped_words():
+    # the Z x Z R2 export with the words of t1 and t2 swapped: each vertex
+    # line still names a distinct element, but not the one its edges reach
+    spec = parse_group_spec("Z x Z")
+    ball = build_ball(spec, 2)
+    lines = write_ball(ball).splitlines()
+    for i in range(1, 1 + ball.n_vertices):
+        lines[i] = re.sub(r"t([12])", lambda m: "t" + "21"[int(m[1]) - 1], lines[i])
+    first = next(i for i in range(1, 1 + ball.n_vertices) if "t1" in lines[i] or "t2" in lines[i])
+    with pytest.raises(ValueError, match=re.escape(f"line {first + 1} is {lines[first]!r}")):
+        read_ball("\n".join(lines) + "\n", spec)
+
+
+def test_import_of_a_huge_header_stays_small():
+    # a 3-line text claiming a billion vertices at radius_in 8000: the
+    # rebuild stops at the text's 3 lines
+    text = "vertices 1000000000 radius_in 8000 radius_out 24000\n0 1\n0 1 t1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex budget 3 exceeded"):
+            read_ball(text, parse_group_spec("Z x Z"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=40)
 @given(data=st.data())
 def test_export_round_trip_random(data):
-    # text -> graph-only ball -> text is the identity; with the spec the
-    # imported table and inner distances are the built ball's
+    # text -> ball -> text is the identity, and the imported table and
+    # inner distances are the built ball's
     text, r_in = data.draw(st.sampled_from(ROW_CASES + [("Z * Z4", 1), ("S3 * Z", 1), ("Z", 2)]))
     spec = parse_group_spec(text)
     ball = build_ball(spec, r_in, generators=_draw_words(data, text))
     exported = write_ball(ball)
-    assert write_ball(read_ball(exported)) == exported
     loaded = read_ball(exported, spec=spec)
+    assert write_ball(loaded) == exported
     assert (loaded.nbr == ball.nbr).all() and (loaded.dist0 == ball.dist0).all()
     assert loaded.index == ball.index
     assert (all_pairs_distances(loaded).inner == all_pairs_distances(ball).inner).all()
@@ -354,13 +368,13 @@ def test_components_of_a_ruler_path():
 
 def _shuffled_export(ball, rng):
     """``write_ball`` text of the ball with its vertices renumbered at random
-    within each sphere: still breadth-first, but the first parents in
-    row-major order are no longer nondecreasing."""
+    within each sphere: still breadth-first, and the same graph and words,
+    but not ``build_ball``'s numbering."""
     cuts = np.searchsorted(ball.dist0, np.arange(ball.r_out + 2))
     new = np.concatenate([rng.permutation(np.arange(lo, hi)) for lo, hi in zip(cuts, cuts[1:])])
     old = np.argsort(new)
     lines = [f"vertices {ball.n_vertices} radius_in {ball.r_in} radius_out {ball.r_out}"]
-    lines += [f"{i} v{v}" for i, v in enumerate(old.tolist())]
+    lines += [f"{i} {ball.word(v)}" for i, v in enumerate(old.tolist())]
     us, lis = np.nonzero(ball.nbr >= 0)
     for u, v, li in zip(new[us].tolist(), new[ball.nbr[us, lis]].tolist(), lis.tolist()):
         lines.append(f"{u} {v} {ball.label(li)}")
@@ -369,29 +383,18 @@ def _shuffled_export(ball, rng):
 
 @settings(max_examples=40)
 @given(data=st.data())
-def test_connected_without_on_shuffled_imports(make_pair, data):
-    # a cut-vertex query against networkx on a ball whose BFS-tree parents
-    # are out of order, so that connected_without renumbers the tree first
+def test_import_rejects_sphere_shuffled_exports(make_pair, data):
+    # the rebuilt ball's export differs from a shuffled one, and the error
+    # names the first line where they part
     atoms = st.sampled_from(["Z", "Z2", "Z3", "Z4", "S3"])
     text = f"{data.draw(atoms)} {data.draw(st.sampled_from(['x', '*']))} {data.draw(atoms)}"
     built, _ = make_pair(text, data.draw(st.integers(1, 2)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    ball = read_ball(_shuffled_export(built, rng))
-    parent = ball._parent_arcs()[1:] // ball.nbr.shape[1]
-    assume((np.diff(parent) < 0).any())
-    p, x, y = rng.integers(0, ball.n_vertices, size=(3, 300)).tolist()
-    # the root, probes at an endpoint, and repeated endpoints
-    queries = list(zip(p, x, y)) + [(0, x[0], y[0])]
-    queries += [(a, a, b) for a, b in zip(x[:20], y[:20])] + [(b, a, b) for a, b in zip(x[:20], y[:20])]
-    queries += [(q, a, a) for q, a in zip(p[:20], x[:20])]
-    got = connected_without(ball, *(np.array(c) for c in zip(*queries)))
-    graph = nx_graph(ball)
-    side = {}
-    for q in {q for q, _, _ in queries}:
-        for part in nx.connected_components(nx.restricted_view(graph, [q], [])):
-            side.update({(q, v): min(part) for v in part})
-    for (q, a, b), reached in zip(queries, got.tolist()):
-        assert reached == (a != q and b != q and side[q, a] == side[q, b]), (q, a, b)
+    shuffled = _shuffled_export(built, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    lines = shuffled.splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(lines, write_ball(built).splitlines())) if a != b), None)
+    assume(first is not None)
+    with pytest.raises(ValueError, match=re.escape(f"line {first + 1} is {lines[first]!r}")):
+        read_ball(shuffled, built.spec)
 
 
 def test_custom_generating_set(make_pair):

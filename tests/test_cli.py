@@ -58,6 +58,7 @@ def test_bad_invariant_exit_code(capsys):
         ["--invariants", "four_point", "--radii", "2..x"],
         ["--invariants", "four_point", "--radii", "..3"],
         ["--invariants", "four_point", "--geodesic-cap", "abc"],
+        ["--invariants", ""],
     ],
 )
 def test_bad_arguments_rejected_before_any_work(monkeypatch, capsys, extra):
@@ -85,6 +86,13 @@ def test_integer_parse_errors_name_the_flag(capsys, flag, text, message):
     radius = [] if flag == "--radii" else ["--radius", "1"]
     assert cli.main(["analyze", "--group", "Z", flag, text] + radius) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("words", ["", ","])
+def test_empty_generator_list_exits_2(capsys, words):
+    rc = cli.main(["analyze", "--group", "Z", "--radius", "1", "--invariants", "four_point", "--generators", words])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: generator list is empty\n"
 
 
 def test_empty_radii_range_is_named(capsys):

@@ -60,6 +60,18 @@ def test_unknown_generator_in_word():
         spec.parse_word("a.c")
 
 
+def test_powers_by_squaring():
+    # huge exponents take about 2 log2 |k| products, not |k|
+    assert parse_group_spec("Z").parse_word("t1^1000000000000") == 10**12
+    for text, word, expected in [
+        ("Z2 * Z3", "t2^1000000001", "t2^-1"),
+        ("S4", "s1_1^1000000001", "s1_1"),
+        ("F(a,b)", "a^-5.b^3", "a^-1.a^-1.a^-1.a^-1.a^-1.b.b.b"),
+    ]:
+        spec = parse_group_spec(text)
+        assert spec.parse_word(word) == spec.parse_word(expected)
+
+
 def test_inverse_cancellation():
     spec = parse_group_spec("F(a,b)")
     assert spec.multiply(spec.parse_word("a"), spec.parse_word("a^-1")) == spec.identity()

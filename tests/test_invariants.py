@@ -726,7 +726,8 @@ def test_detour_for_pair_matches_oracle_random(make_pair, data):
 @pytest.mark.parametrize("entries", [1, 1 << 30], ids=["one-probe-per-chunk", "one-chunk"])
 def test_detour_report_independent_of_chunk(make_pair, monkeypatch, text, r_in, entries):
     # each case has queries that pass level 1 and go on to the stacked levels
-    # (the level-1 pass then runs one subtree per reduceat, or all at once)
+    # (the level-1 pass then merges one subtree per sphere slice, or each
+    # sphere in one slice)
     ball, dist = make_pair(text, r_in)
     expected = detour_epsilon(ball, dist, EXHAUSTIVE).to_dict()
     assert expected["value_doubled"] >= 4
@@ -1077,10 +1078,10 @@ def test_orbit_reduction_changes_no_report_random_specs(make_pair, data):
 
 @pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("(Z2 * Z3) x Z", 1)])
 def test_imported_ball_gives_its_parents_reports(text, r_in):
-    # a graph-only import finds the same maps from the table alone
+    # the import, a fresh rebuild, finds the same maps and reports
     ball = build_ball(parse_group_spec(text), r_in)
-    loaded = ball_module.read_ball(ball_module.write_ball(ball))
-    assert loaded.spec is None and len(loaded.automorphisms()) > 1
+    loaded = ball_module.read_ball(ball_module.write_ball(ball), ball.spec)
+    assert loaded is not ball and len(loaded.automorphisms()) > 1
     assert (loaded.automorphisms() == ball.automorphisms()).all()
     assert _exhaustive_reports(loaded) == _exhaustive_reports(ball)
 
