@@ -11,19 +11,21 @@ letter) order: breadth-first order.  The last sphere's products are looked
 up, not added, so a free id outside the ball reads -1.  The ball keeps the
 Cayley table, not the elements.
 
-It reaches ``r_out = 3 * r_in``: a geodesic between inner vertices has
-length at most ``2 * r_in`` and stays within ``3 * r_in`` of the identity,
-so inner-pair distances are those of the whole group.  In general a ball
-distance ``d(u, v)`` is exact when ``(d(1, u) + d(1, v) + d(u, v)) / 2 <=
-r_out``.
+It reaches ``r_out = 3 * r_in``; a ball distance ``d(u, v)`` is exact when
+``(d(1, u) + d(1, v) + d(u, v)) / 2 <= r_out``.  Distance rows are clipped
+at ``clip = 2 * r_in + 1``: exact up to ``2 * r_in``, ``clip`` beyond.  The
+invariants need no more.  Their probe points lie on geodesics between inner
+vertices (the geodesic hull, within ``2 * r_in`` of the identity), and each
+value they report or compare against a threshold is at most a side length
+or a probe's distance to an end of its geodesic.  Below ``clip`` a clipped
+distance decides every such comparison as the exact one does, and extrema
+of clipped values are clipped extrema.
 
-Distance rows are clipped at ``clip = 2 * r_in + 1``: exact up to ``2 *
-r_in``, ``clip`` beyond.  The invariants need no more.  Their probe points
-lie on geodesics between inner vertices (the geodesic hull, within ``2 *
-r_in`` of the identity), and each value they report or compare against a
-threshold is at most a side length or a probe's distance to an end of its
-geodesic.  Below ``clip`` a clipped distance decides every such comparison
-as the exact one does, and extrema of clipped values are clipped extrema.
+Inner rows span B(2R) and are swept on B(floor(5R/2)) alone: an inner u,
+a 2R vertex w and ``d(u, w) <= 2R`` give ``(R + 2R + 2R) / 2`` in the rule
+above, and a longer distance reads ``clip`` in both balls.  Whole-ball rows
+are swept only for reads past 2R: detour levels from 2, ``masked_path``,
+the adversarial mesh, quasi-convexity, and vertices past the inner ball.
 """
 
 from __future__ import annotations
@@ -568,18 +570,19 @@ def _row_classes(words):
 
 
 class DistanceMatrix:
-    """Clipped ball distances, every row in one int16 ``block``.
+    """Clipped distances (module docstring) in two int16 row stores.
 
-    A row holds ``min(d_ball(u, w), clip)``, ``clip = 2 * r_in + 1`` (see
-    the module docstring), from ``_clipped_rows``; a slot per vertex gives
-    its block row, or -1.  The block holds the inner rows from construction,
-    then each request's missing rows, appended in one sweep per request.
-    Read through ``rows``, ``row`` or ``ensure_mid_rows``, since a request
-    may replace ``block``.  ``inner`` is a copy of the inner block.
-
-    ``_dags`` is the geodesic-DAG store of ``geodesics.inner_dags``, whose
-    vertex set is the geodesic hull (``geodesics.hull``).  The block and
-    the store fill on first use without locks.
+    ``inner_rows`` holds the inner rows over the ``mid_count`` columns,
+    B(2R), swept on B(floor(5R/2)) at construction (no geodesic of length
+    at most 2R from an inner vertex to B(2R) leaves it); ``inner`` is its
+    inner block.  ``block`` holds whole-ball rows, one sweep per request
+    for the rows it lacks, and ``_slot`` a vertex's block row, or -1.
+    ``rows`` serves inner vertices on columns below ``mid_count`` from
+    ``inner_rows``; other reads (detour levels from 2, ``masked_path``, the
+    adversarial mesh, quasi-convexity, vertices past the inner ball) and
+    ``row`` fill ``block``, so read it through them.  ``_dags`` is the
+    geodesic-DAG store of ``geodesics.inner_dags``, whose vertex set is the
+    geodesic hull.  Both fill on first use without locks.
     """
 
     def __init__(self, ball: BallGraph):
@@ -587,20 +590,24 @@ class DistanceMatrix:
         self.clip = 2 * ball.r_in + 1
         self._pscan = None  # the polygon scan, filled lazily by invariants
         self._dags = None  # the geodesic-DAG store, filled lazily by geodesics
-        ni = ball.inner_count
-        self.block = self._clipped_rows(np.arange(ni))
-        self.inner = self.block[:, :ni].copy()
+        ni, mid = ball.inner_count, ball.mid_count
+        prefix = int(np.searchsorted(ball.dist0, 5 * ball.r_in // 2, side="right"))
+        self.inner_rows = self._clipped_rows(np.arange(ni), prefix)[:, :mid].copy()
+        self.inner = self.inner_rows[:, :ni].copy()
+        self.block = np.empty((0, ball.n_vertices), dtype=np.int16)
         self._slot = np.full(ball.n_vertices, -1, dtype=np.int32)
-        self._slot[:ni] = np.arange(ni)
 
-    def _clipped_rows(self, sources):
-        """int16 rows ``min(d_ball(s, w), clip)``, one per source, by one
+    def _clipped_rows(self, sources, width=None):
+        """int16 rows ``min(d(s, w), clip)`` on the subgraph induced by the
+        first ``width`` vertices (default all), one per source, by one
         breadth-first sweep for all sources.  The frontier holds flat indices
         ``i * n + v`` into rows that start at ``clip``; level ``t`` reads its
         table rows a letter at a time and writes ``t`` to the products still at
         ``clip``, the next frontier.  A letter maps vertices one to one, so
         marking before the next column is read puts each index in one level."""
-        n, clip = self.ball.n_vertices, self.clip
+        n, clip, nbr = width or self.ball.n_vertices, self.clip, self.ball.nbr
+        if n < len(nbr):
+            nbr = np.where(nbr[:n] < n, nbr[:n], -1)
         out = np.full((len(sources), n), clip, dtype=np.int16)
         flat = out.reshape(-1)
         front = np.arange(len(sources), dtype=np.int64) * n + sources
@@ -608,7 +615,7 @@ class DistanceMatrix:
         for t in range(1, clip):
             v = front % n
             base, parts = front - v, []
-            for col in self.ball.nbr.T:
+            for col in nbr.T:
                 w = col[v]
                 keep = w >= 0
                 fresh = base[keep] + w[keep]
@@ -619,10 +626,9 @@ class DistanceMatrix:
         return out
 
     def _slots(self, vertices):
-        """Block rows of ``vertices``, after appending the rows they lack in
-        one ``_clipped_rows`` call; IndexError for a vertex outside
-        ``range(n_vertices)``."""
-        at = self._slot[_vertices(vertices)]
+        """Block rows of ``vertices`` (checked by the caller), after appending
+        the rows they lack in one ``_clipped_rows`` call."""
+        at = self._slot[vertices]
         if at.min(initial=0) < 0:
             missing = np.unique(np.asarray(vertices)[at < 0])
             self.block = np.concatenate([self.block, self._clipped_rows(missing)])
@@ -631,19 +637,23 @@ class DistanceMatrix:
         return at
 
     def ensure_mid_rows(self, vertices) -> np.ndarray:
-        """Rows of ``vertices`` cut after ``mid_count`` columns (the vertices
-        within ``2 * r_in`` of the identity), as a new int16 array; a probe
-        in ``perfbench/tracing.py`` binds the name (``ball.mid_rows_s``,
+        """``rows`` of ``vertices`` over the ``mid_count`` columns; a probe in
+        ``perfbench/tracing.py`` binds the name (``ball.mid_rows_s``,
         ``ball.mid_block_bytes``)."""
-        at = self._slots(vertices)  # fill first: the fill replaces the block
-        return self.block[at, : self.ball.mid_count]
+        return self.rows(vertices, np.arange(self.ball.mid_count))
 
     def rows(self, vertices, cols=None) -> np.ndarray:
         """Clipped rows of a 1-D array of vertices, as a new int16 array, or
         only columns ``cols``: a 1-D ``cols`` from every row, a 2-D one row by
-        row (``d(vertices[i], cols[i, j])``)."""
-        at = self._slots(vertices)
-        return self.block[at] if cols is None else self.block[at[:, None], _vertices(cols)]
+        row (``d(vertices[i], cols[i, j])``).  Read from ``inner_rows`` when
+        every vertex is inner and every column below ``mid_count``."""
+        vertices = _vertices(np.asarray(vertices))
+        if cols is not None:
+            cols = _vertices(np.asarray(cols))
+            if vertices.max(initial=0) < self.ball.inner_count and cols.max(initial=0) < self.ball.mid_count:
+                return self.inner_rows[vertices[:, None], cols]
+        at = self._slots(vertices)  # fill first: the fill replaces the block
+        return self.block[at] if cols is None else self.block[at[:, None], cols]
 
     def row(self, u) -> np.ndarray:
         """Clipped distances from ``u`` to every ball vertex, as a view of
@@ -656,7 +666,7 @@ class DistanceMatrix:
     def d(self, u, v) -> int:
         """Clipped distance between two ball vertices: exact up to
         ``2 * r_in``, ``clip`` beyond it."""
-        return int(self.row(u)[_vertices(v)])
+        return int(self.rows([u], [v])[0, 0])
 
 
 def _vertices(idx):
@@ -668,7 +678,7 @@ def _vertices(idx):
 
 
 def all_pairs_distances(ball: BallGraph) -> DistanceMatrix:
-    """Clipped distance rows of every inner vertex over the full ball."""
+    """Clipped distance rows of every inner vertex over the 2R ball."""
     return DistanceMatrix(ball)
 
 

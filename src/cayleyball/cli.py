@@ -55,6 +55,8 @@ class AnalysisConfig:
             for w in self.generators:
                 self.spec.parse_word(w)
         if self.subgroup is not None:
+            if not self.subgroup:
+                raise ValueError("--subgroup lists no generator word")
             for w in self.subgroup:
                 self.spec.parse_word(w)
         if not self.radii or any(r < 1 for r in self.radii):

@@ -47,6 +47,8 @@ def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     a = np.asarray(a, dtype=np.int64).ravel()
     b = np.asarray(b, dtype=np.int64).ravel()
     n = ball.n_vertices
+    # an inner pair's interval lies within 2 * r_in: its walk drops later vertices
+    top = ball.mid_count if max(a.max(initial=0), b.max(initial=0)) < ball.inner_count else n
     duv = dist.rows(b, a[:, None])[:, 0].astype(np.int64)
     if (duv >= dist.clip).any():
         raise ValueError(f"a pair is at least {dist.clip} apart: beyond the clipped distance rows")
@@ -56,7 +58,8 @@ def _interval_dags(ball, dist: DistanceMatrix, a, b) -> IntervalDags:
     k, w, at, fill, layers = np.arange(len(a)), a, np.zeros(len(a), loc), np.ones(len(a), np.int64), []
     while len(k):
         z = ball.nbr[w]
-        on = (z >= 0) & (dist.rows(b[k], np.maximum(z, 0)) == (duv - len(layers) - 1)[k, None])
+        on = (z >= 0) & (z < top)
+        on &= dist.rows(b[k], np.where(on, z, 0)) == (duv - len(layers) - 1)[k, None]
         e, c = np.nonzero(on)
         nxt, j = np.unique(k[e] * n + z[e, c], return_inverse=True)
         nk = nxt // n
@@ -265,8 +268,8 @@ def _first(links):
 
 def _avoidance_prefixes(dist, dags, p):
     """Best prefix values of a one-pair store against probe p."""
-    size = len(dags.verts)
-    return _maxmin_layers(dags, np.arange(size), np.zeros(1, np.int64), np.array([size]), dist.row(p)[dags.verts])
+    size, val = len(dags.verts), dist.rows([p], dags.verts)[0]
+    return _maxmin_layers(dags, np.arange(size), np.zeros(1, np.int64), np.array([size]), val)
 
 
 def max_avoidance(ball, dist, u, v, p) -> int:

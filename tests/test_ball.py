@@ -581,15 +581,18 @@ def test_clipped_rows_match_bfs(make_pair, data):
 
 
 def test_distance_rows_allocate_little_beyond_the_block():
-    # the sweep's frontier is small next to the int16 block it fills
-    ball = build_ball(parse_group_spec("F(a,b)"), 3)
+    # the inner rows are swept on B(5R/2) and kept over B(2R): the traced
+    # construction peak of Z2 * Z3 R9 read 29.7 MiB with the inner rows
+    # swept and kept over the whole 3R ball, and 6.8 MiB this way
+    ball = build_ball(parse_group_spec("Z2 * Z3"), 9)
     tracemalloc.start()
     try:
         dist = DistanceMatrix(ball)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * dist.block.nbytes
+    assert dist.inner_rows.shape == (ball.inner_count, ball.mid_count) and not len(dist.block)
+    assert peak <= 12 * 2**20
 
 
 @pytest.mark.parametrize("text,r_in,mib", [("F(a,b)", 3, 10.5), ("Z2 * Z3", 9, 12)])
@@ -700,6 +703,27 @@ def test_build_matches_bfs_oracle_on_random_specs(data):
         g, h = rng.randrange(ball.inner_count), rng.randrange(ball.inner_count)
         shifted = spec.multiply(spec.invert(ball.elements[g]), ball.elements[h])
         assert dist.d(g, h) == ball.dist0[ball.index[shifted]]
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_inner_rows_from_the_5r_over_2_prefix_match_bfs(data):
+    # the inner rows are swept on B(floor(5R/2)) alone; against a BFS over
+    # the whole 3R ball, clipped at 2R + 1 and cut at mid_count, for odd and
+    # even R (the largest drawn R whose ball fits the budget)
+    names = (f"x{k}" for k in itertools.count(1))
+    text = re.sub(r"\b[ab]\b", lambda m: next(names), _draw_spec(data))
+    generators = _draw_words(data, text)
+    for r_in in range(data.draw(st.integers(1, 4)), 0, -1):
+        ball = _outcome(build_ball, parse_group_spec(text), r_in, generators, budget=4000)
+        if not isinstance(ball, tuple):
+            break
+    assume(not isinstance(ball, tuple))
+    dist = DistanceMatrix(ball)
+    assert dist.inner_rows.shape == (ball.inner_count, ball.mid_count)
+    for u in range(ball.inner_count):
+        want = [min(d, dist.clip) for d in bfs_distances(ball, u)[: ball.mid_count]]
+        assert dist.inner_rows[u].tolist() == want
 
 
 @pytest.mark.parametrize("text", ["F(a,b)", "Z2 * Z3", "Z x Z"])

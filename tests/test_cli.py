@@ -95,6 +95,16 @@ def test_empty_generator_list_exits_2(capsys, words):
     assert capsys.readouterr().err == "error: generator list is empty\n"
 
 
+@pytest.mark.parametrize("words", ["", ","])
+def test_empty_subgroup_exits_2(monkeypatch, capsys, words):
+    # an empty list would drop quasiconvex from the default set unannounced
+    monkeypatch.setattr(cli, "build_ball", None)  # rejected before any build
+    assert cli.main(["analyze", "--group", "Z", "--radius", "1", "--subgroup", words]) == 2
+    assert capsys.readouterr().err == "error: --subgroup lists no generator word\n"
+    with pytest.raises(ValueError, match="^--subgroup lists no generator word$"):
+        AnalysisConfig(group="Z", radii=[1], subgroup=[])
+
+
 def test_empty_radii_range_is_named(capsys):
     assert cli.main(["analyze", "--group", "Z", "--radii", "3..2", "--invariants", "four_point"]) == 2
     assert "error: --radii range 3..2 is empty" in capsys.readouterr().err
@@ -157,6 +167,29 @@ def test_default_set_runs_on_the_smallest_balls(capsys, group):
     assert cli.main(["analyze", "--group", group, "--radius", "1", "--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)["runs"][0]["results"]
     assert [r["extra"]["n"] for r in results if r["invariant"] == "polygon_delta"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"group": "Z2 * Z3", "radii": [4, 5, 6]},
+        {"group": "F(a,b)", "radii": [3]},
+        {"group": "Z2 * Z3", "radii": [9], "samples": 5000, "seed": 1},
+    ],
+    ids=["vfree-sweep", "free-r3", "vfree-sampled"],
+)
+def test_default_set_reads_no_whole_ball_row(monkeypatch, kwargs):
+    # every read of these runs stays within the 2R ball, where the inner rows serve it
+    stores, build = [], cli.all_pairs_distances
+
+    def distances(ball):
+        stores.append(build(ball))
+        return stores[-1]
+
+    monkeypatch.setattr(cli, "all_pairs_distances", distances)
+    run_analysis(AnalysisConfig(**kwargs))
+    assert len(stores) == len(kwargs["radii"])
+    assert [len(dist.block) for dist in stores] == [0] * len(stores)
 
 
 def test_empty_invariants_gives_ball_stats_only():

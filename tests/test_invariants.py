@@ -1235,10 +1235,12 @@ def test_plan_validation():
 # the clipping certificate: rows clipped at 2R + 1 change no reported result
 
 class UnclippedDistances(DistanceMatrix):
-    """Full-ball rows: every distance exact, none clipped."""
+    """Whole-ball distances, every one exact, none clipped, cut to the
+    width the sweep asks for (the inner rows' prefix too)."""
 
-    def _clipped_rows(self, sources):
-        return shortest_path(table_csr(self.ball.nbr), unweighted=True, indices=sources).astype(np.int16)
+    def _clipped_rows(self, sources, width=None):
+        rows = shortest_path(table_csr(self.ball.nbr), unweighted=True, indices=sources).astype(np.int16)
+        return rows[:, :width]
 
 
 @pytest.mark.parametrize(
