@@ -332,6 +332,15 @@ def _segments(starts, sizes):
     return np.arange(int(np.sum(sizes))) + np.repeat(starts - offsets, sizes)
 
 
+def _unique(x):
+    """The sorted distinct values of array ``x``: ``np.unique(x)``, whose
+    plain form imports ``numpy.ma`` on its first call."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _least_triangles(ball, capped, size):
     """A function yielding, in plan order, batches of about ``size`` inner
     corner triples least in their orbit or with a ``capped`` side."""
@@ -630,7 +639,7 @@ class DistanceMatrix:
         the rows they lack in one ``_clipped_rows`` call."""
         at = self._slot[vertices]
         if at.min(initial=0) < 0:
-            missing = np.unique(np.asarray(vertices)[at < 0])
+            missing = _unique(np.asarray(vertices)[at < 0])
             self.block = np.concatenate([self.block, self._clipped_rows(missing)])
             self._slot[missing] = np.arange(len(self.block) - len(missing), len(self.block))
             at = self._slot[vertices]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ball import DistanceMatrix, _inverse_letters, _segments
+from .ball import DistanceMatrix, _inverse_letters, _segments, _unique
 from .groups import InternalCheckError
 
 
@@ -107,7 +107,7 @@ def inner_dags(dist: DistanceMatrix) -> IntervalDags:
         cuts = np.searchsorted(np.cumsum(ni - rows), np.arange(step, ni * (ni + 1) // 2, step), side="right")
         parts = [
             _interval_dags(ball, dist, np.repeat(r, ni - r), _segments(r, ni - r))
-            for r in np.split(rows, np.unique(cuts[cuts > 0]))
+            for r in np.split(rows, _unique(cuts[cuts > 0]))
         ]
         shift = np.cumsum([0] + [p.ptr[-1] for p in parts])
         columns = list(zip(*parts))
@@ -141,7 +141,7 @@ def _one_pair(ball, dist, u, v) -> IntervalDags:
 def hull(dist: DistanceMatrix) -> np.ndarray:
     """The geodesic hull: the ascending vertices on some geodesic between
     two inner vertices, the store's vertex set."""
-    return np.unique(inner_dags(dist).verts)
+    return _unique(inner_dags(dist).verts)
 
 
 def interval(dist: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:

@@ -11,11 +11,11 @@ Examples: ``F(a,b)``, ``Z2 * Z3``, ``Z x Z``, ``(Z2 * Z3) x Z``.
 Elements are hashable values in canonical normal form, equal in the group
 iff they compare equal:
 
-* free group     -- tuple of ``(generator index, +1/-1)`` letters, reduced
 * cyclic Z / Zn  -- integer (residue in ``range(n)`` for Zn)
 * symmetric Sn   -- permutation of ``range(n)`` in one-line notation
 * free product   -- tuple of ``(factor index, factor element)`` syllables,
-                    none the identity, no two neighbours from one factor
+                    none the identity, no two neighbours from one factor;
+                    ``F(a,b)`` is the free product of one Z per name
 * direct product -- tuple of per-factor elements
 
 Free-group generators keep their declared names; the k-th atom (1-based,
@@ -27,8 +27,9 @@ accepted (``t1^3``), ``1`` is the identity, and
 
 For ball enumeration every normal form also has a fixed-width integer code
 (:class:`ElementCodes`), and whole blocks of codes multiply at once.  A free
-group or free product element's code is one id in a prefix table, so each
-letter syllable costs a row one table step.
+product element's code is one id in a prefix table, so each letter
+syllable costs a row one table step (a free group steps one letter at a
+time: ``a^k`` is k steps).
 """
 
 from __future__ import annotations
@@ -59,72 +60,6 @@ class WordError(ValueError):
 
 
 # group nodes
-
-class _PrefixCoded:
-    """Code of a free group or free product element: one column, the id of
-    its normal form in the node's ``_PrefixTable``.  A subclass names each
-    syllable's table key (``_syllable``) and what a syllable times a letter
-    syllable leaves (``_merge``)."""
-
-    def code_width(self, codes):
-        return 1
-
-    def code_limit(self, codes):
-        return _MAX_ID
-
-    def encode(self, a, codes):
-        table = codes.table(self)
-        i = np.zeros(1, dtype=np.int64)
-        for x in a:
-            i = table.find(i, self._syllable(x, table, codes), True)
-        return [int(i[0])]
-
-    def multiply_codes(self, block, elements, codes, add=True):
-        table = codes.table(self)
-        letters = [[self._syllable(x, table, codes) for x in b] for b in elements]
-        source = {s: x for b, ss in zip(elements, letters) for x, s in zip(b, ss)}
-        ids = table.multiply(block[:, 0], letters, lambda t, s: self._merge(table, t, source[s], codes), add)
-        return ids.astype(codes.dtype)[:, :, None]
-
-
-class FreeGroupNode(_PrefixCoded):
-    """Free group on named generators; elements are freely reduced words."""
-
-    def __init__(self, names):
-        self.names = tuple(names)
-
-    def identity(self):
-        return ()
-
-    def multiply(self, a, b):
-        out = list(a)
-        for gen, sign in b:
-            if out and out[-1][0] == gen and out[-1][1] == -sign:
-                out.pop()
-            else:
-                out.append((gen, sign))
-        return tuple(out)
-
-    def invert(self, a):
-        return tuple((gen, -sign) for gen, sign in reversed(a))
-
-    def gens(self):
-        return [(name, ((i, 1),)) for i, name in enumerate(self.names)]
-
-    def word_syllables(self, a):
-        return [(self.names[gen], sign) for gen, sign in a]
-
-    # code: one column, the id in the node's prefix table; a syllable is a
-    # letter (gen + 1, sign)
-    def code_demand(self, a, demand):
-        pass
-
-    def _syllable(self, x, table, codes):
-        return table.syllable((x[0] + 1, x[1]))
-
-    def _merge(self, table, t, x, codes):
-        return 0 if table.info[t] == (x[0] + 1, -x[1]) else -1
-
 
 class CyclicNode:
     """Infinite cyclic group (order None) or Z/nZ; elements are integers."""
@@ -232,7 +167,7 @@ class SymmetricNode:
         return block[:, np.array(elements)]  # (a*b)[k] = a[b[k]]
 
 
-class FreeProductNode(_PrefixCoded):
+class FreeProductNode:
     """Free product; elements are alternating sequences of factor syllables."""
 
     def __init__(self, factors):
@@ -283,11 +218,16 @@ class FreeProductNode(_PrefixCoded):
             out.extend(self.factors[fi].word_syllables(e))
         return out
 
-    # code: one column, the id in the node's prefix table; a syllable is the
-    # tag fi + 1 followed by the factor's code
+    # code: one column, the id in the node's prefix table.  The table steps
+    # through ``_steps(a)``, keying each step by ``_syllable`` (the tag fi + 1
+    # followed by the factor's code); ``_merge`` names what a table syllable
+    # times a letter's step leaves
     def code_demand(self, a, demand):
         for fi, e in a:
             self.factors[fi].code_demand(e, demand)
+
+    def code_width(self, codes):
+        return 1
 
     def code_limit(self, codes):
         return max([_MAX_ID] + [f.code_limit(codes) for f in self.factors])
@@ -295,7 +235,22 @@ class FreeProductNode(_PrefixCoded):
     def encode(self, a, codes):
         if not self._reduced(a):
             raise InternalCheckError("free-product normal form violated")
-        return super().encode(a, codes)
+        table = codes.table(self)
+        i = np.zeros(1, dtype=np.int64)
+        for x in self._steps(a):
+            i = table.find(i, self._syllable(x, table, codes), True)
+        return [int(i[0])]
+
+    def multiply_codes(self, block, elements, codes, add=True):
+        table = codes.table(self)
+        steps = [self._steps(b) for b in elements]
+        letters = [[self._syllable(x, table, codes) for x in b] for b in steps]
+        source = {s: x for b, ss in zip(steps, letters) for x, s in zip(b, ss)}
+        ids = table.multiply(block[:, 0], letters, lambda t, s: self._merge(table, t, source[s], codes), add)
+        return ids.astype(codes.dtype)[:, :, None]
+
+    def _steps(self, a):
+        return a
 
     def _syllable(self, x, table, codes):
         return table.syllable((x[0] + 1, *self.factors[x[0]].encode(x[1], codes)))
@@ -310,6 +265,22 @@ class FreeProductNode(_PrefixCoded):
         if (row == codes.identity(factor)).all():
             return 0
         return table.syllable((tag, *row.tolist()))
+
+
+class FreeGroupNode(FreeProductNode):
+    """Free group on named generators: the free product of infinite cyclic
+    groups, one per name.  Its prefix table steps one letter at a time: a
+    syllable ``(fi, k)`` is ``|k|`` steps ``(fi, +-1)``, and a step either
+    cancels the table's last one or grows the word."""
+
+    def __init__(self, names):
+        super().__init__([CyclicNode(None, name) for name in names])
+
+    def _steps(self, a):
+        return [(fi, 1 if k > 0 else -1) for fi, k in a for _ in range(abs(k))]
+
+    def _merge(self, table, t, x, codes):
+        return 0 if table.info[t] == (x[0] + 1, -x[1]) else -1
 
 
 class DirectProductNode:
@@ -371,7 +342,7 @@ _MAX_ID = 1 << 31
 
 
 class _PrefixTable:
-    """The normal forms of one free group or free product node met so far.
+    """The normal forms of one free product node met so far.
 
     Id 0 is the identity; id i > 0 the pair (``parent[i]``, ``last[i]``) of
     the id of the normal form less its last syllable and that syllable's id,
@@ -478,8 +449,8 @@ class ElementCodes:
     A code is one row of ``width`` integers of type ``dtype``, equal exactly
     when the elements are: a cyclic element is one column, a permutation its
     one-line notation, a direct product its factors' columns side by side,
-    and a free group or free product element the id of its normal form in
-    the node's ``_PrefixTable``, which this object owns and fills.
+    and a free product element the id of its normal form in the node's
+    ``_PrefixTable``, which this object owns and fills.
 
     An infinite cyclic value is bounded by the letters: a product of ``k``
     letters has at most their summed absolute exponents, so ``r_out + 1``
@@ -507,7 +478,7 @@ class ElementCodes:
         self.width = root.code_width(self)
 
     def table(self, node):
-        """The prefix table of a free group or free product node."""
+        """The prefix table of a free product node."""
         if node not in self._tables:
             self._tables[node] = _PrefixTable()
         return self._tables[node]
@@ -598,17 +569,9 @@ class GroupSpec:
     def format_element(self, e):
         """Canonical word for an element; parses back to the same element."""
         syllables = self.root.word_syllables(e)
-        merged = []
-        for name, exp in syllables:
-            if merged and merged[-1][0] == name:
-                merged[-1][1] += exp
-                if merged[-1][1] == 0:
-                    merged.pop()
-            else:
-                merged.append([name, exp])
-        if not merged:
+        if not syllables:
             return "1"
-        return ".".join(name if exp == 1 else f"{name}^{exp}" for name, exp in merged)
+        return ".".join(name if exp == 1 else f"{name}^{exp}" for name, exp in syllables)
 
 
 # parser

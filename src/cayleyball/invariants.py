@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import DistanceMatrix, _least_triangles, _orbit_least, _segments, components, connected_without
+from .ball import DistanceMatrix, _least_triangles, _orbit_least, _segments, _unique, components, connected_without
 from .geodesics import (
     _avoidance_units,
     _entries,
@@ -443,7 +443,7 @@ def _polygon_tuple_batch(ball, dist, corners):
     probes = dags.verts[_first_padded(dags.ptr[pid[:, -1]], sizes)]
     used, local = np.unique(probes, return_inverse=True)
     local = local.reshape(probes.shape)
-    top = int(dags.verts[_entries(dags, np.unique(pid[:, :-1]))[0]].max())
+    top = int(dags.verts[_entries(dags, _unique(pid[:, :-1]))[0]].max())
     rows = dist.rows(used, np.arange(top + 1)).ravel()
     at = local * (top + 1)  # each probe's row offset in ``rows``
 
@@ -642,7 +642,7 @@ def _detour_levels(ball, dist, probes, xs, ys):
     r = 2
     while active.size:
         ap = sp[active]
-        live = np.unique(ap)
+        live = _unique(ap)
         survivors = []
         for lo in range(0, len(live), per_chunk):
             chunk = live[lo : lo + per_chunk]
@@ -866,7 +866,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     for tri in triangles():
         u, v = tri.ravel(), tri[:, [1, 2, 0]].ravel()
         new = pair_id[u, v] < 0
-        codes = np.unique(u[new] * n + v[new])
+        codes = _unique(u[new] * n + v[new])
         if not len(codes):
             continue
         x, y = codes // n, codes % n
@@ -888,7 +888,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
         lengths = np.concatenate(lengths)
         width = int(lengths.max())
         padded = np.concatenate([_pad_rows(b, width) for b in blocks])
-        used = np.unique(padded)
+        used = _unique(padded)
         # flat indices into the |U|x|U| block; int32 halves the index tensors
         P = np.searchsorted(used, padded).astype(np.int32 if len(used) ** 2 < 2**31 else np.int64)
         D = dist.rows(used, used)
@@ -914,7 +914,7 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
                 q, keys = q[live], keys[live]
                 wq = lengths[q].max(axis=1)
                 values = np.empty(len(q), dtype=D.dtype)
-                for w in np.unique(wq).tolist():
+                for w in _unique(wq).tolist():
                     sel = wq == w
                     values[sel] = _mesh_rows(P[:, :w], D, q[sel])
                 top = int(values.max())

@@ -50,6 +50,13 @@ def test_tree_ball_sizes(make_pair):
     assert ball2.r_out == 6
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(-5, 5), max_size=30), st.integers(1, 3))
+def test_unique_matches_numpy(values, rows):
+    x = np.array(values * rows, dtype=np.int64).reshape(rows, -1)
+    assert np.array_equal(ball_module._unique(x), np.unique(x))
+
+
 def test_grid_ball_size(make_pair):
     ball, _ = make_pair("Z x Z", 1)
     assert ball.inner_count == 5
@@ -65,13 +72,30 @@ def test_distances_examples(make_pair):
 
 
 def test_padding_exactness_against_reduced_length(make_pair):
-    # in the free group the true distance is the reduced length of u^-1 v
+    # in the free group the true distance is the reduced length of u^-1 v:
+    # the summed absolute exponents of its syllables
     ball, dist = make_pair("F(a,b)", 2)
     spec = ball.spec
     for u in range(ball.inner_count):
         for v in range(ball.inner_count):
             w = spec.multiply(spec.invert(ball.elements[u]), ball.elements[v])
-            assert dist.d(u, v) == len(w)
+            assert dist.d(u, v) == sum(abs(k) for _, k in w)
+
+
+@pytest.mark.parametrize(
+    "r_in,generators", [(2, None), (3, None), (2, ["t1.t2", "t2^2", "t1^3.t2^-1"])]
+)
+def test_free_group_builds_the_ball_of_z_star_z(r_in, generators):
+    # F(t1,t2) keys its prefix table one letter at a time, Z * Z one syllable
+    # at a time; both are the free product of two infinite cyclic groups, so
+    # the balls agree element for element, edge for edge and in their export
+    free, star = (
+        build_ball(parse_group_spec(text), r_in, generators=generators) for text in ("F(t1,t2)", "Z * Z")
+    )
+    assert free.elements == star.elements
+    assert free.words() == star.words()
+    assert np.array_equal(free.nbr, star.nbr)
+    assert write_ball(free) == write_ball(star)
 
 
 def test_matrix_against_networkx(make_pair):

@@ -339,6 +339,30 @@ def test_compare_generators(capsys):
     assert "gens_a" in out and "gens_b" in out
 
 
+def test_compare_generators_json_is_two_analyze_reports(capsys):
+    # each side of the payload is the analyze report of its generating set
+    common = [
+        "--group", "Z x Z", "--radius", "2", "--invariants", "bigons,four_point",
+        "--geodesic-cap", "none", "--format", "json",
+    ]
+    assert cli.main(["compare-generators", *common, "--gens-a", "t1,t2", "--gens-b", "t1,t2,t1.t2"]) == 0
+    payload = json.loads(_strip_timing(capsys.readouterr().out))
+    assert sorted(payload) == ["gens_a", "gens_b"]
+    for tag, gens in (("gens_a", "t1,t2"), ("gens_b", "t1,t2,t1.t2")):
+        assert cli.main(["analyze", *common, "--generators", gens]) == 0
+        assert payload[tag] == json.loads(_strip_timing(capsys.readouterr().out))
+
+
+def test_all_with_subgroup_appends_quasiconvex(capsys):
+    rc = cli.main(
+        ["analyze", "--group", "F(a,b)", "--radius", "1", "--invariants", "all", "--subgroup", "a.a", "--format", "json"]
+    )
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["invariants"] == [*cli._DEFAULT_INVARIANTS, "quasiconvex"]
+    assert report["runs"][0]["results"][-1]["invariant"] == "subgroup_quasiconvexity"
+
+
 def test_h2_demo(capsys):
     rc = cli.main(["h2-demo", "--radius", "0.0"])
     out = capsys.readouterr().out
@@ -395,17 +419,18 @@ def test_optimized_interpreter_reports_the_same():
 def test_analysis_loads_no_scipy():
     # the package needs numpy alone (scipy serves the test oracles): a fresh
     # interpreter that imports the CLI and runs the default set loads no
-    # scipy module, scipy.sparse included
+    # scipy module, scipy.sparse included, and not numpy.ma either (a plain
+    # np.unique(x) imports it on its first call)
     code = (
         "import sys\n"
         "from cayleyball import cli\n"
         "cli.emit_report(cli.run_analysis(cli.AnalysisConfig(group='Z x Z', radii=[2])), 'json')\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[] False\n"
 
 
 def test_readme_library_sketch_runs(capsys):

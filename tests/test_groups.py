@@ -144,6 +144,22 @@ def test_format_parse_round_trip(text):
     assert spec.parse_word("1") == spec.identity()
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["t1", "t2"]), st.integers(-4, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+        max_size=10,
+    )
+)
+def test_free_group_is_the_free_product_of_z(tokens):
+    # F(t1,t2) and Z * Z are one group with one element form
+    word = ".".join(tokens)
+    free, star = parse_group_spec("F(t1,t2)"), parse_group_spec("Z * Z")
+    e = free.parse_word(word)
+    assert e == star.parse_word(word)
+    assert free.format_element(e) == star.format_element(e)
+
+
 def test_free_product_normal_form_is_reduced():
     spec = parse_group_spec("Z2 * Z3")
     rng = random.Random(404)
