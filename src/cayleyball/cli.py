@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .ball import BudgetExceededError, all_pairs_distances, build_ball
+from .ball import _DEFAULT_BUDGET, BudgetExceededError, all_pairs_distances, build_ball
 from .groups import InternalCheckError, SpecParseError, WordError, parse_group_spec
 from .invariants import (
     SamplingPlan,
@@ -45,8 +45,8 @@ class AnalysisConfig:
     invariants: list[str] = field(default_factory=lambda: list(_DEFAULT_INVARIANTS))
     samples: int | None = None  # None -> exhaustive
     seed: int = 0
-    geodesic_cap: int | None = 64
-    budget: int = 500_000
+    geodesic_cap: int | None = SamplingPlan.geodesic_cap
+    budget: int = _DEFAULT_BUDGET
     subgroup: list[str] | None = None
 
     def __post_init__(self):
@@ -220,7 +220,7 @@ def _split_words(text):
 
 def _parse_cap(text):
     if text is None:
-        return 64
+        return SamplingPlan.geodesic_cap
     if text == "none":
         return None
     try:
@@ -238,9 +238,9 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--geodesic-cap", default=None,
-        help="per-side geodesic cap for mesh (int or 'none'; default 64); bigons are exact without it",
+        help=f"per-side geodesic cap for mesh (int or 'none'; default {SamplingPlan.geodesic_cap}); bigons are exact without it",
     )
-    parser.add_argument("--budget", type=int, default=500_000, help="vertex budget for the ball")
+    parser.add_argument("--budget", type=int, default=_DEFAULT_BUDGET, help="vertex budget for the ball")
     parser.add_argument("--subgroup", help="comma list of subgroup generator words")
     parser.add_argument("--format", choices=("json", "table"), default="table")
     parser.add_argument("--out", help="write the report to this path instead of stdout")

@@ -68,12 +68,13 @@ class SamplingPlan:
         if self.geodesic_cap is not None and self.geodesic_cap < 1:
             raise ValueError("geodesic cap must be at least 1 or None")
 
+    # the class body reads the field's default as ``geodesic_cap``
     @classmethod
-    def exhaustive(cls, geodesic_cap=64):
+    def exhaustive(cls, geodesic_cap=geodesic_cap):
         return cls(mode="exhaustive", geodesic_cap=geodesic_cap)
 
     @classmethod
-    def random(cls, count, seed, geodesic_cap=64):
+    def random(cls, count, seed, geodesic_cap=geodesic_cap):
         return cls(mode="random", count=count, seed=seed, geodesic_cap=geodesic_cap)
 
     def tuples(self, n, arity, unordered=False, size=None):

@@ -57,6 +57,27 @@ def test_unique_matches_numpy(values, rows):
     assert np.array_equal(ball_module._unique(x), np.unique(x))
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_row_classes_match_first_occurrence(data):
+    # a small pool of rows, drawn from many times, so most rows repeat and
+    # pool rows may differ in one column only
+    dtype = np.dtype(data.draw(st.sampled_from([np.int8, np.int64])))
+    info = np.iinfo(dtype)
+    width = data.draw(st.integers(1, 4))
+    value = st.one_of(st.integers(-3, 3), st.integers(int(info.min), int(info.max)))
+    pool = data.draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    rows = np.array([pool[i] for i in picks], dtype=dtype)
+    first, cls = ball_module._row_classes(rows)
+    seen = {}
+    want = [seen.setdefault(tuple(row), len(seen)) for row in rows.tolist()]
+    assert (np.diff(first) > 0).all()
+    assert np.array_equal(cls[first], np.arange(len(first)))
+    assert cls.tolist() == want
+    assert first.tolist() == [want.index(c) for c in range(len(seen))]
+
+
 def test_grid_ball_size(make_pair):
     ball, _ = make_pair("Z x Z", 1)
     assert ball.inner_count == 5
@@ -619,11 +640,12 @@ def test_distance_rows_allocate_little_beyond_the_block():
     assert peak <= 12 * 2**20
 
 
-@pytest.mark.parametrize("text,r_in,mib", [("F(a,b)", 3, 10.5), ("Z2 * Z3", 9, 12)])
+@pytest.mark.parametrize("text,r_in,mib", [("F(a,b)", 3, 10.5), ("Z2 * Z3", 9, 12), ("(Z2 * Z3) x Z", 6, 5)])
 def test_build_memory_peak_is_bounded(text, r_in, mib):
     # one id column per free-group or free-product element keeps the build's
     # own peak below these bounds; codes with a slot per syllable peaked at
-    # 10.9 and 21.6 MiB
+    # 10.9 and 21.6 MiB.  The two-column codes of a direct product are
+    # sorted and compared a column at a time.
     spec = parse_group_spec(text)
     build_ball(spec, 1)
     tracemalloc.start()
@@ -787,28 +809,6 @@ def test_export_matches_bfs_oracle(text, r_in, generators):
     spec = parse_group_spec(text)
     built, oracle = build_ball(spec, r_in, generators), ball_bfs_oracle(spec, r_in, generators)
     assert write_ball(built) == write_ball(oracle)
-
-
-def test_hash_collisions_are_resolved(monkeypatch):
-    # a hash that sends every multi-word row to one value at the first seed:
-    # the full-row comparison catches it and the next seed groups the rows.
-    # A free product's code is one id, so the rows span two words only next
-    # to the Z column of a direct product.
-    seeds, widths = [], []
-    original = ball_module._row_hashes
-
-    def colliding(words, seed):
-        seeds.append(seed)
-        widths.append(words.shape[1])
-        if seed == 0 and words.shape[1] > 1:
-            return np.zeros(len(words), dtype=np.uint64)
-        return original(words, seed)
-
-    monkeypatch.setattr(ball_module, "_row_hashes", colliding)
-    spec = parse_group_spec("(Z2 * Z3) x Z")
-    _assert_same_ball(build_ball(spec, 2), ball_bfs_oracle(spec, 2))
-    assert max(widths) > 1
-    assert 1 in seeds
 
 
 def test_analysis_derives_few_elements(monkeypatch):

@@ -296,6 +296,22 @@ def test_sampled_polygon_report_matches_golden(group, r_in, golden):
     assert _strip_timing(text) == expected
 
 
+@pytest.mark.parametrize("golden", ["report_zxz_r2.json", "report_z2z3_r3.json", "report_z2z3_t1t2_r3.json"])
+def test_exhaustive_goldens_keep_the_invariant_relations(golden):
+    # polygon:n scans (n+1)-gons, so polygon:1 is the bigons and rips (the
+    # triangles) polygon:2; an (n+1)-gon is an (n+2)-gon with a repeated
+    # corner; a four-point defect is the chain defect of a three-point chain
+    report = json.loads((Path(__file__).parent / "data" / golden).read_text(encoding="utf-8"))
+    for run in report["runs"]:
+        v = {r["selector"] if r["selector"] != "bigons" else r["invariant"]: r for r in run["results"]}
+        assert all(v[k]["bound"] == "exact" for k in ("four_point", "chain", "rips", "polygon:1", "bigon_async"))
+        v = {k: r["value_doubled"] for k, r in v.items()}
+        assert v["polygon:1"] == v["bigon_async"]
+        assert v["rips"] == v["polygon:2"]
+        assert v["four_point"] <= v["chain"]
+        assert v["polygon:1"] <= v["polygon:2"] <= v["polygon:3"]
+
+
 def test_no_exact_claims_under_sampling():
     config = AnalysisConfig(
         group="Z x Z", radii=[2], invariants=["four_point", "polygon:1", "mesh"],
