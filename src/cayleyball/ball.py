@@ -1,9 +1,9 @@
 """Cayley-graph balls with exact word-metric distances.
 
 A ball is enumerated one sphere at a time over array codes of the elements
-(``groups.ElementCodes``: one fixed-width integer row per element, equal
-exactly when the elements are; a free group or free product element is one
-id), a sphere's block multiplied by each letter at once.  A product ``u *
+(``groups.ElementCodes``: one int64 row per element, equal exactly when the
+elements are; a free group or free product element is one id), a sphere's
+block multiplied by each letter at once.  A product ``u *
 l`` of a vertex at distance ``d`` lies at distance ``d - 1``, ``d`` or ``d +
 1``, so matching the products against spheres ``d - 1`` and ``d`` and each
 other finds sphere ``d + 1``, numbered by first occurrence in (vertex,
@@ -486,8 +486,8 @@ def build_ball(spec: GroupSpec, r_in: int, generators=None, budget: int = _DEFAU
     letters = resolve_letters(spec, generators)
     r_out = 3 * r_in
     elements = [l.element for l in letters]
-    codes = ElementCodes(spec.root, elements, r_out)
-    prev = np.zeros((0, codes.width), dtype=codes.dtype)  # spheres d - 1 and d
+    codes = ElementCodes(spec.root)
+    prev = np.zeros((0, codes.width), dtype=np.int64)  # spheres d - 1 and d
     cur = codes.encode(spec.identity())[None, :]
     start = 0  # vertex index of prev's first row; cur follows prev
     counts = [1]

@@ -25,9 +25,10 @@ unique.  Words are dot-separated (``a.b^-1.a``), any integer exponent is
 accepted (``t1^3``), ``1`` is the identity, and
 :meth:`GroupSpec.format_element` parses back to the same element.
 
-For ball enumeration every normal form also has a fixed-width integer code
-(:class:`ElementCodes`), and whole blocks of codes multiply at once.  A free
-product element's code is one id in a prefix table, so each letter
+For ball enumeration every normal form also has a code, one int64 row
+(:class:`ElementCodes`), and whole blocks of codes multiply at once.  A
+cyclic value stays below 2**62 in absolute value, so no sum of two wraps.
+A free product element's code is one id in a prefix table, so each letter
 syllable costs a row one table step (a free group steps one letter at a
 time: ``a^k`` is k steps).
 """
@@ -84,27 +85,23 @@ class CyclicNode:
     def word_syllables(self, a):
         return [] if a == 0 else [(self.name, a)]
 
-    # code: [a]; the values of Z are bounded by the summed letter exponents
-    def code_demand(self, a, demand):
-        if not self.order:
-            demand[self] = demand.get(self, 0) + abs(a)
-
-    def code_width(self, codes):
+    # code: [a], below _MAX_Z in absolute value (the parser keeps every
+    # order at most _MAX_Z, so only Z can reach it)
+    def code_width(self):
         return 1
 
-    def code_limit(self, codes):
-        return self.order or codes.bounds.get(self, 0)
-
     def encode(self, a, codes):
+        if abs(a) >= _MAX_Z:
+            raise ValueError(f"{self.name} value {a} is not below 2**62 in absolute value; use smaller exponents")
         return [a]
 
     def multiply_codes(self, block, elements, codes, add=True):
-        # the dtype holds twice the largest bound, so no sum wraps around
-        out = block[:, None, :] + np.array(elements, dtype=codes.dtype)[:, None]
+        # two values below _MAX_Z sum without wrapping int64
+        out = block[:, None, :] + np.array([self.encode(e, codes) for e in elements], dtype=np.int64)
         if self.order:
             np.remainder(out, self.order, out=out)
-        elif (np.abs(out) > codes.bounds.get(self, 0)).any():
-            raise InternalCheckError("Z code value beyond its bound")
+        elif (np.abs(out) >= _MAX_Z).any():
+            raise ValueError(f"a product's {self.name} value reached 2**62 in absolute value; use smaller exponents")
         return out
 
 
@@ -151,13 +148,7 @@ class SymmetricNode:
         return [(self.names[k], 1) for k in reversed(swaps)]
 
     # code: the permutation in one-line notation, n columns
-    def code_demand(self, a, demand):
-        pass
-
-    def code_width(self, codes):
-        return self.n
-
-    def code_limit(self, codes):
+    def code_width(self):
         return self.n
 
     def encode(self, a, codes):
@@ -222,15 +213,8 @@ class FreeProductNode:
     # through ``_steps(a)``, keying each step by ``_syllable`` (the tag fi + 1
     # followed by the factor's code); ``_merge`` names what a table syllable
     # times a letter's step leaves
-    def code_demand(self, a, demand):
-        for fi, e in a:
-            self.factors[fi].code_demand(e, demand)
-
-    def code_width(self, codes):
+    def code_width(self):
         return 1
-
-    def code_limit(self, codes):
-        return max([_MAX_ID] + [f.code_limit(codes) for f in self.factors])
 
     def encode(self, a, codes):
         if not self._reduced(a):
@@ -247,7 +231,7 @@ class FreeProductNode:
         letters = [[self._syllable(x, table, codes) for x in b] for b in steps]
         source = {s: x for b, ss in zip(steps, letters) for x, s in zip(b, ss)}
         ids = table.multiply(block[:, 0], letters, lambda t, s: self._merge(table, t, source[s], codes), add)
-        return ids.astype(codes.dtype)[:, :, None]
+        return ids.astype(np.int64)[:, :, None]
 
     def _steps(self, a):
         return a
@@ -261,10 +245,10 @@ class FreeProductNode:
         if tag != fi + 1:
             return -1
         factor = self.factors[fi]
-        row = factor.multiply_codes(np.array([code], dtype=codes.dtype), [e], codes)[0, 0]
-        if (row == codes.identity(factor)).all():
+        row = factor.multiply_codes(np.array([code], dtype=np.int64), [e], codes)[0, 0].tolist()
+        if row == factor.encode(factor.identity(), codes):
             return 0
-        return table.syllable((tag, *row.tolist()))
+        return table.syllable((tag, *row))
 
 
 class FreeGroupNode(FreeProductNode):
@@ -277,6 +261,9 @@ class FreeGroupNode(FreeProductNode):
         super().__init__([CyclicNode(None, name) for name in names])
 
     def _steps(self, a):
+        for fi, k in a:
+            if abs(k) >= _MAX_ID:  # more steps than the table has ids
+                raise ValueError(f"{self.factors[fi].name}^{k} takes 2**31 or more table steps; use smaller exponents")
         return [(fi, 1 if k > 0 else -1) for fi, k in a for _ in range(abs(k))]
 
     def _merge(self, table, t, x, codes):
@@ -315,15 +302,8 @@ class DirectProductNode:
         return out
 
     # code: the factors' codes side by side
-    def code_demand(self, a, demand):
-        for factor, x in zip(self.factors, a):
-            factor.code_demand(x, demand)
-
-    def code_width(self, codes):
-        return sum(f.code_width(codes) for f in self.factors)
-
-    def code_limit(self, codes):
-        return max(f.code_limit(codes) for f in self.factors)
+    def code_width(self):
+        return sum(f.code_width() for f in self.factors)
 
     def encode(self, a, codes):
         return [v for factor, x in zip(self.factors, a) for v in factor.encode(x, codes)]
@@ -331,7 +311,7 @@ class DirectProductNode:
     def multiply_codes(self, block, elements, codes, add=True):
         parts, col = [], 0
         for fi, factor in enumerate(self.factors):
-            w = factor.code_width(codes)
+            w = factor.code_width()
             parts.append(factor.multiply_codes(block[:, col : col + w], [b[fi] for b in elements], codes, add))
             col += w
         return np.concatenate(parts, axis=2)
@@ -339,6 +319,9 @@ class DirectProductNode:
 
 # Ids stay below 2**31: a key ``parent << 32 | syllable`` then fits int64.
 _MAX_ID = 1 << 31
+# Cyclic code values stay below 2**62 in absolute value: a sum of two then
+# fits int64.
+_MAX_Z = 1 << 62
 
 
 class _PrefixTable:
@@ -444,38 +427,22 @@ def _id_overflow():
 
 
 class ElementCodes:
-    """Fixed-width integer codes for every element within ``r_out`` letters.
+    """Integer codes for the elements of the group ``root``.
 
-    A code is one row of ``width`` integers of type ``dtype``, equal exactly
-    when the elements are: a cyclic element is one column, a permutation its
+    A code is one int64 row of ``width`` integers, equal exactly when the
+    elements are: a cyclic element is one column, a permutation its
     one-line notation, a direct product its factors' columns side by side,
     and a free product element the id of its normal form in the node's
     ``_PrefixTable``, which this object owns and fills.
 
-    An infinite cyclic value is bounded by the letters: a product of ``k``
-    letters has at most their summed absolute exponents, so ``r_out + 1``
-    times the largest per-letter sum bounds the ball and its products with
-    a letter.  ``dtype`` holds twice the largest bound or id, so a sum of
-    two in-bound values never wraps.  A value out of bounds raises
-    InternalCheckError; nothing is truncated.
+    A cyclic value at or past 2**62 in absolute value, which only a
+    generator exponent can reach, raises ValueError; nothing wraps.
     """
 
-    def __init__(self, root, letters, r_out):
-        peak = {}
-        for e in letters:
-            demand = {}
-            root.code_demand(e, demand)
-            for node, k in demand.items():
-                peak[node] = max(peak.get(node, 0), k)
+    def __init__(self, root):
         self.root = root
-        self.bounds = {node: (r_out + 1) * k for node, k in peak.items()}
         self._tables = {}
-        self._identities = {}
-        limit = 2 * root.code_limit(self)
-        self.dtype = np.min_scalar_type(-limit - 1)  # the smallest signed type holding +-limit
-        if self.dtype.kind != "i":
-            raise InternalCheckError(f"code values up to {limit} overflow int64")
-        self.width = root.code_width(self)
+        self.width = root.code_width()
 
     def table(self, node):
         """The prefix table of a free product node."""
@@ -483,16 +450,9 @@ class ElementCodes:
             self._tables[node] = _PrefixTable()
         return self._tables[node]
 
-    def identity(self, node):
-        """The code row of ``node``'s identity."""
-        row = self._identities.get(node)
-        if row is None:
-            row = self._identities[node] = np.array(node.encode(node.identity(), self), dtype=self.dtype)
-        return row
-
     def encode(self, e):
         """The code row of an element of the root group."""
-        return np.array(self.root.encode(e, self), dtype=self.dtype)
+        return np.array(self.root.encode(e, self), dtype=np.int64)
 
     def multiply(self, block, elements, add=True):
         """The ``(m, len(elements), width)`` codes of ``a * e`` for every row
@@ -661,6 +621,8 @@ class _Parser:
             order = int(m.group(1)) if m.group(1) else None
             if order is not None and order < 2:
                 self.error(f"cyclic order must be at least 2, got {order}", start)
+            if order is not None and order > _MAX_Z:
+                self.error(f"cyclic order must be at most 2**62, got {order}", start)
             name = f"t{self.atom_count}"
             self.add_name(name, start)
             return CyclicNode(order, name)
@@ -698,7 +660,7 @@ class _Parser:
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse a group expression, e.g. ``"F(a,b)"`` or ``"Z2 * Z3"``; raises
     SpecParseError (with position) on syntax errors, duplicate generator
-    names, or orders below 2."""
+    names, or cyclic orders below 2 or above 2**62."""
     if not text.strip():
         raise SpecParseError("empty group specification", 0)
     root = _Parser(text).parse()

@@ -88,6 +88,22 @@ def test_integer_parse_errors_name_the_flag(capsys, flag, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "group,generators,limit",
+    [
+        ("Z", "t1^99999999999999999999", "2**62"),
+        ("Z x Z2", "t1^4611686018427387903,t2", "2**62"),
+        ("F(a,b)", "a^99999999999999999999,b", "2**31"),
+    ],
+)
+def test_oversized_exponent_exits_2(capsys, group, generators, limit):
+    # a cyclic value reaching 2**62 (the first letter, or t1 * t1 here), or
+    # a free-group power of 2**31 table steps, is a configuration error
+    assert cli.main(["analyze", "--group", group, "--radius", "1", "--generators", generators]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err
+
+
 @pytest.mark.parametrize("words", ["", ","])
 def test_empty_generator_list_exits_2(capsys, words):
     rc = cli.main(["analyze", "--group", "Z", "--radius", "1", "--invariants", "four_point", "--generators", words])

@@ -41,7 +41,7 @@ def test_parse_symmetric():
 
 @pytest.mark.parametrize(
     "bad",
-    ["F(a,a)", "Z1", "S1", "F(a,b", "", "ZxZ", "F()", "Z2 Z3", "* Z2", "F(1a)"],
+    ["F(a,a)", "Z1", "S1", "F(a,b", "", "ZxZ", "F()", "Z2 Z3", "* Z2", "F(1a)", "Z4611686018427387905"],
 )
 def test_parse_errors(bad):
     with pytest.raises(SpecParseError):
@@ -266,9 +266,9 @@ def test_elements_are_hashable_values():
     assert {e: 1}[spec.multiply(e, spec.identity())] == 1
 
 
-def _codes(text, r_out):
+def _codes(text):
     spec = parse_group_spec(text)
-    return spec, ElementCodes(spec.root, [l.element for l in resolve_letters(spec)], r_out)
+    return spec, ElementCodes(spec.root)
 
 
 @pytest.mark.parametrize("letter", ["1", "t2", "t2^-1"])
@@ -276,7 +276,7 @@ def test_free_product_codes_check_normal_form(letter):
     # a non-reduced element trips the scalar junction check, and encoding one
     # (an identity syllable, or two neighbouring syllables of one factor) is
     # refused rather than given a prefix-table id
-    spec, codes = _codes("Z2 * Z3", 3)
+    spec, codes = _codes("Z2 * Z3")
     identity_syllable = ((0, spec.root.factors[0].identity()),)
     e = spec.parse_word(letter)
     with pytest.raises(InternalCheckError, match="free-product normal form"):
@@ -294,7 +294,7 @@ def test_codes_refuse_id_overflow(monkeypatch, text, full, letter, fresh):
     # with ids bounded by 3, the table holds the identity, full's prefix and
     # full, and syllable ids 1 and 2: one more id of either kind raises
     # before the table changes, so no key ever wraps
-    spec, codes = _codes(text, 1)
+    spec, codes = _codes(text)
     block = codes.encode(spec.parse_word(full))[None, :]
     monkeypatch.setattr(groups, "_MAX_ID", 3)
     for _ in range(2):
@@ -309,12 +309,19 @@ def test_codes_refuse_id_overflow(monkeypatch, text, full, letter, fresh):
 
 
 def test_codes_refuse_value_beyond_bound():
-    # a Z value past (r_out + 1) times the letters' exponent raises
-    spec, codes = _codes("Z x Z", 1)
-    block = codes.encode(spec.parse_word("t1^2"))[None, :]
-    assert codes.multiply(block, [spec.parse_word("t1^-1")]).tolist() == [[[1, 0]]]
-    with pytest.raises(InternalCheckError, match="bound"):
-        codes.multiply(block, [spec.parse_word("t1")])
+    # a Z value reaching 2**62 raises, one just below multiplies exactly,
+    # and so no sum of two in-range values wraps int64
+    limit = 1 << 62
+    spec, codes = _codes("Z x Z")
+    block = codes.encode(spec.parse_word(f"t1^{limit // 2}"))[None, :]
+    below = codes.multiply(block, [spec.parse_word(f"t1^{limit // 2 - 1}"), spec.parse_word(f"t1^{-limit // 2 + 1}")])
+    assert below.dtype == np.int64 and below.tolist() == [[[limit - 1, 0], [1, 0]]]
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        codes.multiply(block, [spec.parse_word(f"t1^{limit // 2}")])
+    for value in (limit, -limit, 10**20):
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            codes.encode(spec.parse_word(f"t2^{value}"))
+    assert codes.encode(spec.parse_word(f"t2^{1 - limit}")).tolist() == [0, 1 - limit]
 
 
 @settings(max_examples=200)
@@ -323,8 +330,9 @@ def test_codes_multiply_like_elements(data):
     # codes of a * b for random a and letters b equal the codes of the
     # scalar products, and equal codes mean equal elements
     texts = ["Z2 * Z3", "F(a,b)", "S3 * Z", "(Z x Z4) * S3", "(Z2 * Z3) x Z", "(Z * Z2) * F(a)"]
+    texts += ["Z x Z", "Z6 x S3", "Z x Z4 x S3"]  # no free product
     text = data.draw(st.sampled_from(texts))
-    spec, codes = _codes(text, 8)
+    spec, codes = _codes(text)
     names = list(spec.generator_names)
     token = st.sampled_from(names + [f"{n}^-1" for n in names])
     words = data.draw(st.lists(st.lists(token, max_size=4), min_size=1, max_size=6))

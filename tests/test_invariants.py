@@ -1074,6 +1074,12 @@ def test_orbit_reduction_changes_no_report_random_specs(make_pair, data):
     with pytest.MonkeyPatch.context() as mp:
         _identity_group(mp)
         assert _exhaustive_reports(ball) == reduced
+    # the relations the exhaustive goldens keep hold on these reports too
+    value = {r["invariant"]: r["value_doubled"] for r in reduced}
+    polygons = [r["value_doubled"] for r in reduced if r["invariant"] == "polygon_delta"]
+    assert value["four_point_delta"] <= value["chain_defect"]
+    assert polygons[0] == value["bigon_async"]
+    assert polygons == sorted(polygons)
 
 
 @pytest.mark.parametrize("text,r_in", [("Z x Z", 2), ("(Z2 * Z3) x Z", 1)])
