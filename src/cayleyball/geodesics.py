@@ -4,10 +4,12 @@ The geodesics between two vertices form a layered DAG inside the interval
 ``{w : d(u,w) + d(w,v) = d(u,v)}``.  Each ``DistanceMatrix`` owns one
 flattened store of the DAGs of every inner pair a <= b (``inner_dags``),
 read by pair id, a pair asked for from its larger end walked back from its
-last entry.  On it run the max-min avoidance recurrence, path counts and
-label-lexicographic unranking (so a pair's k-th geodesic does not depend
-on the ball around it), and the witnesses' one-pair walks.  Its vertex set
-is the geodesic hull (``hull``).
+last entry.  A pair with one entry per layer has a single geodesic, its
+entries in layer order: its avoidance is a minimum over them and its path
+is read off directly.  On the other pairs run the max-min avoidance
+recurrence, path counts and label-lexicographic unranking (so a pair's k-th
+geodesic does not depend on the ball around it).  The witnesses' one-pair
+walks run on any pair.  Its vertex set is the geodesic hull (``hull``).
 """
 
 from __future__ import annotations
@@ -152,10 +154,11 @@ def interval(dist: DistanceMatrix, u: int, v: int) -> tuple[int, ...]:
 
 # max-min avoidance on the store
 
-# DP values (entries times probes) of one ``_avoidance_units`` chunk.  On a
-# 2-vCPU VM, store built, the WP fill of Z2 * Z3 R10 (23,871 pairs, 218
-# probes) took 0.92, 0.33, 0.17, 0.18 s at 2^14, 2^16, 2^18, 2^20; sampled
-# polygon:3 of Z2 * Z3 R9 0.105, 0.078, 0.062 s and 0.7, 1.6, 3.5 MiB at
+# Values (entries times probes) of one ``_avoidance_units`` chunk, of DP
+# units and single-geodesic units alike.  On a 2-vCPU VM, store built, where
+# every Z2 * Z3 unit is single-geodesic: the WP fill of Z2 * Z3 R10 (23,871
+# pairs, 218 probes) took 69, 37, 29, 31 ms at 2^14, 2^16, 2^18, 2^20;
+# sampled polygon:3 of Z2 * Z3 R9 29, 29, 35 ms and 1.1, 1.9, 2.4 MiB at
 # 2^14, 2^16, 2^18.
 _AVOIDANCE_ENTRIES = 1 << 16
 
@@ -207,6 +210,12 @@ def _entries(dags, pid):
     return _segments(dags.ptr[pid], sizes), sizes
 
 
+def _single(dags, pid):
+    """Which store pairs ``pid`` have a single geodesic: those whose
+    interval holds one entry per layer, d + 1 in all."""
+    return np.diff(dags.ptr)[pid] == dags.layer[dags.ptr[pid + 1] - 1] + 1
+
+
 def _first_padded(starts, sizes):
     """The index ranges ``starts[i]:starts[i] + sizes[i]`` as the rows of
     one matrix, each padded to the longest by repeating its first index."""
@@ -218,25 +227,37 @@ def _avoidance_units(dags, pair_of, width, values) -> np.ndarray:
     """Max avoidance of every DP unit against its own row of ``width``
     probes, as a ``(units, width)`` int16 array.
 
-    Unit i runs ``_maxmin_layers`` over the entries of pair ``pair_of[i]``;
-    ``values(entry, owner)`` gives the probe values of entries, a row each,
-    entry j of unit ``owner[j]``.  Units run in chunks of at most
-    ``_AVOIDANCE_ENTRIES`` DP values (at least one unit).  Ragged probe rows
-    repeat a unit's first probe, which keeps the maximum and its first probe.
+    Unit i reads the entries of pair ``pair_of[i]``; ``values(entry,
+    owner)`` gives the probe values of entries, a row each, entry j of unit
+    ``owner[j]``.  A single-geodesic unit's value is the least of its
+    entries' values, one ``(units, size, width)`` minimum per unit size; any
+    other unit runs ``_maxmin_layers``.  Units of each kind run in chunks
+    of at most ``_AVOIDANCE_ENTRIES`` values (at least one unit).  Ragged
+    probe rows repeat a unit's first probe, which keeps the maximum and its
+    first probe.
     """
     out = np.empty((len(pair_of), width), dtype=np.int16)
     sizes = np.diff(dags.ptr)[pair_of]
-    ends = np.cumsum(sizes)
+    single = _single(dags, pair_of)
     step = max(1, _AVOIDANCE_ENTRIES // max(1, width))
+    for s in _unique(sizes[single]).tolist():
+        units, k = np.flatnonzero(single & (sizes == s)), max(1, step // s)
+        for lo in range(0, len(units), k):
+            unit = units[lo : lo + k]
+            entry = (dags.ptr[pair_of[unit]][:, None] + np.arange(s)).ravel()
+            out[unit] = values(entry, np.repeat(unit, s)).reshape(len(unit), s, width).min(axis=1)
+    units = np.flatnonzero(~single)
+    ends = np.cumsum(sizes[units])
     lo = 0
-    while lo < len(pair_of):
+    while lo < len(units):
         start = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + step, side="right")))
-        sz = sizes[lo:hi]
+        unit = units[lo:hi]
+        sz = sizes[unit]
         base = np.cumsum(sz) - sz
-        entry = _segments(dags.ptr[pair_of[lo:hi]], sz)
-        f = _maxmin_layers(dags, entry, base, sz, values(entry, np.repeat(np.arange(lo, hi), sz)))
-        out[lo:hi] = f[base + sz - 1]
+        entry = _segments(dags.ptr[pair_of[unit]], sz)
+        f = _maxmin_layers(dags, entry, base, sz, values(entry, np.repeat(unit, sz)))
+        out[unit] = f[base + sz - 1]
         lo = hi
     return out
 
@@ -304,10 +325,10 @@ def _geodesic_rows(ball, dist, us, vs, cap):
     ``counts[k]`` of them, its first ``cap`` geodesics (all when ``cap`` is
     None), and ``truncated[k]`` says whether it has more.
 
-    Inner pairs are read from the store, from the first entry over ``succ``
-    when ``us[k] <= vs[k]``, else from the last over ``pred``.  Each entry
-    gets its count of paths to the far end, saturating at ``cap + 1``, and
-    the r-th path steps to the first column whose running count exceeds r.
+    Inner pairs are read from the store, from the first entry when ``us[k]
+    <= vs[k]``, else from the last.  A pair with one entry per layer has a
+    single geodesic, its entries in order; any other is unranked by
+    ``_unranked_rows``.
     """
     us, vs = (np.asarray(x, dtype=np.int64).ravel() for x in (us, vs))
     ni = ball.inner_count
@@ -315,6 +336,34 @@ def _geodesic_rows(ball, dist, us, vs, cap):
         dags, pid, back = inner_dags(dist), _pair_ids(ni, us, vs), us > vs
     else:
         dags, pid, back = _interval_dags(ball, dist, us, vs), np.arange(len(us)), np.zeros(len(us), bool)
+    first, last = dags.ptr[pid], dags.ptr[pid + 1] - 1
+    d = dags.layer[last].astype(np.int64)
+    one = _single(dags, pid)
+    steps = int(d.max(initial=-1)) + 1
+    counts, truncated = np.ones(len(pid), dtype=np.int64), np.zeros(len(pid), dtype=bool)
+    many = np.flatnonzero(~one)
+    if len(many):
+        more, counts[many], truncated[many] = _unranked_rows(dags, pid[many], back[many], cap, steps)
+    own = one[np.repeat(np.arange(len(pid)), counts)]
+    rows = np.empty((len(own), steps), dtype=dags.verts.dtype)
+    at = np.minimum(np.arange(steps), d[one, None])  # steps taken, then stay put
+    at *= np.where(back[one], -1, 1)[:, None]
+    at += np.where(back[one], last[one], first[one])[:, None]
+    rows[own] = dags.verts[at]
+    if len(many):
+        rows[~own] = more
+    return rows, counts, truncated
+
+
+def _unranked_rows(dags, pid, back, cap, steps):
+    """``_geodesic_rows`` of store pairs ``pid``, read from their last entry
+    over ``pred`` where ``back``, else from their first over ``succ``, in
+    rows of ``steps`` columns.
+
+    Each entry gets its count of paths to the far end, saturating at ``cap
+    + 1``, and the r-th path steps to the first column whose running count
+    exceeds r.
+    """
     entry, sizes = _entries(dags, pid)
     base = np.cumsum(sizes) - sizes
     verts, layer, glob = dags.verts[entry], dags.layer[entry], dags.succ[entry]
@@ -326,7 +375,6 @@ def _geodesic_rows(ball, dist, us, vs, cap):
     glob = np.where(glob >= 0, glob + np.repeat(base.astype(np.int32), sizes)[:, None], len(verts))
     far = base + np.where(back, 0, sizes - 1)
     glob[far, 0] = far  # a finished path stays put
-    steps = int(togo.max(initial=-1)) + 1
     count = _path_counts(glob, togo, np.iinfo(np.int64).max // glob.shape[1] if cap is None else cap + 1)
     del togo
     e = base + np.where(back, sizes - 1, 0)
@@ -338,7 +386,7 @@ def _geodesic_rows(ball, dist, us, vs, cap):
     rows = np.empty((len(pair), steps), dtype=verts.dtype)
     rows[:, 0] = verts[e]
     at = np.arange(len(pair))
-    for s in range(1, rows.shape[1]):
+    for s in range(1, steps):
         nxt = glob[e]
         run = np.cumsum(count[nxt], axis=1)
         col = (run <= rank[:, None]).sum(axis=1)

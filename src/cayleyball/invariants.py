@@ -32,6 +32,7 @@ from .geodesics import (
     _geodesic_rows,
     _capped_pairs,
     _pair_ids,
+    _single,
     enumerate_geodesics,  # noqa: F401 - a perfbench probe binds it here
     geodesic_through,
     hull,
@@ -421,8 +422,9 @@ def _polygon_tuple_witness(ball, dist, corners, p, value):
 
 
 # Sampled corner tuples evaluated at a time.  On a 2-vCPU VM the sampled
-# polygon:3 of Z2 * Z3 R9 (5000 tuples, store built) took 0.090, 0.080, 0.062
-# and 0.062 s at 2^6, 2^8, 2^10 and 2^12, peaking at 1.1, 1.6, 2.1, 3.9 MiB.
+# polygon:3 of Z2 * Z3 R9 (5000 tuples, store built, every side
+# single-geodesic) took 71, 40, 28 and 26 ms at 2^6, 2^8, 2^10 and 2^12,
+# peaking at 0.5, 0.9, 1.9, 3.6 MiB.
 _POLYGON_TUPLES = 1 << 10
 
 
@@ -510,8 +512,7 @@ def _bigon_batch(ball, dist, pairs, plan):
     sync."""
     dags = inner_dags(dist)
     pid = _pair_ids(ball.inner_count, pairs[:, 0], pairs[:, 1])
-    sizes = np.diff(dags.ptr)[pid]
-    keep = np.flatnonzero(sizes > dist.inner[pairs[:, 0], pairs[:, 1]] + 1)
+    keep = np.flatnonzero(~_single(dags, pid))
     if len(keep) and plan.mode == "exhaustive":
         keep = keep[_orbit_least(ball, pairs[keep])]
     if not len(keep):
@@ -839,10 +840,11 @@ def mesh_estimate(ball, dist, plan: SamplingPlan, mode="geodesic") -> InvariantR
     and in ``adversarial`` mode each side's maximal-detour path too.  Always
     a lower bound: the true mesh ranges over arbitrary triangles.
 
-    Each ordered corner pair's choices are unranked once from the store
-    (``_geodesic_rows``) into a path matrix padded by repeating the last
-    vertex, over a distance block of the vertices used.  Each (triangle,
-    i0, i1, i2) is a row, in plan order, choices in product order; an
+    Each ordered corner pair's choices are read once from the store
+    (``_geodesic_rows``: a single-geodesic pair's entries, or else unranked
+    paths) into a path matrix padded by repeating the last vertex, over a
+    distance block of the vertices used.  Each (triangle, i0, i1, i2) is a
+    row, in plan order, choices in product order; an
     exhaustive geodesic plan runs ``_least_triangles``, in full for orbits
     with a capped side: the cap keeps a side's first geodesics in label
     order, which a map need not keep.  Rows run in chunks of at most ``_MESH_CHUNK``

@@ -219,7 +219,7 @@ def test_max_avoidance_matches_enumeration(make_pair):
 
 SMALL_CASES = [
     (text, r_in)
-    for text in ("Z x Z", "Z6", "S4", "Z2 * Z3", "(Z2 * Z3) x Z")
+    for text in ("Z x Z", "Z6", "S4", "Z2 * Z3", "(Z2 * Z3) x Z", "F(a,b)")
     for r_in in (1, 2)
 ]
 
@@ -314,6 +314,77 @@ def test_store_paths_match_dfs_oracle(make_pair, data):
     flat = [path for paths, _ in expected for path in paths]
     for row, path in zip(rows.tolist(), flat):
         assert row == list(path) + [path[-1]] * (len(row) - len(path))
+
+
+def _store_pairs(ball, dist):
+    """Every inner pair a <= b in store order, and which of them have more
+    than one geodesic: more interval vertices than d(a, b) + 1."""
+    a, b = np.triu_indices(ball.inner_count)
+    sizes = np.diff(inner_dags(dist).ptr)
+    return a, b, sizes, sizes > dist.inner[a, b] + 1
+
+
+@pytest.mark.parametrize("text, r_in", [("F(a,b)", 2), ("Z2 * Z3", 3), ("Z x Z", 2)])
+def test_layered_kernels_see_no_single_geodesic_pair(monkeypatch, make_pair, text, r_in):
+    # the max-min DP and the path counts run on exactly the entries of the
+    # pairs with more than one geodesic; a pair with one is read directly
+    ball, dist = make_pair(text, r_in)
+    a, b, sizes, branching = _store_pairs(ball, dist)
+    dags = inner_dags(dist)
+    seen = {"_maxmin_layers": [], "_path_counts": []}
+
+    def recording(name, arg):  # records the entry count of each call
+        real = getattr(geodesics, name)
+
+        def record(*args):
+            seen[name].append(len(args[arg]))
+            return real(*args)
+
+        return record
+
+    monkeypatch.setattr(geodesics, "_maxmin_layers", recording("_maxmin_layers", 1))
+    monkeypatch.setattr(geodesics, "_path_counts", recording("_path_counts", 0))
+    by_vertex = dist.rows(np.arange(0, ball.inner_count, 3), np.arange(ball.mid_count)).T
+    _avoidance_units(dags, np.arange(len(a)), by_vertex.shape[1], lambda entry, _: by_vertex[dags.verts[entry]])
+    _geodesic_rows(ball, dist, np.r_[a, b], np.r_[b, a], 2)
+    expected = int(sizes[branching].sum())
+    assert sum(seen["_maxmin_layers"]) == expected
+    assert sum(seen["_path_counts"]) == 2 * expected
+    if text != "Z x Z":  # a tree and a block graph: every pair has one geodesic
+        assert seen == {"_maxmin_layers": [], "_path_counts": []}
+    else:
+        assert expected > 0
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 16])
+def test_mixed_pairs_keep_their_order(monkeypatch, make_pair, entries):
+    # single-geodesic pairs from either end, branching pairs and u == v,
+    # interleaved in one call of each kernel, against the oracles
+    ball, dist = make_pair("Z x Z", 2)
+    a, b, _, branching = _store_pairs(ball, dist)
+    path = np.flatnonzero(~branching & (a != b))[::7][:3]
+    many = np.flatnonzero(branching)[::5][:3]
+    pairs = []
+    for p, q in zip(path.tolist(), many.tolist()):
+        pairs += [(a[p], b[p]), (a[q], b[q]), (a[q], a[q]), (b[p], a[p]), (b[q], a[q])]
+    pairs = [(int(u), int(v)) for u, v in pairs]
+    assert len(pairs) == 15
+    us, vs = (np.array(c) for c in zip(*pairs))
+    probes = [0, 4, ball.inner_count - 1, ball.mid_count - 1]
+    rows = dist.rows(probes, np.arange(ball.mid_count)).T
+    dags = inner_dags(dist)
+    monkeypatch.setattr(geodesics, "_AVOIDANCE_ENTRIES", entries)
+    got = _avoidance_units(
+        dags, geodesics._pair_ids(ball.inner_count, us, vs), len(probes), lambda entry, _: rows[dags.verts[entry]]
+    )
+    assert got.tolist() == [max_avoidance_oracle(ball, u, v, probes) for u, v in pairs]
+    for cap in (1, 2, None):
+        expected = [geodesics_dfs_oracle(ball, u, v, cap=cap) for u, v in pairs]
+        paths, counts, truncated = _geodesic_rows(ball, dist, us, vs, cap)
+        assert counts.tolist() == [len(p) for p, _ in expected]
+        assert truncated.tolist() == [t for _, t in expected]
+        width = max(len(p[0]) for p, _ in expected)
+        assert paths.tolist() == [list(p) + [p[-1]] * (width - len(p)) for ps, _ in expected for p in ps]
 
 
 @settings(max_examples=25, deadline=None)
